@@ -48,6 +48,7 @@ from .sim import (
     SimResult,
     adversary_game,
     average_case_experiment,
+    scalar_policy,
     simulate,
     simulate_custom,
     strategy_policy,

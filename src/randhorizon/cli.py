@@ -34,6 +34,8 @@ class _OutputError(Exception):
 
 
 def _subseed(seed: int, *path: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence([seed, *path])
 
 

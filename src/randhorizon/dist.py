@@ -54,6 +54,14 @@ class HorizonDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
+        cdf = np.cumsum(self.probs)
+        idx = np.searchsorted(cdf, rng.random(m), side="right")
+        # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
+        last_positive = int(np.flatnonzero(self.probs)[-1])
+        return np.minimum(idx, last_positive) + 1
+
     def tail_mass(self, i: int) -> float:
         """P[N >= i]."""
         if i <= 1:

@@ -115,12 +115,7 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     """m iid horizon draws via inverse-CDF; deterministic given the seed."""
     if m < 1:
         raise ValidationError(f"sample count must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(p.probs)
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
-    # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
-    last_positive = int(np.flatnonzero(p.probs)[-1])
-    return SampleBatch(samples=np.minimum(idx, last_positive) + 1, m=m, seed=seed)
+    return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)), m=m, seed=seed)
 
 
 def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dist import HorizonDistribution, harmonic
 from .errors import ValidationError
-from .sim import SimResult
+from .sim import SimResult, _binomial_result
 
 _FAMILIES = ("identity", "uniform-max", "exp-max", "table")
 
@@ -239,6 +239,4 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
         atoms[:, i] = grid.cdf.sample_max_atoms(int(b), trials, rng)
     prefix = np.maximum.accumulate(atoms, axis=1)
     hits = np.all(prefix == np.arange(1, k.size + 1), axis=1)
-    successes = int(hits.sum())
-    rate = successes / trials
-    return SimResult(successes, rate, math.sqrt(rate * (1.0 - rate) / trials))
+    return _binomial_result(int(hits.sum()), trials)

@@ -1,21 +1,29 @@
-"""Ground-truth Monte Carlo of the arrival process.
+"""Ground-truth Monte Carlo of the arrival process, on rank streams.
 
-Episodes realize the process directly: draw a horizon N, permute the values
-1..N uniformly, reveal relative ranks one arrival at a time, and check any
-accepted position against the realized permutation (does it hold the value
-N?) rather than through any closed form.  This keeps the simulator a fully
+The decision maker sees only relative ranks: R_t = 1 + the number of earlier
+arrivals better than arrival t, so R_t = 1 means best so far.  Under a
+uniformly random order the ranks are independent with R_t ~ U{1..t} (Renyi,
+1962), so episodes never build a permutation.  One engine draws
+R_t = floor(u * t) + 1 for a whole chunk of episodes at once, stored
+arrival-major as int32 of shape (T, rows), and decides every outcome from the
+realized ranks alone: a pick at t wins iff it is the last record (R_s = 1) at
+or before the horizon, since the best of the first N values arrives at the
+last record among them.  No closed form enters, so the simulator stays an
 independent oracle of the exact evaluators.
 
-Policies are rank-feedback callables ``policy(t, ranks, rng) -> bool`` where
-``ranks`` holds the relative ranks R_1..R_t revealed so far (R_t = 1 means
-best so far).  A policy is queried once per arrival until it accepts.
+Policies are batched: ``policy(t, ranks, rng) -> bool[rows]``, where
+``ranks`` is a (t, rows) view holding R_1..R_t of every row still live at
+time t (``ranks[-1]`` is the current arrival).  The engine asks once per t
+for the whole chunk; rows that have already picked may be asked again, and
+those answers are ignored.  ``scalar_policy`` adapts a per-episode callable
+``fn(t, ranks_tuple, rng) -> bool`` to this protocol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from .dist import HorizonDistribution
 from .errors import HarnessError, ValidationError
 from .strategy import Strategy, prefix_products, single_threshold
 
-Policy = Callable[[int, tuple, np.random.Generator], bool]
+Policy = Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
 
 # cap on elements touched per vectorized batch, to bound memory
 _CHUNK_ELEMS = 1 << 22
@@ -56,104 +64,132 @@ class AvgCaseResult:
     draws: int
 
 
-def _draw_horizons(p: HorizonDistribution, trials: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(p.probs)
-    idx = np.searchsorted(cdf, rng.random(trials), side="right")
-    # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
-    last_positive = int(np.flatnonzero(p.probs)[-1])
-    return np.minimum(idx, last_positive) + 1
-
-
 def _binomial_result(successes: int, trials: int) -> SimResult:
     rate = successes / trials
     return SimResult(successes, rate, math.sqrt(rate * (1.0 - rate) / trials))
 
 
-def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> SimResult:
-    """Empirical success rate of a strategy, with binomial standard error.
+def _checked(decision, rows: int) -> np.ndarray:
+    if not (
+        isinstance(decision, np.ndarray)
+        and decision.dtype == np.bool_
+        and decision.shape == (rows,)
+    ):
+        got = (
+            f"{decision.dtype} array of shape {decision.shape}"
+            if isinstance(decision, np.ndarray)
+            else repr(decision)
+        )
+        raise HarnessError(f"policy returned {got}, expected a bool array of shape ({rows},)")
+    return decision
 
-    Vectorized over trials, grouped by realized horizon; deterministic given
-    the seed.
+
+def _draw_ranks(n_max: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """R_t = floor(u * t) + 1 for t = 1..n_max, arrival-major int32 of shape (n_max, rows)."""
+    ranks = np.empty((n_max, rows), dtype=np.int32)
+    # uniforms come in slabs of arrivals, so the float64 buffer stays small
+    step = max(1, (_CHUNK_ELEMS >> 4) // rows)
+    for lo in range(0, n_max, step):
+        hi = min(lo + step, n_max)
+        u = rng.random((hi - lo, rows))
+        u *= np.arange(lo + 1, hi + 1)[:, None]
+        slab = ranks[lo:hi]
+        slab[...] = u  # truncation is floor here: u * t >= 0
+        slab += 1
+    return ranks
+
+
+def _play(
+    horizons: np.ndarray, policy: Policy, rng: np.random.Generator, asked: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Run ``policy`` on fresh rank streams, one chunk of rows at a time.
+
+    Rows are sorted by horizon, so a chunk holds similar horizons and the
+    rows still live at time t are a suffix of it.  Each chunk draws ranks up
+    to its largest horizon and asks the policy at t = 1..min(asked, that
+    horizon).  Yields ``(rows, h, ranks, picks)``: indices into ``horizons``,
+    their horizons, their int32 ranks of shape (T, len(rows)), and each row's
+    first accepted time (0 for none).
     """
+    order = np.argsort(horizons, kind="stable")
+    ordered = horizons[order]
+    start = 0
+    while start < order.size:
+        head = ordered[start : start + _CHUNK_ELEMS]
+        fits = np.arange(1, head.size + 1) * head <= _CHUNK_ELEMS
+        rows = max(1, int(np.count_nonzero(fits)))
+        h = ordered[start : start + rows]
+        n_max = int(h[-1])
+        ranks = _draw_ranks(n_max, rows, rng)
+        steps = n_max if asked is None else min(asked, n_max)
+        accepted = np.zeros((steps, rows), dtype=bool)
+        first_live = np.searchsorted(h, np.arange(1, steps + 1)).tolist()
+        for t, lo in enumerate(first_live, start=1):
+            accepted[t - 1, lo:] = _checked(policy(t, ranks[:t, lo:], rng), rows - lo)
+        picks = np.where(accepted.any(axis=0), accepted.argmax(axis=0) + 1, 0)
+        yield order[start : start + rows], h, ranks, picks
+        start += rows
+
+
+def _wins(ranks: np.ndarray, picks: np.ndarray, horizons: np.ndarray) -> np.ndarray:
+    """Rows whose pick is the last record (R_s = 1) at or before their horizon."""
+    n_max = ranks.shape[0]
+    records = ranks == 1
+    records &= np.arange(1, n_max + 1)[:, None] <= horizons
+    last_record = n_max - records[::-1].argmax(axis=0)  # R_1 = 1, so every row has one
+    return picks == last_record
+
+
+def _success_count(p: HorizonDistribution, policy: Policy, trials: int, seed) -> int:
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    horizons = _draw_horizons(p, trials, rng)
-    successes = 0
-    for n_val, count in zip(*np.unique(horizons, return_counts=True)):
-        n_val = int(n_val)
-        q_ext = strategy.extended(n_val)
-        remaining = int(count)
-        rows_per_chunk = max(1, _CHUNK_ELEMS // n_val)
-        while remaining > 0:
-            rows = min(rows_per_chunk, remaining)
-            remaining -= rows
-            vals = rng.permuted(
-                np.tile(np.arange(1, n_val + 1), (rows, 1)), axis=1
-            )
-            records = vals == np.maximum.accumulate(vals, axis=1)
-            accepted = records & (rng.random((rows, n_val)) < q_ext)
-            any_pick = accepted.any(axis=1)
-            first = accepted.argmax(axis=1)
-            picked = vals[np.arange(rows), first]
-            successes += int(np.sum(any_pick & (picked == n_val)))
-    return _binomial_result(successes, trials)
-
-
-def _run_episode(
-    n_realized: int,
-    policy: Policy,
-    rng: np.random.Generator,
-    record_ranks: bool = False,
-) -> EpisodeTrace:
-    vals = rng.permutation(n_realized) + 1
-    ranks: list[int] = []
-    pick_time = None
-    for t in range(1, n_realized + 1):
-        ranks.append(1 + int(np.sum(vals[: t - 1] > vals[t - 1])))
-        if pick_time is None:
-            decision = policy(t, tuple(ranks), rng)
-            if not isinstance(decision, (bool, np.bool_)) and decision not in (0, 1):
-                raise HarnessError(f"policy returned {decision!r}, expected a bool")
-            if decision:
-                pick_time = t
-        if pick_time is not None and not record_ranks:
-            break
-    success = pick_time is not None and vals[pick_time - 1] == n_realized
-    return EpisodeTrace(
-        n_realized=n_realized,
-        pick_time=pick_time,
-        success=bool(success),
-        relative_ranks=tuple(ranks) if record_ranks else None,
+    return sum(
+        int(np.count_nonzero(_wins(ranks, picks, h)))
+        for _, h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
     )
 
 
+def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> SimResult:
+    """Empirical success rate of a strategy, with binomial standard error.
+
+    Deterministic given the seed.
+    """
+    return _binomial_result(_success_count(p, _accept_records(strategy.q), trials, seed), trials)
+
+
 def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -> SimResult:
-    """Empirical success rate of an arbitrary rank-feedback policy."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    horizons = _draw_horizons(p, trials, rng)
-    successes = sum(_run_episode(int(n), policy, rng).success for n in horizons)
-    return _binomial_result(int(successes), trials)
+    """Empirical success rate of a batched rank-feedback policy."""
+    return _binomial_result(_success_count(p, policy, trials, seed), trials)
 
 
 def trace_episodes(p: HorizonDistribution, policy: Policy, trials: int, seed) -> list[EpisodeTrace]:
-    """Full episode traces (with rank streams) for diagnostic checks."""
+    """Full episode traces (with rank streams), in draw order, for diagnostic checks."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    horizons = _draw_horizons(p, trials, rng)
-    return [_run_episode(int(n), policy, rng, record_ranks=True) for n in horizons]
+    traces: list[EpisodeTrace | None] = [None] * trials
+    for rows, h, ranks, picks in _play(p.sample(trials, rng), policy, rng):
+        wins = _wins(ranks, picks, h)
+        for i, n, column, pick, win in zip(
+            rows.tolist(), h.tolist(), ranks.T.tolist(), picks.tolist(), wins.tolist()
+        ):
+            traces[i] = EpisodeTrace(
+                n_realized=n,
+                pick_time=pick or None,
+                success=win,
+                relative_ranks=tuple(column[:n]),
+            )
+    return traces
 
 
 def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     """Success rate against an adaptive horizon-picking adversary.
 
-    The adversary lets the first floor(sqrt(n)) arrivals pass.  If the policy
-    picked one of them, the horizon becomes n (so the pick must be the best of
-    all n values); otherwise the horizon becomes floor(sqrt(n)) + 1 and only
-    the final arrival can still win.  No policy beats 1/sqrt(n).
+    The adversary lets the first k = floor(sqrt(n)) arrivals pass.  If the
+    policy picked one of them, the horizon becomes n (so the pick must be the
+    best of all n values); otherwise the horizon becomes min(k + 1, n) and
+    only that arrival can still win.  No policy beats 1/sqrt(n).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -161,26 +197,11 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     k = math.isqrt(n)
+    last_asked = min(k + 1, n)
     successes = 0
-    for _ in range(trials):
-        vals = rng.permutation(n) + 1
-        ranks: list[int] = []
-        pick_time = None
-        horizon = min(k + 1, n)
-        for t in range(1, horizon + 1):
-            ranks.append(1 + int(np.sum(vals[: t - 1] > vals[t - 1])))
-            if t <= k:
-                decision = policy(t, tuple(ranks), rng)
-                if decision:
-                    pick_time = t
-                    break
-            else:
-                # nothing picked so far: the adversary stops at this arrival
-                decision = policy(t, tuple(ranks), rng)
-                if decision:
-                    successes += int(ranks[-1] == 1)
-        if pick_time is not None:
-            successes += int(vals[pick_time - 1] == n)
+    for _, _, ranks, picks in _play(np.full(trials, n), policy, rng, asked=last_asked):
+        horizons = np.where(picks <= k, n, last_asked)
+        successes += int(np.count_nonzero(_wins(ranks, picks, horizons)))
     return _binomial_result(successes, trials)
 
 
@@ -203,8 +224,13 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
     # per-horizon coefficients: value of the rule under a point mass at i
     coeff = np.cumsum(u_prev * q.q) / np.arange(1, n + 1)
     rng = np.random.default_rng(seed)
-    sample = rng.standard_exponential((draws, n))
-    values = (sample / sample.sum(axis=1, keepdims=True)) @ coeff
+    values = np.empty(draws)
+    rows = max(1, _CHUNK_ELEMS // n)
+    for lo in range(0, draws, rows):
+        # row chunks consume the exponential stream in the same order as one (draws, n) block
+        sample = rng.standard_exponential((min(rows, draws - lo), n))
+        sample /= sample.sum(axis=1, keepdims=True)
+        values[lo : lo + sample.shape[0]] = sample @ coeff
     stderr = float(values.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return AvgCaseResult(
         fraction_below=float(np.mean(values <= epsilon)),
@@ -215,24 +241,51 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
     )
 
 
+def scalar_policy(fn: Callable[[int, tuple, np.random.Generator], bool]) -> Policy:
+    """Adapt a per-episode policy ``fn(t, ranks, rng) -> bool`` to the batched protocol.
+
+    ``fn`` sees one row's ranks as a tuple (R_1..R_t) and is called once per
+    live row per t; an answer that is not a bool raises ``HarnessError``.
+    """
+
+    def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(ranks.shape[1], dtype=bool)
+        for i, column in enumerate(ranks.T.tolist()):
+            decision = fn(t, tuple(column), rng)
+            if not isinstance(decision, (bool, np.bool_)) and decision not in (0, 1):
+                raise HarnessError(f"policy returned {decision!r}, expected a bool")
+            out[i] = decision
+        return out
+
+    return decide
+
+
 def threshold_policy(l: int) -> Policy:
     """Accept the first best-so-far arrival at time >= l."""
     if l < 1:
         raise ValidationError(f"threshold must be >= 1, got {l}")
 
-    def decide(t: int, ranks: tuple, rng: np.random.Generator) -> bool:
-        return t >= l and ranks[-1] == 1
+    def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return (ranks[-1] == 1) & (t >= l)
+
+    return decide
+
+
+def _accept_records(q: np.ndarray) -> Policy:
+    # simulate builds its policy here, not through the public factory, so a
+    # wrapper counting the calls of factory-made policies sees only the caller's
+    def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        q_t = q[t - 1] if t <= q.size else 1.0
+        if q_t == 0.0:
+            return np.zeros(ranks.shape[1], dtype=bool)
+        records = ranks[-1] == 1
+        if q_t == 1.0:
+            return records
+        return records & (rng.random(records.size) < q_t)
 
     return decide
 
 
 def strategy_policy(strategy: Strategy) -> Policy:
-    """Play an acceptance vector as a rank-feedback policy (ones past its length)."""
-
-    def decide(t: int, ranks: tuple, rng: np.random.Generator) -> bool:
-        if ranks[-1] != 1:
-            return False
-        q_t = strategy.q[t - 1] if t <= strategy.m else 1.0
-        return bool(rng.random() < q_t)
-
-    return decide
+    """Play an acceptance vector as a batched policy (ones past its length)."""
+    return _accept_records(strategy.q)

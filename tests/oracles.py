@@ -87,3 +87,24 @@ def first_principles_success(p: HorizonDistribution, q: np.ndarray) -> float:
                 none_before *= 1.0 - qx[pos]
         total += p.probs[horizon - 1] * win / math.factorial(horizon)
     return total
+
+
+def perm_adversary_rate(n: int, l: int) -> float:
+    """Exact success rate of threshold rule l in the adversary game, by enumeration.
+
+    The rule accepts the first best-so-far arrival at time >= l among the
+    first min(k + 1, n), k = isqrt(n).  A pick at t <= k faces horizon n and
+    wins iff it holds the value n; a pick at k + 1 faces horizon k + 1 and
+    wins iff it holds the largest of the first k + 1 values.
+    """
+    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    records = perms == np.maximum.accumulate(perms, axis=1)
+    k = math.isqrt(n)
+    accepted = records[:, : min(k + 1, n)].copy()
+    accepted[:, : l - 1] = False
+    any_pick = accepted.any(axis=1)
+    pos = accepted.argmax(axis=1)
+    picked = perms[np.arange(len(perms)), pos]
+    best_seen = perms[:, : k + 1].max(axis=1)
+    wins = any_pick & np.where(pos < k, picked == n, picked == best_seen)
+    return float(np.mean(wins))

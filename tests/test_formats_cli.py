@@ -211,6 +211,17 @@ def test_cli_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_negative_seed_is_a_range_error(tmp_path):
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
+    for argv in (
+        ["simulate", "--dist", dist_path, "--threshold", "2", "--trials", "10"],
+        ["adversary", "--n", "4", "--trials", "10"],
+        ["avgcase", "--n", "10", "--epsilon", "0.05", "--draws", "10"],
+        ["learn", "--dist", dist_path, "--epsilon", "0.5", "--delta", "0.5", "--trials", "1"],
+    ):
+        assert cli.main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")]) == 4, argv
+
+
 def test_cli_minimax_mubar(tmp_path):
     out = tmp_path / "mm.json"
     assert cli.main(["minimax", "--mubar", str(math.e), "--out", str(out)]) == 0

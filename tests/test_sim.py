@@ -14,6 +14,7 @@ from randhorizon import (
     harmonic,
     make_strategy,
     sample_dirichlet_uniform,
+    scalar_policy,
     simulate,
     simulate_custom,
     single_threshold,
@@ -24,7 +25,10 @@ from randhorizon import (
     uniform,
     worst_case_pstar,
 )
+from randhorizon import sim
 from randhorizon.sim import trace_episodes
+
+from oracles import perm_adversary_rate
 
 
 def never(t, ranks, rng):
@@ -64,7 +68,7 @@ def test_simulate_matches_exact_values():
 
 def test_rank_law():
     # relative ranks are uniform on [t] and independent across t
-    traces = trace_episodes(delta(8), never, 100_000, 7)
+    traces = trace_episodes(delta(8), scalar_policy(never), 100_000, 7)
     ranks = np.array([tr.relative_ranks for tr in traces])
     stat, dof = 0.0, 0
     for t in range(2, 9):
@@ -102,7 +106,7 @@ def test_simulate_custom_matches_accept_first():
 
 def test_simulate_custom_rejects_bad_policy_output():
     with pytest.raises(HarnessError):
-        simulate_custom(delta(3), lambda t, ranks, rng: "yes", 10, 0)
+        simulate_custom(delta(3), scalar_policy(lambda t, ranks, rng: "yes"), 10, 0)
 
 
 def test_policies_never_beat_solver_optimum():
@@ -121,15 +125,37 @@ def test_policies_never_beat_solver_optimum():
         n = int(rng.integers(2, 20))
         p = sample_dirichlet_uniform(n, rng)
         opt = solve_optimal(p).value
-        r = simulate_custom(p, policy, 30_000, 50 + k)
+        r = simulate_custom(p, scalar_policy(policy), 30_000, 50 + k)
         assert r.rate <= opt + 4 * max(r.stderr, 1e-9)
+
+
+def test_scalar_adapter_agrees_with_batched_threshold():
+    p, l = uniform(12), 4
+    a = simulate_custom(p, scalar_policy(lambda t, r, g: t >= l and r[-1] == 1), 20_000, 21)
+    b = simulate_custom(p, threshold_policy(l), 20_000, 22)
+    assert abs(a.rate - b.rate) <= 4 * math.hypot(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        lambda t, ranks, rng: np.ones(ranks.shape[1] + 1, dtype=bool),  # wrong shape
+        lambda t, ranks, rng: (ranks[-1] == 1).astype(np.int64),  # wrong dtype
+        lambda t, ranks, rng: True,  # a scalar answer without scalar_policy
+    ],
+)
+def test_batched_policy_output_is_checked(policy):
+    with pytest.raises(HarnessError):
+        simulate_custom(uniform(5), policy, 50, 0)
+    with pytest.raises(HarnessError):
+        adversary_game(9, policy, 50, 0)
 
 
 def test_picking_non_best_never_wins():
     def non_best(t, ranks, rng_):
         return ranks[-1] != 1
 
-    r = simulate_custom(delta(5), non_best, 20_000, 4)
+    r = simulate_custom(delta(5), scalar_policy(non_best), 20_000, 4)
     assert r.rate == 0.0
 
 
@@ -149,6 +175,14 @@ def test_adversary_bound_small():
             assert r.rate <= 1 / math.sqrt(n) + 4 * max(r.stderr, 1e-9)
 
 
+def test_adversary_matches_permutation_enumeration():
+    for n in (4, 9):
+        for l in (1, 2, 3):
+            exact = perm_adversary_rate(n, l)
+            r = adversary_game(n, threshold_policy(l), 40_000, 90 + 3 * n + l)
+            assert abs(r.rate - exact) <= 4 * max(r.stderr, 1e-9), (n, l, r.rate, exact)
+
+
 def test_average_case_experiment():
     res = average_case_experiment(100, 0.03, 2000, 12)
     assert res.threshold == math.ceil(100 / math.e**2)
@@ -159,3 +193,11 @@ def test_average_case_experiment():
     assert res1.fraction_below == 0.0 and res1.mean_value == 1.0
     with pytest.raises(ValidationError):
         average_case_experiment(10, 0.5, 100, 0)  # epsilon above 2/e^2
+
+
+def test_average_case_chunking_keeps_the_stream(monkeypatch):
+    whole = average_case_experiment(30, 0.27, 500, 13)
+    monkeypatch.setattr(sim, "_CHUNK_ELEMS", 7 * 30 + 11)  # 7 rows per chunk, last one short
+    chunked = average_case_experiment(30, 0.27, 500, 13)
+    assert abs(chunked.mean_value - whole.mean_value) <= 1e-12
+    assert chunked.fraction_below == whole.fraction_below > 0.0
