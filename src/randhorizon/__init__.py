@@ -8,7 +8,6 @@ horizon-randomization mixtures for black-box online algorithms.
 
 from .dist import (
     HorizonDistribution,
-    LambdaSequence,
     delta,
     geometric_truncated,
     harmonic,
@@ -36,7 +35,7 @@ from .meta import (
     GridCdf,
     MetaMixture,
     PerformanceProfile,
-    meta_expected_performance,
+    meta_expected_curve,
     meta_mixture,
     non_iid_hard_instance,
     prophet_block_distribution,

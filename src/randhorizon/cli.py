@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dist, formats, learn, meta, sim, solver, strategy
-from .errors import ValidationError
+from .errors import InputFileError, ValidationError
 
 EXIT_BAD_FILE = 3
 EXIT_BAD_RANGE = 4
@@ -95,17 +95,15 @@ def cmd_eval(args) -> int:
 
 def cmd_solve(args) -> int:
     p = _load_distribution(args.dist)
-    res = solver.solve_optimal(p)
-    th = solver.theta(p)
-    _, threshold_value = solver.single_threshold_approx(p)
+    s = solver.solve_summary(p)
     _write_text(
         _json_text(
             {
-                "q_opt": list(map(float, res.q_opt.q)),
-                "value": res.value,
-                "theta": th.theta,
-                "k_star": th.k_star,
-                "threshold_value": threshold_value,
+                "q_opt": s.q.tolist(),
+                "value": s.value,
+                "theta": s.theta,
+                "k_star": s.k_star,
+                "threshold_value": s.threshold_value,
             }
         ),
         args.out,
@@ -244,13 +242,10 @@ def cmd_learn(args) -> int:
 def cmd_meta(args) -> int:
     profile = _parse_profile(args.profile, args.c0)
     mix = meta.meta_mixture(profile, args.nlo, args.nhi)
+    guarantee = f"{mix.guarantee:.10g}"
     flat = [
-        {
-            "n": n,
-            "expected_performance": f"{meta.meta_expected_performance(mix, profile, n):.10g}",
-            "guarantee": f"{mix.guarantee:.10g}",
-        }
-        for n in range(args.nlo, args.nhi + 1)
+        {"n": n, "expected_performance": f"{e:.10g}", "guarantee": guarantee}
+        for n, e in enumerate(meta.meta_expected_curve(mix, profile).tolist(), start=args.nlo)
     ]
     if args.format == "csv":
         emit_plotdata(flat, args.out)
@@ -277,9 +272,7 @@ def cmd_meta(args) -> int:
 def _parse_profile(profile_arg: str, c0: float) -> meta.PerformanceProfile:
     if profile_arg.startswith("table:"):
         raw = formats.load_json(profile_arg[len("table:") :])
-        if not isinstance(raw, dict):
-            raise ValidationError("profile table file must hold {index: value}")
-        table = {int(k): float(v) for k, v in raw.items()}
+        table = formats.profile_table_from_json(raw)
         return meta.PerformanceProfile(c0=c0, family="table", table=table)
     return meta.PerformanceProfile(c0=c0, family=profile_arg)
 
@@ -416,7 +409,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"randhorizon: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (InputFileError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"randhorizon: bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

@@ -62,28 +62,6 @@ class HorizonDistribution:
         last_positive = int(np.flatnonzero(self.probs)[-1])
         return np.minimum(idx, last_positive) + 1
 
-    def tail_mass(self, i: int) -> float:
-        """P[N >= i]."""
-        if i <= 1:
-            return 1.0
-        return float(self.probs[i - 1 :].sum()) if i <= self.n else 0.0
-
-    def mean(self) -> float:
-        return float(np.arange(1, self.n + 1) @ self.probs)
-
-
-@dataclass(frozen=True)
-class LambdaSequence:
-    """Non-increasing sequence lambda_1..lambda_n derived from a horizon distribution."""
-
-    values: np.ndarray
-    source: HorizonDistribution
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
 
 def make_distribution(weights) -> HorizonDistribution:
     """Normalize a non-negative weight vector into a horizon distribution.
@@ -153,15 +131,17 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     if n < 1:
         raise ValidationError(f"poisson_truncated needs n >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
-    logw = k * math.log(mu) - np.array([math.lgamma(x + 1.0) for x in k])
+    log_fact = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), dtype=float, count=n)
+    logw = k * math.log(mu) - log_fact
     return make_distribution(np.exp(logw - logw.max()))
 
 
-def lambda_sequence(p: HorizonDistribution) -> LambdaSequence:
-    """lambda_i = sum_{l=i..n} p_l / l, by a single backward pass."""
+def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
+    """Read-only array lambda_1..lambda_n, lambda_i = sum_{l=i..n} p_l / l, by one backward pass."""
     terms = p.probs / np.arange(1, p.n + 1)
     values = np.cumsum(terms[::-1])[::-1]
-    return LambdaSequence(values=values, source=p)
+    values.setflags(write=False)
+    return values
 
 
 def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:

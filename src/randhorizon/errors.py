@@ -7,3 +7,7 @@ class ValidationError(ValueError):
 
 class HarnessError(RuntimeError):
     """Raised when a simulation policy violates the episode protocol."""
+
+
+class InputFileError(ValueError):
+    """Raised when an input file parses but does not hold the documented format."""

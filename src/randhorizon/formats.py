@@ -4,7 +4,10 @@ Distribution files are either an explicit vector {"probs": [..]} or a named
 family {"kind": "delta"|"uniform"|"pstar"|"geometric"|"poisson", "n": int,
 "param": number} (param is the geometric ratio or the Poisson rate; other
 kinds ignore it).  Strategy files are {"q": [..]} or
-{"kind": "threshold", "l": int}; mixtures are {"weights": [..]}.
+{"kind": "threshold", "l": int}; mixtures are {"weights": [..]}; performance
+profile tables are {"index": value, ..}.  A vector entry or table value that
+is not a JSON number, or a table key that is not an integer, is a malformed
+file (``InputFileError``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dist
-from .errors import ValidationError
+from .errors import InputFileError, ValidationError
 from .strategy import Strategy, ThresholdMixture, make_strategy, single_threshold
 
 _DIST_KINDS = {
@@ -27,6 +30,17 @@ _DIST_KINDS = {
 }
 
 
+def _numbers(obj: dict, key: str) -> np.ndarray:
+    """obj[key], which must be a JSON array of numbers, as a float vector."""
+    vals = obj[key]
+    if not isinstance(vals, list) or not set(map(type, vals)) <= {int, float}:
+        raise InputFileError(f"'{key}' must be an array of numbers")
+    try:
+        return np.array(vals, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"'{key}' holds an integer beyond the float range") from None
+
+
 def distribution_to_json(p: dist.HorizonDistribution) -> dict:
     return {"probs": list(map(float, p.probs))}
 
@@ -35,7 +49,7 @@ def distribution_from_json(obj: dict) -> dist.HorizonDistribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution file must hold a JSON object")
     if "probs" in obj:
-        return dist.make_distribution(obj["probs"])
+        return dist.make_distribution(_numbers(obj, "probs"))
     if "kind" in obj:
         kind = obj["kind"]
         if kind not in _DIST_KINDS:
@@ -60,7 +74,7 @@ def strategy_from_json(obj: dict) -> Strategy:
     if not isinstance(obj, dict):
         raise ValidationError("strategy file must hold a JSON object")
     if "q" in obj:
-        return make_strategy(obj["q"])
+        return make_strategy(_numbers(obj, "q"))
     if obj.get("kind") == "threshold":
         l = obj.get("l")
         if not isinstance(l, int):
@@ -76,7 +90,26 @@ def mixture_to_json(mix: ThresholdMixture) -> dict:
 def mixture_from_json(obj: dict) -> ThresholdMixture:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise ValidationError("mixture file must hold {'weights': [..]}")
-    return ThresholdMixture(weights=np.asarray(obj["weights"], dtype=float))
+    return ThresholdMixture(weights=_numbers(obj, "weights"))
+
+
+def profile_table_from_json(obj: dict) -> dict[int, float]:
+    """{index: value} table of a performance profile; keys are integer strings."""
+    if not isinstance(obj, dict):
+        raise ValidationError("profile table file must hold {index: value}")
+    table = {}
+    for key, value in obj.items():
+        try:
+            index = int(key)
+        except ValueError:
+            raise InputFileError(f"profile table key {key!r} is not an integer") from None
+        if type(value) not in (int, float):
+            raise InputFileError(f"profile table value at {key!r} is not a number")
+        try:
+            table[index] = float(value)
+        except OverflowError:
+            raise ValidationError(f"profile table value at {key!r} overflows a float") from None
+    return table
 
 
 def dump_json(obj, path: str | Path) -> None:

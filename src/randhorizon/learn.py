@@ -141,7 +141,7 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     probs[ends - 1] = counts / batch.m
     p_hat = HorizonDistribution(probs=probs, n=n_max)
 
-    gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat).values
+    gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat)
     q, _ = backward_induction(gains)
     return LearnOutput(q_hat=Strategy(q=q), G=gains, N_max=n_max, p_hat=p_hat)
 

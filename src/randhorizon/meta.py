@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, harmonic
+from .dist import HorizonDistribution
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -49,22 +49,25 @@ class PerformanceProfile:
         if self.family == "table" and not self.table:
             raise ValidationError("table profile needs a non-empty table")
 
-    def f(self, i: int) -> float:
-        if i < 1:
+    def f(self, i):
+        """f at a positive integer, or elementwise at an integer array."""
+        idx = np.asarray(i)
+        if idx.dtype.kind not in "iu" or np.any(idx < 1):
             raise ValidationError(f"f is defined on positive integers, got {i}")
         if self.family == "identity":
-            return float(i)
-        if self.family == "uniform-max":
-            return i / (i + 1.0)
-        if self.family == "exp-max":
-            return harmonic(i)
-        if i not in self.table:
-            raise ValidationError(f"profile table has no value at {i}")
-        return float(self.table[i])
-
-    def guaranteed(self, s: int, n: int) -> float:
-        """Performance floor M(s, n) of the horizon-s box on a horizon-n instance."""
-        return self.c0 * self.f(s) / self.f(n) if s <= n else 0.0
+            out = idx.astype(float)
+        elif self.family == "uniform-max":
+            out = idx / (idx + 1.0)
+        elif self.family == "exp-max":
+            # sequential cumsum: entry i - 1 is harmonic(i) bit for bit
+            out = np.cumsum(1.0 / np.arange(1, idx.max(initial=0) + 1))[idx - 1]
+        else:
+            try:
+                out = np.array([self.table[k] for k in idx.ravel().tolist()], dtype=float)
+            except KeyError as exc:
+                raise ValidationError(f"profile table has no value at {exc.args[0]}") from None
+            out = out.reshape(idx.shape)
+        return float(out) if idx.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     """
     if not (1 <= n_lo <= n_hi):
         raise ValidationError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    fv = np.array([profile.f(i) for i in range(n_lo, n_hi + 1)])
+    fv = profile.f(np.arange(n_lo, n_hi + 1))
     if np.any(fv <= 0):
         raise ValidationError("f must be positive on [n_lo, n_hi]")
     if np.any(np.diff(fv) < 0):
@@ -146,14 +149,13 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     return MetaMixture(weights=weights, n_lo=n_lo, n_hi=n_hi, guarantee=profile.c0 / z)
 
 
-def meta_expected_performance(mix: MetaMixture, profile: PerformanceProfile, n: int) -> float:
-    """Expected floor sum_s weights(s) * M(s, n); constant in n over the range."""
-    if not (mix.n_lo <= n <= mix.n_hi):
-        raise ValidationError(f"n must lie in [{mix.n_lo}, {mix.n_hi}], got {n}")
-    total = 0.0
-    for offset, w in enumerate(mix.weights):
-        total += w * profile.guaranteed(mix.n_lo + offset, n)
-    return total
+def meta_expected_curve(mix: MetaMixture, profile: PerformanceProfile) -> np.ndarray:
+    """Expected floor sum_{s<=n} weights(s) * c0 * f(s)/f(n) for n = n_lo..n_hi.
+
+    One cumulative sum over the range; constant in n up to rounding.
+    """
+    fv = profile.f(np.arange(mix.n_lo, mix.n_hi + 1))
+    return profile.c0 * np.cumsum(mix.weights * fv) / fv
 
 
 def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:

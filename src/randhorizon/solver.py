@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dist import HorizonDistribution, harmonic, lambda_sequence
 from .errors import ValidationError
-from .strategy import (
+# success_probability is unused here but kept as a name of this module:
+# bench/test_bench.py checks that the tracer rebinds such copied names.
+from .strategy import (  # noqa: F401
     Strategy,
     ThresholdMixture,
+    lambda_form_value,
     single_threshold,
     success_probability,
     threshold_success_values,
@@ -42,6 +46,22 @@ class ThetaResult:
     k_star: int  # smallest index attaining the max
 
 
+class SolveSummary(NamedTuple):
+    """Everything ``solve`` reports, from a single pass over the gains."""
+
+    q: np.ndarray  # optimal 0/1 acceptance vector
+    value: float  # optimum, C_1
+    theta: float
+    k_star: int
+    cutoff: int  # classical cutoff at scale K*
+    threshold_value: float  # value of that single-threshold rule
+
+
+# Backward induction steps through Python floats (several times faster than
+# numpy scalars) one block at a time, so the float list stays small.
+_BI_BLOCK = 1 << 14
+
+
 def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize sum_i U_{i-1}(q) (q_i/i) g_i over q in [0,1]^n, exactly.
 
@@ -50,48 +70,73 @@ def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     g = np.asarray(gains, dtype=float)
     n = g.size
-    q = np.zeros(n)
-    c = np.zeros(n + 1)
-    for i in range(n, 0, -1):
-        cont = c[i]
-        if g[i - 1] >= cont:
-            q[i - 1] = 1.0
-            c[i - 1] = g[i - 1] / i + (1.0 - 1.0 / i) * cont
-        else:
-            c[i - 1] = cont
-    return q, c
+    c = np.empty(n + 1)
+    c[n] = cont = 0.0
+    for hi in range(n, 0, -_BI_BLOCK):
+        lo = max(hi - _BI_BLOCK, 0)
+        block = g[lo:hi].tolist()
+        for j in range(hi - lo - 1, -1, -1):
+            gj = block[j]
+            if gj >= cont:
+                i = lo + j + 1
+                cont = gj / i + (1.0 - 1.0 / i) * cont
+            block[j] = cont
+        c[lo:hi] = block
+    return (g >= c[1:]).astype(float), c
+
+
+def _theta_of(gains: np.ndarray) -> ThetaResult:
+    k = int(np.argmax(gains))
+    return ThetaResult(theta=float(gains[k]), k_star=k + 1)
 
 
 def solve_optimal(p: HorizonDistribution) -> SolveResult:
     """Exact maximizer of the success probability over all strategies."""
-    lam = lambda_sequence(p).values
-    gains = np.arange(1, p.n + 1) * lam
-    q, c = backward_induction(gains)
+    q, c = backward_induction(np.arange(1, p.n + 1) * lambda_sequence(p))
     return SolveResult(q_opt=Strategy(q=q), value=float(c[0]), continuation=c)
 
 
 def theta(p: HorizonDistribution) -> ThetaResult:
     """Largest scaled marginal max_i i*lambda_i(p) and its smallest attaining index."""
-    gains = np.arange(1, p.n + 1) * lambda_sequence(p).values
-    k = int(np.argmax(gains))
-    return ThetaResult(theta=float(gains[k]), k_star=k + 1)
+    return _theta_of(np.arange(1, p.n + 1) * lambda_sequence(p))
 
 
 def classical_cutoff(k: int) -> int:
     """Optimal rejection cutoff of the fixed-horizon problem at scale k.
 
     The smallest s with sum_{i=s}^{k-1} 1/i <= 1 (so roughly k/e); by
-    convention 1 at k = 1 and 2 at k = 2.
+    convention 1 at k = 1 and 2 at k = 2.  The partial sums run from 1/(k-1)
+    down to 1/2 in the order a loop lowering s would add them, so the count
+    of those <= 1 is exact.
     """
     if k < 1:
         raise ValidationError(f"scale must be >= 1, got {k}")
     if k <= 2:
         return k
-    s, total = k, 0.0
-    while s > 2 and total + 1.0 / (s - 1) <= 1.0:
-        s -= 1
-        total += 1.0 / s
-    return s
+    partial = np.cumsum(1.0 / np.arange(k - 1, 1, -1))
+    return k - int(np.searchsorted(partial, 1.0, side="right"))
+
+
+def solve_summary(p: HorizonDistribution) -> SolveSummary:
+    """Optimum, theta, K* and the certified threshold value from one lambda pass.
+
+    One lambda sequence, one gain vector and one backward induction serve
+    every field; only the acceptance vector and scalars outlive the call.
+    Asserts theta/e <= threshold value <= optimum before returning.
+    """
+    lam = lambda_sequence(p)
+    gains = np.arange(1, p.n + 1) * lam
+    q, c = backward_induction(gains)
+    th = _theta_of(gains)
+    cutoff = classical_cutoff(th.k_star)
+    value = lambda_form_value(lam, single_threshold(cutoff, p.n).q)
+    opt = float(c[0])
+    tol = 1e-12
+    if not (th.theta / math.e <= value + tol and value <= opt + tol):
+        raise AssertionError(
+            f"approximation sandwich violated: {th.theta / math.e} <= {value} <= {opt}"
+        )
+    return SolveSummary(q, opt, th.theta, th.k_star, cutoff, value)
 
 
 def single_threshold_approx(p: HorizonDistribution) -> tuple[Strategy, float]:
@@ -102,16 +147,8 @@ def single_threshold_approx(p: HorizonDistribution) -> tuple[Strategy, float]:
     K* lambda_{K*} = theta(p).  Asserts theta/e <= value <= optimum before
     returning.
     """
-    t = theta(p)
-    q = single_threshold(classical_cutoff(t.k_star), p.n)
-    value = success_probability(p, q)
-    opt = solve_optimal(p).value
-    tol = 1e-12
-    if not (t.theta / math.e <= value + tol and value <= opt + tol):
-        raise AssertionError(
-            f"approximation sandwich violated: {t.theta / math.e} <= {value} <= {opt}"
-        )
-    return q, value
+    s = solve_summary(p)
+    return single_threshold(s.cutoff, p.n), s.threshold_value
 
 
 def best_single_threshold(p: HorizonDistribution) -> tuple[int, float]:

@@ -101,9 +101,12 @@ def prefix_products(strategy: Strategy) -> np.ndarray:
 
 def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
     """Exact success probability A(p, q), evaluated in the lambda form (O(n))."""
-    lam = lambda_sequence(p).values
-    qx = strategy.extended(p.n)
-    u_prev = np.concatenate([[1.0], np.cumprod(1.0 - qx / np.arange(1, p.n + 1))])[:-1]
+    return lambda_form_value(lambda_sequence(p), strategy.extended(p.n))
+
+
+def lambda_form_value(lam: np.ndarray, qx: np.ndarray) -> float:
+    """sum_i U_{i-1}(q) q_i lambda_i for a lambda sequence and a same-length q."""
+    u_prev = np.concatenate([[1.0], np.cumprod(1.0 - qx / np.arange(1, lam.size + 1))])[:-1]
     return float(np.sum(u_prev * qx * lam))
 
 
@@ -130,7 +133,7 @@ def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
         raise ValidationError(f"l_max must be >= 1, got {l_max}")
     span = max(l_max, p.n)
     lam = np.zeros(span + 1)
-    lam[: p.n] = lambda_sequence(p).values
+    lam[: p.n] = lambda_sequence(p)
     # ratio_tail (0-based j, threshold l = j+1): sum_{i >= l+1} lambda_i / (i-1)
     ratios = lam[1:] / np.arange(1, span + 1)
     ratio_tail = np.cumsum(ratios[::-1])[::-1]

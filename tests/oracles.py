@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from randhorizon import HorizonDistribution, success_probability, make_strategy
+from randhorizon import HorizonDistribution, ValidationError, make_strategy, success_probability
 
 
 def permutation_tables(n: int):
@@ -108,3 +108,45 @@ def perm_adversary_rate(n: int, l: int) -> float:
     best_seen = perms[:, : k + 1].max(axis=1)
     wins = any_pick & np.where(pos < k, picked == n, picked == best_seen)
     return float(np.mean(wins))
+
+
+def bi_loop(gains):
+    """Backward induction one numpy element at a time: the reference for the blocked walk."""
+    g = np.asarray(gains, dtype=float)
+    n = g.size
+    q = np.zeros(n)
+    c = np.zeros(n + 1)
+    for i in range(n, 0, -1):
+        cont = c[i]
+        if g[i - 1] >= cont:
+            q[i - 1] = 1.0
+            c[i - 1] = g[i - 1] / i + (1.0 - 1.0 / i) * cont
+        else:
+            c[i - 1] = cont
+    return q, c
+
+
+def classical_cutoff_loop(k: int) -> int:
+    """Smallest s with sum_{i=s}^{k-1} 1/i <= 1, lowering s one step at a time."""
+    if k <= 2:
+        return k
+    s, total = k, 0.0
+    while s > 2 and total + 1.0 / (s - 1) <= 1.0:
+        s -= 1
+        total += 1.0 / s
+    return s
+
+
+def meta_expected_performance(mix, profile, n: int) -> float:
+    """Expected floor sum_s weights(s) * M(s, n) at one horizon n, term by term.
+
+    M(s, n) = c0 * f(s)/f(n) for s <= n and 0 otherwise; constant in n over
+    the mixture's range.
+    """
+    if not (mix.n_lo <= n <= mix.n_hi):
+        raise ValidationError(f"n must lie in [{mix.n_lo}, {mix.n_hi}], got {n}")
+    total = 0.0
+    for offset, w in enumerate(mix.weights):
+        s = mix.n_lo + offset
+        total += w * (profile.c0 * profile.f(s) / profile.f(n) if s <= n else 0.0)
+    return total

@@ -24,7 +24,6 @@ from randhorizon import (
     learn_strategy,
     make_distribution,
     make_strategy,
-    meta_expected_performance,
     meta_mixture,
     minimax_mixture,
     mixture_success_probability,
@@ -44,7 +43,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from oracles import perm_optimum
+from oracles import meta_expected_performance, perm_optimum
 
 TOL = 1e-12
 

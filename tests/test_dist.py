@@ -32,7 +32,7 @@ def test_make_distribution_rejects(bad):
 def test_delta():
     assert np.array_equal(delta(1).probs, [1.0])
     assert np.array_equal(delta(3).probs, [0.0, 0.0, 1.0])
-    assert np.allclose(lambda_sequence(delta(4)).values, 0.25, atol=1e-15)
+    assert np.allclose(lambda_sequence(delta(4)), 0.25, atol=1e-15)
     with pytest.raises(ValidationError):
         delta(0)
 
@@ -43,16 +43,20 @@ def test_worst_case_pstar():
     assert np.array_equal(worst_case_pstar(1).probs, [1.0])
     # i*lambda_i is the constant 1/H_n on the support
     for n in (3, 17, 50):
-        lam = lambda_sequence(worst_case_pstar(n)).values
+        lam = lambda_sequence(worst_case_pstar(n))
         scaled = np.arange(1, n + 1) * lam
         assert np.max(np.abs(scaled - 1.0 / harmonic(n))) <= 1e-12
-    assert abs(3 * lambda_sequence(worst_case_pstar(3)).values[2] - 6 / 11) < 1e-12
+    assert abs(3 * lambda_sequence(worst_case_pstar(3))[2] - 6 / 11) < 1e-12
 
 
 def test_parametric_families():
     assert np.allclose(uniform(4).probs, 0.25, atol=1e-15)
     assert np.allclose(geometric_truncated(0.5, 2).probs, [2 / 3, 1 / 3], atol=1e-15)
     assert np.allclose(poisson_truncated(1.0, 2).probs, [2 / 3, 1 / 3], atol=1e-14)
+    k = np.arange(1, 501, dtype=float)
+    logw = k * math.log(40.0) - np.array([math.lgamma(x + 1.0) for x in k])
+    want = make_distribution(np.exp(logw - logw.max())).probs
+    assert np.array_equal(poisson_truncated(40.0, 500).probs, want)
     for bad in (lambda: uniform(0), lambda: geometric_truncated(1.0, 5),
                 lambda: geometric_truncated(0.5, 0), lambda: poisson_truncated(0.0, 5)):
         with pytest.raises(ValidationError):
@@ -60,8 +64,9 @@ def test_parametric_families():
 
 
 def test_lambda_sequence_examples():
-    assert np.allclose(lambda_sequence(worst_case_pstar(2)).values, [2 / 3, 1 / 3], atol=1e-15)
-    assert np.array_equal(lambda_sequence(delta(1)).values, [1.0])
+    assert np.allclose(lambda_sequence(worst_case_pstar(2)), [2 / 3, 1 / 3], atol=1e-15)
+    assert np.array_equal(lambda_sequence(delta(1)), [1.0])
+    assert not lambda_sequence(delta(3)).flags.writeable
 
 
 def test_lambda_sequence_properties():
@@ -69,7 +74,7 @@ def test_lambda_sequence_properties():
     for _ in range(50):
         n = int(rng.integers(1, 180))
         p = sample_dirichlet_uniform(n, rng)
-        lam = lambda_sequence(p).values
+        lam = lambda_sequence(p)
         assert np.all(np.diff(lam) <= 1e-15)  # non-increasing
         idx = np.arange(1, n + 1)
         tails = np.cumsum(p.probs[::-1])[::-1]
@@ -87,8 +92,8 @@ def test_lambda_linearity_in_p():
         p1, p2 = sample_dirichlet_uniform(n, rng), sample_dirichlet_uniform(n, rng)
         a = rng.random()
         mixed = make_distribution(a * p1.probs + (1 - a) * p2.probs)
-        lhs = lambda_sequence(mixed).values
-        rhs = a * lambda_sequence(p1).values + (1 - a) * lambda_sequence(p2).values
+        lhs = lambda_sequence(mixed)
+        rhs = a * lambda_sequence(p1) + (1 - a) * lambda_sequence(p2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

@@ -7,14 +7,19 @@ import pytest
 from randhorizon import cli, formats
 from randhorizon import (
     ValidationError,
+    classical_cutoff,
     delta,
     harmonic,
     make_strategy,
     minimax_mixture,
     sample_dirichlet_uniform,
+    single_threshold,
+    solve_optimal,
     success_probability,
+    theta,
     worst_case_pstar,
 )
+from randhorizon.errors import InputFileError
 
 
 def test_distribution_round_trip():
@@ -64,6 +69,8 @@ def test_mixture_round_trip():
     mix = minimax_mixture(5)
     again = formats.mixture_from_json(formats.mixture_to_json(mix))
     assert np.allclose(again.weights, mix.weights, atol=1e-15)
+    with pytest.raises(InputFileError):
+        formats.mixture_from_json({"weights": [0.5, "0.5"]})
 
 
 def _write_dist(tmp_path, name, obj):
@@ -209,6 +216,61 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_solve_matches_the_library(tmp_path, capsys):
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 50, 5000):
+        for name, obj in (
+            ("delta", {"kind": "delta", "n": n}),
+            ("uniform", {"kind": "uniform", "n": n}),
+            ("pstar", {"kind": "pstar", "n": n}),
+            ("dirichlet", formats.distribution_to_json(sample_dirichlet_uniform(n, rng))),
+        ):
+            assert cli.main(["solve", "--dist", _write_dist(tmp_path, f"{name}{n}.json", obj)]) == 0
+            p = formats.distribution_from_json(obj)
+            opt, th = solve_optimal(p), theta(p)
+            rule = single_threshold(classical_cutoff(th.k_star), n)
+            want = {
+                "q_opt": list(map(float, opt.q_opt.q)),
+                "value": opt.value,
+                "theta": th.theta,
+                "k_star": th.k_star,
+                "threshold_value": success_probability(p, rule),
+            }
+            assert capsys.readouterr().out == cli._json_text(want), (name, n)
+
+
+def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
+    files = {
+        "probs": {"probs": ["a", 0.5]},
+        "probs_bool": {"probs": [True, 0.5]},
+        "probs_nested": {"probs": [[0.5, 0.5]]},
+        "q": {"q": [0.0, "1"]},
+        "table_value": {"1": 1.0, "2": "x"},
+        "table_key": {"1": 1.0, "two": 2.0},
+    }
+    paths = {key: _write_dist(tmp_path, f"{key}.json", obj) for key, obj in files.items()}
+    meta_argv = ["meta", "--nlo", "1", "--nhi", "2", "--profile"]
+    for argv in (
+        ["solve", "--dist", paths["probs"]],
+        ["eval", "--dist", paths["probs_bool"], "--threshold", "1"],
+        ["minimax", "--nbar", "2", "--dist", paths["probs_nested"]],
+        ["eval", "--dist", dist_path, "--strategy", paths["q"]],
+        [*meta_argv, "table:" + paths["table_value"]],
+        [*meta_argv, "table:" + paths["table_key"]],
+    ):
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        assert err.startswith("randhorizon: bad input file:") and err.count("\n") == 1, err
+    # an integer too large for a float is a number out of range, not a malformed file
+    huge_probs = _write_dist(tmp_path, "huge_probs.json", {"probs": [10**400, 1]})
+    huge_table = _write_dist(tmp_path, "huge_table.json", {"1": 1.0, "2": 10**400})
+    for argv in (["solve", "--dist", huge_probs], [*meta_argv, "table:" + huge_table]):
+        assert cli.main(argv) == 4, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_cli_negative_seed_is_a_range_error(tmp_path):

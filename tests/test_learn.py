@@ -103,7 +103,7 @@ def test_in_block_rescaling_of_gap_estimates():
         w = rng.random(n) + 1e-12
         w[k1 - 1 : k2 - 1] = 0.0
         p = make_distribution(w)
-        lam = lambda_sequence(p).values
+        lam = lambda_sequence(p)
         eps = float(rng.random() * 0.2)
         g = k2 * lam[k2 - 1] + rng.uniform(-eps, eps)
         for i in range(k1, k2):
@@ -116,7 +116,7 @@ def test_surrogate_objective_accuracy():
     for _ in range(60):
         n = int(rng.integers(1, 80))
         p = sample_dirichlet_uniform(n, rng)
-        lam = lambda_sequence(p).values
+        lam = lambda_sequence(p)
         gains = np.arange(1, n + 1) * lam
         eps = float(rng.random() * 0.3) + 1e-3
         g = np.clip(gains + rng.uniform(-eps, eps, n), 0.0, 1.0)
@@ -178,7 +178,7 @@ def test_gain_estimates_unbiased():
     eps = 0.4
     rho = 1.0 + eps / 4.0
     blocked = block_distribution(p, rho)
-    lam_b = lambda_sequence(blocked).values
+    lam_b = lambda_sequence(blocked)
     ends = _endpoints_until(rho, 40)
     m, reps = 150, 400
     sums = np.zeros(ends.size)

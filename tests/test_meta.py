@@ -8,12 +8,14 @@ from randhorizon import (
     PerformanceProfile,
     ValidationError,
     harmonic,
-    meta_expected_performance,
+    meta_expected_curve,
     meta_mixture,
     non_iid_hard_instance,
     prophet_block_distribution,
     union_event_rate,
 )
+
+from oracles import meta_expected_performance
 
 
 def test_profile_families():
@@ -25,6 +27,17 @@ def test_profile_families():
     assert t.f(3) == 1.5
     with pytest.raises(ValidationError):
         t.f(4)  # outside the table: no extrapolation
+    with pytest.raises(ValidationError):
+        t.f(np.array([2, 3, 4]))
+    assert np.array_equal(t.f(np.array([3, 2])), [1.5, 1.0])
+    idx = np.arange(1, 60)
+    exp_max = PerformanceProfile(c0=1, family="exp-max")
+    assert np.array_equal(exp_max.f(idx), [harmonic(i) for i in range(1, 60)])
+    for family in ("identity", "uniform-max", "exp-max"):
+        prof = PerformanceProfile(c0=1, family=family)
+        assert np.array_equal(prof.f(idx), [prof.f(i) for i in range(1, 60)])
+        with pytest.raises(ValidationError):
+            prof.f(np.array([0, 1]))
     with pytest.raises(ValidationError):
         PerformanceProfile(c0=0.0)
     with pytest.raises(ValidationError):
@@ -46,6 +59,21 @@ def test_meta_mixture_point_mass():
     assert np.array_equal(mix.weights, [1.0])
     assert mix.guarantee == 0.3
     assert meta_expected_performance(mix, prof, 6) == 0.3
+
+
+def test_meta_curve_matches_the_per_n_oracle():
+    table = {i: math.sqrt(i) for i in range(3, 60)}
+    for prof, n_lo, n_hi in (
+        (PerformanceProfile(c0=0.7), 1, 300),
+        (PerformanceProfile(c0=1.3, family="uniform-max"), 2, 200),
+        (PerformanceProfile(c0=0.745, family="exp-max"), 10, 150),
+        (PerformanceProfile(c0=0.5, family="table", table=table), 3, 59),
+    ):
+        mix = meta_mixture(prof, n_lo, n_hi)
+        curve = meta_expected_curve(mix, prof)
+        want = [meta_expected_performance(mix, prof, n) for n in range(n_lo, n_hi + 1)]
+        assert curve.shape == (n_hi - n_lo + 1,)
+        assert np.max(np.abs(curve - want)) <= 1e-12, prof.family
 
 
 def test_meta_mixture_flat_and_bounded():

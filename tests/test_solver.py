@@ -7,6 +7,7 @@ from randhorizon import (
     ValidationError,
     backward_induction,
     best_single_threshold,
+    classical_cutoff,
     delta,
     harmonic,
     lambda_sequence,
@@ -24,7 +25,9 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from oracles import exhaustive_value_optimum, perm_threshold_scan
+from randhorizon import solver
+
+from oracles import bi_loop, classical_cutoff_loop, exhaustive_value_optimum, perm_threshold_scan
 
 
 def test_solve_optimal_examples():
@@ -44,7 +47,7 @@ def test_solve_result_recursion_invariants():
         p = sample_dirichlet_uniform(n, rng)
         r = solve_optimal(p)
         c, q = r.continuation, r.q_opt.q
-        gains = np.arange(1, n + 1) * lambda_sequence(p).values
+        gains = np.arange(1, n + 1) * lambda_sequence(p)
         assert c[-1] == 0.0
         assert r.value == c[0]
         for i in range(1, n + 1):
@@ -175,3 +178,39 @@ def test_backward_induction_ties_accept():
     # constant gain equal to the continuation value: ties resolve to accepting
     q, c = backward_induction(np.zeros(4))
     assert np.array_equal(q, np.ones(4)) and c[0] == 0.0
+
+
+def test_blocked_backward_induction_matches_the_loop(monkeypatch):
+    rng = np.random.default_rng(19)
+
+    def tied(n):
+        # g_i = C_{i+1} at every i < n: each step is an exact tie, taken as accept
+        g, cont = np.empty(n), 0.0
+        for i in range(n, 0, -1):
+            g[i - 1] = cont if i < n else 1.0
+            cont = g[i - 1] / i + (1.0 - 1.0 / i) * cont
+        return g
+
+    def check(n):
+        p = sample_dirichlet_uniform(n, rng)
+        for gains in (
+            rng.random(n),
+            np.full(n, 0.3),
+            np.zeros(n),
+            tied(n),
+            np.arange(1, n + 1) * lambda_sequence(p),
+        ):
+            q, c = backward_induction(gains)
+            q_ref, c_ref = bi_loop(gains)
+            assert np.array_equal(q, q_ref) and np.array_equal(c, c_ref), n
+
+    check(2 * solver._BI_BLOCK + 5)
+    block = 7
+    monkeypatch.setattr(solver, "_BI_BLOCK", block)
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        check(n)
+
+
+def test_classical_cutoff_matches_the_loop():
+    for k in [*range(1, 3001), 12345, 40601, 100_000, 300_000, 1_000_000]:
+        assert classical_cutoff(k) == classical_cutoff_loop(k), k
