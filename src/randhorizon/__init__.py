@@ -20,8 +20,6 @@ from .dist import (
 )
 from .errors import HarnessError, ValidationError
 from .learn import (
-    BlockedIndexSet,
-    LearnOutput,
     SampleBatch,
     block_distribution,
     block_indices,
@@ -32,8 +30,6 @@ from .learn import (
     sample_size_bound,
 )
 from .meta import (
-    GridCdf,
-    MetaMixture,
     PerformanceProfile,
     meta_expected_curve,
     meta_mixture,
@@ -42,9 +38,6 @@ from .meta import (
     union_event_rate,
 )
 from .sim import (
-    AvgCaseResult,
-    EpisodeTrace,
-    SimResult,
     adversary_game,
     average_case_experiment,
     scalar_policy,
@@ -54,8 +47,6 @@ from .sim import (
     threshold_policy,
 )
 from .solver import (
-    SolveResult,
-    ThetaResult,
     backward_induction,
     best_single_threshold,
     classical_cutoff,
@@ -66,7 +57,6 @@ from .solver import (
     theta,
 )
 from .strategy import (
-    Strategy,
     ThresholdMixture,
     make_strategy,
     mixture_success_probability,

@@ -49,17 +49,12 @@ def _write_text(text: str, out: str | None) -> None:
         raise _OutputError(str(exc)) from exc
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
-
-
-def emit_plotdata(rows: list[dict], out: str | None, fieldnames: list[str] | None = None) -> None:
+def emit_plotdata(rows: list[dict], out: str | None) -> None:
     """Write tidy CSV (header row, LF endings) for external plotting."""
     if not rows:
         raise ValidationError("no rows to write")
-    names = fieldnames or list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _write_text(buf.getvalue(), out)
@@ -70,9 +65,9 @@ def _load_distribution(path: str) -> dist.HorizonDistribution:
 
 
 def _load_strategy(args) -> strategy.Strategy:
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         return strategy.single_threshold(args.threshold, args.threshold)
-    if getattr(args, "strategy", None) is not None:
+    if args.strategy is not None:
         return formats.strategy_from_json(formats.load_json(args.strategy))
     raise ValidationError("need --strategy FILE or --threshold L")
 
@@ -81,7 +76,7 @@ def cmd_eval(args) -> int:
     p = _load_distribution(args.dist)
     q = _load_strategy(args)
     _write_text(
-        _json_text(
+        formats.json_text(
             {
                 "value": strategy.success_probability(p, q),
                 "value_pform": strategy.success_probability_pform(p, q),
@@ -97,7 +92,7 @@ def cmd_solve(args) -> int:
     p = _load_distribution(args.dist)
     s = solver.solve_summary(p)
     _write_text(
-        _json_text(
+        formats.json_text(
             {
                 "q_opt": s.q.tolist(),
                 "value": s.value,
@@ -127,7 +122,7 @@ def cmd_minimax(args) -> int:
     if args.dist is not None:
         p = _load_distribution(args.dist)
         result["rate"] = strategy.mixture_success_probability(p, mix)
-    _write_text(_json_text(result), args.out)
+    _write_text(formats.json_text(result), args.out)
     return 0
 
 
@@ -251,7 +246,7 @@ def cmd_meta(args) -> int:
         emit_plotdata(flat, args.out)
     else:
         _write_text(
-            _json_text(
+            formats.json_text(
                 {
                     "profile": args.profile,
                     "c0": args.c0,
@@ -288,7 +283,7 @@ def cmd_lowerbound(args) -> int:
         and cross_minus < opt_plus.value - args.epsilon / 3.0
     )
     _write_text(
-        _json_text(
+        formats.json_text(
             {
                 "n": args.n,
                 "epsilon": args.epsilon,

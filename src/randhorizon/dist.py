@@ -29,6 +29,16 @@ def harmonic(n: int) -> float:
     return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1]) if n else 0.0
 
 
+def _ceil_snapped(power: float) -> int:
+    """ceil(power) for a float power >= 1, but an integer within 1e-9 relative of it.
+
+    A power computed in floating point can land a few ulp above the integer it
+    stands for (32**0.8 is 16.000000000000004), where a plain ceil overshoots.
+    """
+    nearest = round(power)
+    return nearest if abs(power - nearest) <= 1e-9 * nearest else math.ceil(power)
+
+
 @dataclass(frozen=True)
 class HorizonDistribution:
     """Probability vector over horizons 1..n (n = declared support bound)."""

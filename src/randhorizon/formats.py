@@ -5,9 +5,12 @@ family {"kind": "delta"|"uniform"|"pstar"|"geometric"|"poisson", "n": int,
 "param": number} (param is the geometric ratio or the Poisson rate; other
 kinds ignore it).  Strategy files are {"q": [..]} or
 {"kind": "threshold", "l": int}; mixtures are {"weights": [..]}; performance
-profile tables are {"index": value, ..}.  A vector entry or table value that
-is not a JSON number, or a table key that is not an integer, is a malformed
-file (``InputFileError``).
+profile tables are {"index": value, ..}.  A file that is not UTF-8 text, a
+vector entry, table value or ``param`` that is not a JSON number, an ``n`` or
+``l`` that is not a JSON integer, or a table key that is not an integer is a
+malformed file (``InputFileError``); ``true`` and ``false`` are not numbers.
+An integer beyond the float range is out of range (``ValidationError``).
+Outputs are written by :func:`json_text`, the one JSON encoding of the CLI.
 """
 
 from __future__ import annotations
@@ -28,6 +31,23 @@ _DIST_KINDS = {
     "geometric": lambda n, param: dist.geometric_truncated(param, n),
     "poisson": lambda n, param: dist.poisson_truncated(param, n),
 }
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, not a bool."""
+    if type(value) is not int:
+        raise InputFileError(f"{what} is not an integer")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number, not a bool, as a float."""
+    if type(value) not in (int, float):
+        raise InputFileError(f"{what} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} overflows a float") from None
 
 
 def _numbers(obj: dict, key: str) -> np.ndarray:
@@ -56,10 +76,8 @@ def distribution_from_json(obj: dict) -> dist.HorizonDistribution:
             raise ValidationError(f"unknown distribution kind {kind!r}")
         if "n" not in obj:
             raise ValidationError("named distribution needs a support bound 'n'")
-        n = obj["n"]
-        if not isinstance(n, int):
-            raise ValidationError("'n' must be an integer")
-        param = obj.get("param")
+        n = _integer(obj["n"], "'n'")
+        param = _number(obj["param"], "'param'") if "param" in obj else None
         if kind in ("geometric", "poisson") and param is None:
             raise ValidationError(f"{kind} distribution needs 'param'")
         return _DIST_KINDS[kind](n, param)
@@ -76,9 +94,9 @@ def strategy_from_json(obj: dict) -> Strategy:
     if "q" in obj:
         return make_strategy(_numbers(obj, "q"))
     if obj.get("kind") == "threshold":
-        l = obj.get("l")
-        if not isinstance(l, int):
+        if "l" not in obj:
             raise ValidationError("threshold strategy needs an integer 'l'")
+        l = _integer(obj["l"], "'l'")
         return single_threshold(l, l)
     raise ValidationError("strategy object needs 'q' or kind 'threshold'")
 
@@ -103,19 +121,22 @@ def profile_table_from_json(obj: dict) -> dict[int, float]:
             index = int(key)
         except ValueError:
             raise InputFileError(f"profile table key {key!r} is not an integer") from None
-        if type(value) not in (int, float):
-            raise InputFileError(f"profile table value at {key!r} is not a number")
-        try:
-            table[index] = float(value)
-        except OverflowError:
-            raise ValidationError(f"profile table value at {key!r} overflows a float") from None
+        table[index] = _number(value, f"profile table value at {key!r}")
     return table
 
 
+def json_text(obj) -> str:
+    """One line of JSON with sorted keys, ending in a newline."""
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
+
+
 def dump_json(obj, path: str | Path) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(", ", ": "), indent=None)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputFileError(f"{path} is not UTF-8 text") from None
+    return json.loads(text)

@@ -18,32 +18,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, delta, lambda_sequence
+from .dist import HorizonDistribution, _ceil_snapped, delta, lambda_sequence
 from .errors import ValidationError
 from .solver import backward_induction, solve_optimal
 from .strategy import Strategy, success_probability
 
 
 @dataclass(frozen=True)
-class BlockedIndexSet:
-    """Strictly increasing block right-endpoints: the distinct values of ceil(rho^l)."""
-
-    rho: float
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
 class SampleBatch:
-    """iid horizon samples plus the seed they were drawn with."""
+    """iid horizon samples."""
 
     samples: np.ndarray
-    m: int
-    seed: object = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=np.int64)
@@ -51,8 +36,6 @@ class SampleBatch:
             raise ValidationError("samples must be a non-empty 1-D vector")
         if np.any(s < 1):
             raise ValidationError("samples must be positive integers")
-        if self.m != s.size:
-            raise ValidationError("declared count m must equal len(samples)")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -62,7 +45,6 @@ class LearnOutput:
     q_hat: Strategy
     G: np.ndarray  # estimated gain sequence on 1..N_max
     N_max: int
-    p_hat: HorizonDistribution  # empirical blocked distribution
 
 
 def _endpoints_until(rho: float, stop: int) -> np.ndarray:
@@ -72,9 +54,7 @@ def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     stalled = 0
     while out[-1] < stop:
         power *= rho
-        # snap to an exact integer when the float product drifted onto one
-        nearest = round(power)
-        value = nearest if abs(power - nearest) <= 1e-9 * nearest else math.ceil(power)
+        value = _ceil_snapped(power)
         if value > out[-1]:
             out.append(value)
             stalled = 0
@@ -88,14 +68,16 @@ def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def block_indices(rho: float, cap: int) -> BlockedIndexSet:
-    """All block right-endpoints that do not exceed cap."""
+def block_indices(rho: float, cap: int) -> np.ndarray:
+    """All block right-endpoints that do not exceed cap, as a read-only int64 array."""
     if not (rho > 1.0 and math.isfinite(rho)):
         raise ValidationError(f"block ratio must be > 1, got {rho}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
     idx = _endpoints_until(rho, cap)
-    return BlockedIndexSet(rho=rho, indices=idx[idx <= cap])
+    idx = idx[idx <= cap]
+    idx.setflags(write=False)
+    return idx
 
 
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
@@ -115,7 +97,7 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     """m iid horizon draws via inverse-CDF; deterministic given the seed."""
     if m < 1:
         raise ValidationError(f"sample count must be >= 1, got {m}")
-    return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)), m=m, seed=seed)
+    return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)))
 
 
 def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
@@ -138,12 +120,12 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     slot = np.searchsorted(ends, batch.samples, side="left")
     np.add.at(counts, slot, 1.0)
     probs = np.zeros(n_max)
-    probs[ends - 1] = counts / batch.m
+    probs[ends - 1] = counts / batch.samples.size
     p_hat = HorizonDistribution(probs=probs, n=n_max)
 
     gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat)
     q, _ = backward_induction(gains)
-    return LearnOutput(q_hat=Strategy(q=q), G=gains, N_max=n_max, p_hat=p_hat)
+    return LearnOutput(q_hat=Strategy(q=q), G=gains, N_max=n_max)
 
 
 def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
@@ -164,7 +146,7 @@ def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
     return math.ceil(max(m_tail, m_conc))
 
 
-def estimate_tail_support(p: HorizonDistribution, epsilon: float, delta: float, seed) -> tuple[int, SampleBatch]:
+def estimate_tail_support(p: HorizonDistribution, epsilon: float, delta: float, seed) -> int:
     """Pre-estimation phase: T = max of ceil((12/eps)*log(2/delta)) fresh samples.
 
     With probability at least 1 - delta/2 the tail beyond T is at most
@@ -175,8 +157,7 @@ def estimate_tail_support(p: HorizonDistribution, epsilon: float, delta: float, 
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     m1 = math.ceil(12.0 / epsilon * math.log(2.0 / delta))
-    batch = draw_samples(p, m1, seed)
-    return int(batch.samples.max()), batch
+    return int(draw_samples(p, m1, seed).samples.max())
 
 
 def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, HorizonDistribution, float]:
@@ -227,7 +208,7 @@ def learning_trial(
     Sub-seeds for the phases derive from (seed, phase index).
     """
     if T is None:
-        T, _ = estimate_tail_support(
+        T = estimate_tail_support(
             p, epsilon, delta_conf, np.random.SeedSequence([_entropy(seed), 0])
         )
         main_delta = delta_conf / 2.0

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution
+from .dist import HorizonDistribution, _ceil_snapped
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -206,9 +206,7 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
     alpha = K ** (-1.0 / ((n - 1) * (z - 1.0)))
     k = np.empty(n, dtype=np.int64)
     for i in range(1, n + 1):
-        power = K ** ((i - 1.0) / (n - 1.0))
-        nearest = round(power)
-        k[i - 1] = nearest if abs(power - nearest) <= 1e-9 * max(nearest, 1) else math.ceil(power)
+        k[i - 1] = _ceil_snapped(K ** ((i - 1.0) / (n - 1.0)))
     values = np.empty(n + 1)
     values[0] = 0.0
     values[1:n] = alpha ** (1.0 / k[:-1])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dist import HorizonDistribution
 from .errors import HarnessError, ValidationError
-from .strategy import Strategy, prefix_products, single_threshold
+from .strategy import Strategy, point_mass_values, single_threshold
 
 Policy = Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
 
@@ -45,12 +45,12 @@ class SimResult(NamedTuple):
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """One realized episode: horizon, pick, outcome, optionally the rank stream."""
+    """One realized episode: horizon, pick, outcome and the ranks R_1..R_N."""
 
     n_realized: int
     pick_time: int | None
     success: bool
-    relative_ranks: tuple | None = None
+    relative_ranks: tuple
 
 
 @dataclass(frozen=True)
@@ -219,10 +219,7 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     l_star = math.ceil(n / math.e**2)
-    q = single_threshold(l_star, n)
-    u_prev = prefix_products(q)[:-1]
-    # per-horizon coefficients: value of the rule under a point mass at i
-    coeff = np.cumsum(u_prev * q.q) / np.arange(1, n + 1)
+    coeff = point_mass_values(single_threshold(l_star, n).q)
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
     rows = max(1, _CHUNK_ELEMS // n)

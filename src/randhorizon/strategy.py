@@ -92,11 +92,9 @@ def single_threshold(l: int, m: int) -> Strategy:
     return Strategy(q=q)
 
 
-def prefix_products(strategy: Strategy) -> np.ndarray:
+def prefix_products(q: np.ndarray) -> np.ndarray:
     """U_0..U_m where U_i = prod_{l<=i} (1 - q_l/l): the no-pick-yet probabilities."""
-    q = strategy.q
-    factors = 1.0 - q / np.arange(1, q.size + 1)
-    return np.concatenate([[1.0], np.cumprod(factors)])
+    return np.concatenate([[1.0], np.cumprod(1.0 - q / np.arange(1, q.size + 1))])
 
 
 def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
@@ -106,8 +104,12 @@ def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
 
 def lambda_form_value(lam: np.ndarray, qx: np.ndarray) -> float:
     """sum_i U_{i-1}(q) q_i lambda_i for a lambda sequence and a same-length q."""
-    u_prev = np.concatenate([[1.0], np.cumprod(1.0 - qx / np.arange(1, lam.size + 1))])[:-1]
-    return float(np.sum(u_prev * qx * lam))
+    return float(np.sum(prefix_products(qx)[:-1] * qx * lam))
+
+
+def point_mass_values(qx: np.ndarray) -> np.ndarray:
+    """(1/i) * sum_{l<=i} U_{l-1} q_l for i = 1..len(qx): the value of q when N = i."""
+    return np.cumsum(prefix_products(qx)[:-1] * qx) / np.arange(1, qx.size + 1)
 
 
 def success_probability_pform(p: HorizonDistribution, strategy: Strategy) -> float:
@@ -116,11 +118,7 @@ def success_probability_pform(p: HorizonDistribution, strategy: Strategy) -> flo
     sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l.  Kept as an independent
     cross-check of the lambda-form evaluation.
     """
-    qx = strategy.extended(p.n)
-    idx = np.arange(1, p.n + 1)
-    u_prev = np.concatenate([[1.0], np.cumprod(1.0 - qx / idx)])[:-1]
-    inner = np.cumsum(u_prev * qx) / idx
-    return float(np.sum(p.probs * inner))
+    return float(np.sum(p.probs * point_mass_values(strategy.extended(p.n))))
 
 
 def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:

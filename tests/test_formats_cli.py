@@ -238,7 +238,7 @@ def test_cli_solve_matches_the_library(tmp_path, capsys):
                 "k_star": th.k_star,
                 "threshold_value": success_probability(p, rule),
             }
-            assert capsys.readouterr().out == cli._json_text(want), (name, n)
+            assert capsys.readouterr().out == formats.json_text(want), (name, n)
 
 
 def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
@@ -250,8 +250,15 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         "q": {"q": [0.0, "1"]},
         "table_value": {"1": 1.0, "2": "x"},
         "table_key": {"1": 1.0, "two": 2.0},
+        "n_bool": {"kind": "delta", "n": True},
+        "n_float": {"kind": "uniform", "n": 2.5},
+        "param_bool": {"kind": "poisson", "n": 4, "param": True},
+        "param_string": {"kind": "geometric", "n": 4, "param": "0.5"},
+        "l_bool": {"kind": "threshold", "l": True},
     }
     paths = {key: _write_dist(tmp_path, f"{key}.json", obj) for key, obj in files.items()}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"kind": "delta", "n": 3, "note": "caf\u00e9"}'.encode("latin-1"))
     meta_argv = ["meta", "--nlo", "1", "--nhi", "2", "--profile"]
     for argv in (
         ["solve", "--dist", paths["probs"]],
@@ -260,6 +267,12 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         ["eval", "--dist", dist_path, "--strategy", paths["q"]],
         [*meta_argv, "table:" + paths["table_value"]],
         [*meta_argv, "table:" + paths["table_key"]],
+        ["solve", "--dist", paths["n_bool"]],
+        ["solve", "--dist", paths["n_float"]],
+        ["eval", "--dist", paths["param_bool"], "--threshold", "1"],
+        ["solve", "--dist", paths["param_string"]],
+        ["eval", "--dist", dist_path, "--strategy", paths["l_bool"]],
+        ["solve", "--dist", str(latin1)],
     ):
         assert cli.main(argv) == 3, argv
         err = capsys.readouterr().err
@@ -268,7 +281,12 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
     # an integer too large for a float is a number out of range, not a malformed file
     huge_probs = _write_dist(tmp_path, "huge_probs.json", {"probs": [10**400, 1]})
     huge_table = _write_dist(tmp_path, "huge_table.json", {"1": 1.0, "2": 10**400})
-    for argv in (["solve", "--dist", huge_probs], [*meta_argv, "table:" + huge_table]):
+    huge_param = _write_dist(tmp_path, "huge_param.json", {"kind": "poisson", "n": 4, "param": 10**400})
+    for argv in (
+        ["solve", "--dist", huge_probs],
+        [*meta_argv, "table:" + huge_table],
+        ["solve", "--dist", huge_param],
+    ):
         assert cli.main(argv) == 4, argv
         assert "Traceback" not in capsys.readouterr().err, argv
 

@@ -27,8 +27,9 @@ from randhorizon.learn import _endpoints_until
 
 
 def test_block_indices_examples():
-    assert np.array_equal(block_indices(2.0, 10).indices, [1, 2, 4, 8])
-    assert np.array_equal(block_indices(1.5, 6).indices, [1, 2, 3, 4, 6])
+    assert np.array_equal(block_indices(2.0, 10), [1, 2, 4, 8])
+    assert np.array_equal(block_indices(1.5, 6), [1, 2, 3, 4, 6])
+    assert np.array_equal(block_indices(math.sqrt(2), 8), [1, 2, 3, 4, 6, 8])
     with pytest.raises(ValidationError):
         block_indices(1.0, 10)
     with pytest.raises(ValidationError):
@@ -39,7 +40,7 @@ def test_block_indices_ratio_bounds():
     rng = np.random.default_rng(21)
     for _ in range(40):
         rho = 1.05 + float(rng.random()) * 3.0
-        idx = block_indices(rho, int(rng.integers(1, 2000))).indices
+        idx = block_indices(rho, int(rng.integers(1, 2000)))
         prev = np.concatenate([[0], idx[:-1]])
         assert np.all(idx <= rho * (prev + 1) + 1e-9)
         # geometric growth: endpoint l' dominates (rho^(l'-l)/2) * endpoint l
@@ -140,7 +141,7 @@ def test_draw_samples():
 
 
 def test_learn_strategy_degenerate_batch():
-    out = learn_strategy(SampleBatch(samples=np.ones(7, dtype=int), m=7), 0.5)
+    out = learn_strategy(SampleBatch(samples=np.ones(7, dtype=int)), 0.5)
     assert out.N_max == 1
     assert np.array_equal(out.G, [1.0])
     assert np.array_equal(out.q_hat.q, [1.0])
@@ -149,11 +150,11 @@ def test_learn_strategy_degenerate_batch():
 
 def test_learn_strategy_validation():
     with pytest.raises(ValidationError):
-        learn_strategy(SampleBatch(samples=np.array([1, 2]), m=2), 0.0)
+        learn_strategy(SampleBatch(samples=np.array([1, 2])), 0.0)
     with pytest.raises(ValidationError):
-        learn_strategy(SampleBatch(samples=np.array([1, 2]), m=2), 1.5)
+        learn_strategy(SampleBatch(samples=np.array([1, 2])), 1.5)
     with pytest.raises(ValidationError):
-        SampleBatch(samples=np.array([], dtype=int), m=0)
+        SampleBatch(samples=np.array([], dtype=int))
 
 
 def test_learn_output_block_structure():

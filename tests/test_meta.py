@@ -152,6 +152,9 @@ def test_prophet_grid_construction():
     z = 2.0
     bound = 2 * (1 + z ** (-z / (2 * (z - 1))) - z ** (-1 / (z - 1)))
     assert grid.xi <= bound + 1e-9
+    # 32**0.8 is 16.000000000000004: the counts snap to the integers they stand for
+    grid = prophet_block_distribution(6, 32, np.linspace(0.1, 1.0, 7))
+    assert np.array_equal(grid.k, [1, 2, 4, 8, 16, 32])
 
 
 def test_prophet_grid_validation():

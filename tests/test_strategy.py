@@ -39,15 +39,15 @@ def test_strategy_validation():
 
 
 def test_prefix_products_examples():
-    assert np.array_equal(prefix_products(make_strategy([1, 1, 1])), [1, 0, 0, 0])
-    assert np.allclose(prefix_products(make_strategy([0, 1, 1])), [1, 1, 0.5, 1 / 3], atol=1e-15)
-    assert np.array_equal(prefix_products(make_strategy([0, 0, 0])), [1, 1, 1, 1])
+    assert np.array_equal(prefix_products(np.array([1.0, 1.0, 1.0])), [1, 0, 0, 0])
+    assert np.allclose(prefix_products(np.array([0.0, 1.0, 1.0])), [1, 1, 0.5, 1 / 3], atol=1e-15)
+    assert np.array_equal(prefix_products(np.zeros(3)), [1, 1, 1, 1])
 
 
 def test_prefix_products_monotone_in_unit_interval():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        u = prefix_products(make_strategy(rng.random(int(rng.integers(1, 50)))))
+        u = prefix_products(rng.random(int(rng.integers(1, 50))))
         assert np.all(u >= -1e-15) and np.all(u <= 1 + 1e-15)
         assert np.all(np.diff(u) <= 1e-15)
 
