@@ -21,6 +21,9 @@ from .errors import ValidationError
 
 SUM_TOL = 1e-12
 
+# the largest vector a size taken from outside input may ask for (800 MB of float64)
+MAX_ELEMS = 10**8
+
 
 def harmonic(n: int) -> float:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, by direct summation (H_0 = 0)."""
@@ -56,7 +59,7 @@ class HorizonDistribution:
             raise ValidationError("probs must be non-negative")
         if abs(p.sum() - 1.0) > SUM_TOL:
             raise ValidationError(
-                f"probs must sum to 1 within {SUM_TOL}, got {p.sum()!r}"
+                f"probs must sum to 1 within {SUM_TOL}, got {float(p.sum())!r}"
             )
         if self.n != p.size:
             raise ValidationError("declared length n must equal len(probs)")
@@ -87,7 +90,10 @@ def make_distribution(weights) -> HorizonDistribution:
         raise ValidationError("weights must be finite")
     if np.any(w < 0):
         raise ValidationError("weights must be non-negative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if total == math.inf:
+        raise ValidationError("the weight sum overflows a float")
     if total <= 0:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:

@@ -7,9 +7,11 @@ kinds ignore it).  Strategy files are {"q": [..]} or
 {"kind": "threshold", "l": int}; mixtures are {"weights": [..]}; performance
 profile tables are {"index": value, ..}.  A file that is not UTF-8 text, a
 vector entry, table value or ``param`` that is not a JSON number, an ``n`` or
-``l`` that is not a JSON integer, or a table key that is not an integer is a
-malformed file (``InputFileError``); ``true`` and ``false`` are not numbers.
-An integer beyond the float range is out of range (``ValidationError``).
+``l`` that is not a JSON integer, or a table key that is not the canonical
+decimal spelling of a non-negative integer is a malformed file
+(``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
+beyond the float range, or a named family's ``n`` above ``dist.MAX_ELEMS``, is
+out of range (``ValidationError``).
 Outputs are written by :func:`json_text`, the one JSON encoding of the CLI.
 """
 
@@ -77,6 +79,8 @@ def distribution_from_json(obj: dict) -> dist.HorizonDistribution:
         if "n" not in obj:
             raise ValidationError("named distribution needs a support bound 'n'")
         n = _integer(obj["n"], "'n'")
+        if n > dist.MAX_ELEMS:
+            raise ValidationError(f"'n' = {n} exceeds the cap of {dist.MAX_ELEMS} elements")
         param = _number(obj["param"], "'param'") if "param" in obj else None
         if kind in ("geometric", "poisson") and param is None:
             raise ValidationError(f"{kind} distribution needs 'param'")
@@ -112,7 +116,11 @@ def mixture_from_json(obj: dict) -> ThresholdMixture:
 
 
 def profile_table_from_json(obj: dict) -> dict[int, float]:
-    """{index: value} table of a performance profile; keys are integer strings."""
+    """{index: value} table of a performance profile; keys are decimal integers.
+
+    Only the canonical spelling of a non-negative integer is a key ("10", not
+    "1_0", " 10", "+10" or "010"), so two keys never name one index.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("profile table file must hold {index: value}")
     table = {}
@@ -120,7 +128,9 @@ def profile_table_from_json(obj: dict) -> dict[int, float]:
         try:
             index = int(key)
         except ValueError:
-            raise InputFileError(f"profile table key {key!r} is not an integer") from None
+            index = -1
+        if index < 0 or key != str(index):
+            raise InputFileError(f"profile table key {key!r} is not a non-negative decimal integer")
         table[index] = _number(value, f"profile table value at {key!r}")
     return table
 

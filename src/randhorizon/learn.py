@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped, delta, lambda_sequence
+from .dist import MAX_ELEMS, HorizonDistribution, _ceil_snapped, delta, lambda_sequence
 from .errors import ValidationError
 from .solver import backward_induction, solve_optimal
 from .strategy import Strategy, success_probability
@@ -97,6 +97,8 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     """m iid horizon draws via inverse-CDF; deterministic given the seed."""
     if m < 1:
         raise ValidationError(f"sample count must be >= 1, got {m}")
+    if m > MAX_ELEMS:
+        raise ValidationError(f"sample count {m} exceeds the cap of {MAX_ELEMS} elements")
     return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)))
 
 

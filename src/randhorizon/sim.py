@@ -1,22 +1,29 @@
-"""Ground-truth Monte Carlo of the arrival process, on rank streams.
+"""Ground-truth Monte Carlo of the arrival process: two samplers of one law.
 
 The decision maker sees only relative ranks: R_t = 1 + the number of earlier
 arrivals better than arrival t, so R_t = 1 means best so far.  Under a
 uniformly random order the ranks are independent with R_t ~ U{1..t} (Renyi,
-1962), so episodes never build a permutation.  One engine draws
-R_t = floor(u * t) + 1 for a whole chunk of episodes at once, stored
-arrival-major as int32 of shape (T, rows), and decides every outcome from the
-realized ranks alone: a pick at t wins iff it is the last record (R_s = 1) at
-or before the horizon, since the best of the first N values arrives at the
-last record among them.  No closed form enters, so the simulator stays an
-independent oracle of the exact evaluators.
+1962), so episodes never build a permutation.  A pick at t wins iff it is the
+last record (R_s = 1) at or before the horizon, since the best of the first N
+values arrives at the last record among them.  No closed form enters either
+sampler, so both stay independent oracles of the exact evaluators.
 
-Policies are batched: ``policy(t, ranks, rng) -> bool[rows]``, where
-``ranks`` is a (t, rows) view holding R_1..R_t of every row still live at
-time t (``ranks[-1]`` is the current arrival).  The engine asks once per t
-for the whole chunk; rows that have already picked may be asked again, and
-those answers are ignored.  ``scalar_policy`` adapts a per-episode callable
+Rank streams serve arbitrary policies (``simulate_custom``,
+``trace_episodes``, ``adversary_game``): one engine draws
+R_t = floor(u * t) + 1 for a whole chunk of episodes at once, stored
+arrival-major as int32 of shape (T, rows).  Policies are batched:
+``policy(t, ranks, rng) -> bool[rows]``, where ``ranks`` is a (t, rows) view
+holding R_1..R_t of every row still live at time t (``ranks[-1]`` is the
+current arrival).  The engine asks once per t for the whole chunk; rows that
+have already picked may be asked again, and those answers are ignored.
+``scalar_policy`` adapts a per-episode callable
 ``fn(t, ranks_tuple, rng) -> bool`` to this protocol.
+
+Record jumps serve acceptance vectors q (``simulate``) and the adversary's
+tail.  Record indicators are independent with P(R_s = 1) = 1/s, so the first
+record after t is T = floor(t / U) + 1 with U uniform on (0, 1], which gives
+P(T > x) = t / x.  A q-vector acts only on records, so a trial walks from
+record to record, about H_N steps instead of N.
 """
 
 from __future__ import annotations
@@ -100,16 +107,16 @@ def _draw_ranks(n_max: int, rows: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _play(
-    horizons: np.ndarray, policy: Policy, rng: np.random.Generator, asked: int | None = None
+    horizons: np.ndarray, policy: Policy, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Run ``policy`` on fresh rank streams, one chunk of rows at a time.
 
     Rows are sorted by horizon, so a chunk holds similar horizons and the
     rows still live at time t are a suffix of it.  Each chunk draws ranks up
-    to its largest horizon and asks the policy at t = 1..min(asked, that
-    horizon).  Yields ``(rows, h, ranks, picks)``: indices into ``horizons``,
-    their horizons, their int32 ranks of shape (T, len(rows)), and each row's
-    first accepted time (0 for none).
+    to its largest horizon and asks the policy at t = 1..that horizon.
+    Yields ``(rows, h, ranks, picks)``: indices into ``horizons``, their
+    horizons, their int32 ranks of shape (T, len(rows)), and each row's first
+    accepted time (0 for none).
     """
     order = np.argsort(horizons, kind="stable")
     ordered = horizons[order]
@@ -121,9 +128,8 @@ def _play(
         h = ordered[start : start + rows]
         n_max = int(h[-1])
         ranks = _draw_ranks(n_max, rows, rng)
-        steps = n_max if asked is None else min(asked, n_max)
-        accepted = np.zeros((steps, rows), dtype=bool)
-        first_live = np.searchsorted(h, np.arange(1, steps + 1)).tolist()
+        accepted = np.zeros((n_max, rows), dtype=bool)
+        first_live = np.searchsorted(h, np.arange(1, n_max + 1)).tolist()
         for t, lo in enumerate(first_live, start=1):
             accepted[t - 1, lo:] = _checked(policy(t, ranks[:t, lo:], rng), rows - lo)
         picks = np.where(accepted.any(axis=0), accepted.argmax(axis=0) + 1, 0)
@@ -140,27 +146,46 @@ def _wins(ranks: np.ndarray, picks: np.ndarray, horizons: np.ndarray) -> np.ndar
     return picks == last_record
 
 
-def _success_count(p: HorizonDistribution, policy: Policy, trials: int, seed) -> int:
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    return sum(
-        int(np.count_nonzero(_wins(ranks, picks, h)))
-        for _, h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
-    )
+def _next_record(t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The first record time after each t, as float64 (an int cast could overflow)."""
+    return np.floor(t / (1.0 - rng.random(t.size))) + 1.0
 
 
 def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> SimResult:
     """Empirical success rate of a strategy, with binomial standard error.
 
-    Deterministic given the seed.
+    Each trial walks its records: at record t it accepts with probability q_t
+    (1 past the stored vector) and wins iff the next record lies beyond its
+    horizon.  Memory is O(trials + n).  Deterministic given the seed.
     """
-    return _binomial_result(_success_count(p, _accept_records(strategy.q), trials, seed), trials)
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    qx = strategy.extended(p.n)
+    horizons = p.sample(trials, rng)
+    t = np.ones(trials)
+    successes = 0
+    while t.size:
+        # exact index: a live row's record is at most its horizon <= n
+        accept = rng.random(t.size) < qx[t.astype(np.int64) - 1]
+        t = _next_record(t, rng)
+        past = t > horizons
+        successes += int(np.count_nonzero(accept & past))
+        live = ~(accept | past)
+        t, horizons = t[live], horizons[live]
+    return _binomial_result(successes, trials)
 
 
 def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -> SimResult:
     """Empirical success rate of a batched rank-feedback policy."""
-    return _binomial_result(_success_count(p, policy, trials, seed), trials)
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    successes = sum(
+        int(np.count_nonzero(_wins(ranks, picks, h)))
+        for _, h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
+    )
+    return _binomial_result(successes, trials)
 
 
 def trace_episodes(p: HorizonDistribution, policy: Policy, trials: int, seed) -> list[EpisodeTrace]:
@@ -199,9 +224,12 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     k = math.isqrt(n)
     last_asked = min(k + 1, n)
     successes = 0
-    for _, _, ranks, picks in _play(np.full(trials, n), policy, rng, asked=last_asked):
-        horizons = np.where(picks <= k, n, last_asked)
-        successes += int(np.count_nonzero(_wins(ranks, picks, horizons)))
+    # ranks are drawn only up to last_asked; an early pick that is the last
+    # record so far still needs no record in (last_asked, n], one jump away
+    for _, h, ranks, picks in _play(np.full(trials, last_asked), policy, rng):
+        won = _wins(ranks, picks, h)
+        beyond = _next_record(h.astype(float), rng) > n
+        successes += int(np.count_nonzero(won & ((picks > k) | beyond)))
     return _binomial_result(successes, trials)
 
 
@@ -268,9 +296,10 @@ def threshold_policy(l: int) -> Policy:
     return decide
 
 
-def _accept_records(q: np.ndarray) -> Policy:
-    # simulate builds its policy here, not through the public factory, so a
-    # wrapper counting the calls of factory-made policies sees only the caller's
+def strategy_policy(strategy: Strategy) -> Policy:
+    """Play an acceptance vector as a batched policy (ones past its length)."""
+    q = strategy.q
+
     def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         q_t = q[t - 1] if t <= q.size else 1.0
         if q_t == 0.0:
@@ -281,8 +310,3 @@ def _accept_records(q: np.ndarray) -> Policy:
         return records & (rng.random(records.size) < q_t)
 
     return decide
-
-
-def strategy_policy(strategy: Strategy) -> Policy:
-    """Play an acceptance vector as a batched policy (ones past its length)."""
-    return _accept_records(strategy.q)

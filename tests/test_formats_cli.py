@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,11 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         "q": {"q": [0.0, "1"]},
         "table_value": {"1": 1.0, "2": "x"},
         "table_key": {"1": 1.0, "two": 2.0},
+        "table_key_underscore": {"1": 1.0, "1_0": 2.0},
+        "table_key_spaces": {"1": 1.0, " 5 ": 1.0},
+        "table_key_plus": {"1": 1.0, "+7": 3.0},
+        "table_key_zero_padded": {"1": 1.0, "010": 3.0},
+        "table_key_negative": {"1": 1.0, "-2": 3.0},
         "n_bool": {"kind": "delta", "n": True},
         "n_float": {"kind": "uniform", "n": 2.5},
         "param_bool": {"kind": "poisson", "n": 4, "param": True},
@@ -266,7 +272,7 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         ["minimax", "--nbar", "2", "--dist", paths["probs_nested"]],
         ["eval", "--dist", dist_path, "--strategy", paths["q"]],
         [*meta_argv, "table:" + paths["table_value"]],
-        [*meta_argv, "table:" + paths["table_key"]],
+        *([*meta_argv, "table:" + paths[key]] for key in files if key.startswith("table_key")),
         ["solve", "--dist", paths["n_bool"]],
         ["solve", "--dist", paths["n_float"]],
         ["eval", "--dist", paths["param_bool"], "--threshold", "1"],
@@ -289,6 +295,25 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
     ):
         assert cli.main(argv) == 4, argv
         assert "Traceback" not in capsys.readouterr().err, argv
+
+
+def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_path, capsys):
+    huge_n = _write_dist(tmp_path, "huge_n.json", {"kind": "delta", "n": 10**11})
+    overflow = _write_dist(tmp_path, "overflow.json", {"probs": [1e308, 1e308]})
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
+    learn_argv = ["learn", "--dist", dist_path, "--epsilon", "1e-9", "--trials", "1"]
+    for argv, words in (
+        (["solve", "--dist", huge_n], "cap"),
+        (learn_argv, "cap"),
+        ([*learn_argv, "--tail-bound", "5"], "cap"),
+        (["solve", "--dist", overflow], "overflows"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would fail here
+            assert cli.main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("randhorizon: invalid parameter:") and err.count("\n") == 1, err
+        assert words in err and "np.float64" not in err, err
 
 
 def test_cli_negative_seed_is_a_range_error(tmp_path):

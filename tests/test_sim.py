@@ -42,6 +42,14 @@ def test_simulate_examples():
     assert abs(r.rate - 0.5) <= 4 * r.stderr
     r = simulate(worst_case_pstar(4), single_threshold(1, 4), 100_000, 2)
     assert abs(r.rate - 1 / harmonic(4)) <= 4 * r.stderr
+    assert simulate(uniform(6), make_strategy(np.zeros(6)), 2000, 3).successes == 0
+
+
+def test_simulate_large_horizon():
+    n = 10**6
+    c = classical_cutoff(n)
+    r = simulate(delta(n), single_threshold(c, c), 100_000, 4)
+    assert abs(r.rate - 1 / math.e) <= 4 * r.stderr
 
 
 def test_simulate_deterministic_and_validated():
@@ -64,6 +72,44 @@ def test_simulate_matches_exact_values():
         if abs(r.rate - exact) > 4 * max(r.stderr, 1e-9):
             fails += 1
     assert fails <= 1
+
+
+def _binned(times, edges):
+    return np.histogram(times, bins=[*edges, np.inf])[0]
+
+
+def test_record_jump_law():
+    # first record after t: P(T > x) = t / x, checked on bins (t, 2t], (2t, 4t], (4t, 8t], (8t, inf)
+    rng = np.random.default_rng(14)
+    for t in (1, 5, 40):
+        jumps = sim._next_record(np.full(40_000, float(t)), rng)
+        assert np.all(jumps > t) and np.all(jumps == np.floor(jumps))
+        edges = np.array([t, 2 * t, 4 * t, 8 * t], dtype=float)
+        tail = t / edges
+        expected = jumps.size * (tail - np.append(tail[1:], 0.0))
+        counts = _binned(jumps, edges + 0.5)
+        assert stats.chisquare(counts, expected).pvalue > 0.001, t
+        # the same law from rank streams: the first R_s = 1 with s > t, or s > 8t if none
+        records = sim._draw_ranks(8 * t, 10_000, rng)[t:] == 1
+        first = np.where(records.any(axis=0), records.argmax(axis=0) + t + 1, np.inf)
+        table = np.array([counts, _binned(first, edges + 0.5)])
+        assert stats.chi2_contingency(table).pvalue > 0.001, t
+
+
+def test_simulate_engines_agree():
+    # the record walk, the rank-stream engine and the exact value, pairwise;
+    # q is shorter than the support, so both engines pad it with ones
+    rng = np.random.default_rng(15)
+    for k in range(6):
+        n = int(rng.integers(2, 61))
+        p = sample_dirichlet_uniform(n, rng)
+        q = make_strategy(rng.random(int(rng.integers(1, n))))
+        exact = success_probability(p, q)
+        walk = simulate(p, q, 40_000, 200 + k)
+        ranks = simulate_custom(p, strategy_policy(q), 40_000, 300 + k)
+        assert abs(walk.rate - exact) <= 4 * walk.stderr, (n, walk.rate, exact)
+        assert abs(ranks.rate - exact) <= 4 * ranks.stderr, (n, ranks.rate, exact)
+        assert abs(walk.rate - ranks.rate) <= 4 * math.hypot(walk.stderr, ranks.stderr)
 
 
 def test_rank_law():
@@ -180,6 +226,15 @@ def test_adversary_matches_permutation_enumeration():
         for l in (1, 2, 3):
             exact = perm_adversary_rate(n, l)
             r = adversary_game(n, threshold_policy(l), 40_000, 90 + 3 * n + l)
+            assert abs(r.rate - exact) <= 4 * max(r.stderr, 1e-9), (n, l, r.rate, exact)
+
+
+def test_adversary_small_n():
+    # k = 1 here: the adversary asks about two arrivals at most, and n = 1 only one
+    for n in (1, 2, 3):
+        for l in (1, 2, 3):
+            exact = perm_adversary_rate(n, l)
+            r = adversary_game(n, threshold_policy(l), 40_000, 110 + 3 * n + l)
             assert abs(r.rate - exact) <= 4 * max(r.stderr, 1e-9), (n, l, r.rate, exact)
 
 
