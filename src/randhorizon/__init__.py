@@ -22,7 +22,6 @@ from .errors import HarnessError, ValidationError
 from .learn import (
     SampleBatch,
     block_distribution,
-    block_indices,
     draw_samples,
     hard_instance_lb,
     learn_strategy,

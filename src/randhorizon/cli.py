@@ -64,17 +64,18 @@ def _load_distribution(path: str) -> dist.HorizonDistribution:
     return formats.distribution_from_json(formats.load_json(path))
 
 
-def _load_strategy(args) -> strategy.Strategy:
+def _load_strategy(args, n: int) -> strategy.Strategy:
     if args.threshold is not None:
-        return strategy.single_threshold(args.threshold, args.threshold)
+        # A(p, q) reads q_1..q_n only
+        return strategy.single_threshold(args.threshold, min(args.threshold, n))
     if args.strategy is not None:
-        return formats.strategy_from_json(formats.load_json(args.strategy))
+        return formats.strategy_from_json(formats.load_json(args.strategy), n)
     raise ValidationError("need --strategy FILE or --threshold L")
 
 
 def cmd_eval(args) -> int:
     p = _load_distribution(args.dist)
-    q = _load_strategy(args)
+    q = _load_strategy(args, p.n)
     _write_text(
         formats.json_text(
             {
@@ -128,7 +129,7 @@ def cmd_minimax(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _load_distribution(args.dist)
-    q = _load_strategy(args)
+    q = _load_strategy(args, p.n)
     res = sim.simulate(p, q, args.trials, _subseed(args.seed, 0))
     exact = strategy.success_probability(p, q)
     gap = abs(res.rate - exact)
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"randhorizon: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE
-    except (InputFileError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (InputFileError, OSError, json.JSONDecodeError) as exc:
         print(f"randhorizon: bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

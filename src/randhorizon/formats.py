@@ -1,14 +1,15 @@
-"""JSON wire formats for distributions, strategies, and mixtures.
+"""JSON wire formats for distributions, strategies, and profile tables.
 
 Distribution files are either an explicit vector {"probs": [..]} or a named
 family {"kind": "delta"|"uniform"|"pstar"|"geometric"|"poisson", "n": int,
 "param": number} (param is the geometric ratio or the Poisson rate; other
 kinds ignore it).  Strategy files are {"q": [..]} or
-{"kind": "threshold", "l": int}; mixtures are {"weights": [..]}; performance
-profile tables are {"index": value, ..}.  A file that is not UTF-8 text, a
-vector entry, table value or ``param`` that is not a JSON number, an ``n`` or
-``l`` that is not a JSON integer, or a table key that is not the canonical
-decimal spelling of a non-negative integer is a malformed file
+{"kind": "threshold", "l": int}; performance profile tables are
+{"index": value, ..}.  A file that is not UTF-8 text or nests too deeply to
+parse, a top-level value that is not a JSON object, a ``kind`` that is not a
+string, a vector entry, table value or ``param`` that is not a JSON number,
+an ``n`` or ``l`` that is not a JSON integer, or a table key that is not the
+canonical decimal spelling of a non-negative integer is a malformed file
 (``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
 beyond the float range, or a named family's ``n`` above ``dist.MAX_ELEMS``, is
 out of range (``ValidationError``).
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import dist
 from .errors import InputFileError, ValidationError
-from .strategy import Strategy, ThresholdMixture, make_strategy, single_threshold
+from .strategy import Strategy, make_strategy, single_threshold
 
 _DIST_KINDS = {
     "delta": lambda n, param: dist.delta(n),
@@ -33,6 +34,20 @@ _DIST_KINDS = {
     "geometric": lambda n, param: dist.geometric_truncated(param, n),
     "poisson": lambda n, param: dist.poisson_truncated(param, n),
 }
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise InputFileError(f"{what} must hold a JSON object")
+    return value
+
+
+def _string(value, what: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise InputFileError(f"{what} is not a string")
+    return value
 
 
 def _integer(value, what: str) -> int:
@@ -63,17 +78,12 @@ def _numbers(obj: dict, key: str) -> np.ndarray:
         raise ValidationError(f"'{key}' holds an integer beyond the float range") from None
 
 
-def distribution_to_json(p: dist.HorizonDistribution) -> dict:
-    return {"probs": list(map(float, p.probs))}
-
-
-def distribution_from_json(obj: dict) -> dist.HorizonDistribution:
-    if not isinstance(obj, dict):
-        raise ValidationError("distribution file must hold a JSON object")
+def distribution_from_json(obj) -> dist.HorizonDistribution:
+    obj = _object(obj, "distribution file")
     if "probs" in obj:
         return dist.make_distribution(_numbers(obj, "probs"))
     if "kind" in obj:
-        kind = obj["kind"]
+        kind = _string(obj["kind"], "'kind'")
         if kind not in _DIST_KINDS:
             raise ValidationError(f"unknown distribution kind {kind!r}")
         if "n" not in obj:
@@ -88,43 +98,27 @@ def distribution_from_json(obj: dict) -> dist.HorizonDistribution:
     raise ValidationError("distribution object needs 'probs' or 'kind'")
 
 
-def strategy_to_json(strategy: Strategy) -> dict:
-    return {"q": list(map(float, strategy.q))}
-
-
-def strategy_from_json(obj: dict) -> Strategy:
-    if not isinstance(obj, dict):
-        raise ValidationError("strategy file must hold a JSON object")
+def strategy_from_json(obj, n: int) -> Strategy:
+    """A strategy for support [n]; a threshold rule keeps min(l, n) entries, all A(p, q) reads."""
+    obj = _object(obj, "strategy file")
     if "q" in obj:
         return make_strategy(_numbers(obj, "q"))
-    if obj.get("kind") == "threshold":
+    if "kind" in obj and _string(obj["kind"], "'kind'") == "threshold":
         if "l" not in obj:
             raise ValidationError("threshold strategy needs an integer 'l'")
         l = _integer(obj["l"], "'l'")
-        return single_threshold(l, l)
+        return single_threshold(l, min(l, n))
     raise ValidationError("strategy object needs 'q' or kind 'threshold'")
 
 
-def mixture_to_json(mix: ThresholdMixture) -> dict:
-    return {"weights": list(map(float, mix.weights))}
-
-
-def mixture_from_json(obj: dict) -> ThresholdMixture:
-    if not isinstance(obj, dict) or "weights" not in obj:
-        raise ValidationError("mixture file must hold {'weights': [..]}")
-    return ThresholdMixture(weights=_numbers(obj, "weights"))
-
-
-def profile_table_from_json(obj: dict) -> dict[int, float]:
+def profile_table_from_json(obj) -> dict[int, float]:
     """{index: value} table of a performance profile; keys are decimal integers.
 
     Only the canonical spelling of a non-negative integer is a key ("10", not
     "1_0", " 10", "+10" or "010"), so two keys never name one index.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError("profile table file must hold {index: value}")
     table = {}
-    for key, value in obj.items():
+    for key, value in _object(obj, "profile table file").items():
         try:
             index = int(key)
         except ValueError:
@@ -140,13 +134,10 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8")
-
-
 def load_json(path: str | Path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise InputFileError(f"{path} is not UTF-8 text") from None
-    return json.loads(text)
+    except RecursionError:
+        raise InputFileError(f"{path} nests too deeply to parse") from None

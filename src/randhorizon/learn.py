@@ -68,18 +68,6 @@ def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def block_indices(rho: float, cap: int) -> np.ndarray:
-    """All block right-endpoints that do not exceed cap, as a read-only int64 array."""
-    if not (rho > 1.0 and math.isfinite(rho)):
-        raise ValidationError(f"block ratio must be > 1, got {rho}")
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
-    idx = _endpoints_until(rho, cap)
-    idx = idx[idx <= cap]
-    idx.setflags(write=False)
-    return idx
-
-
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
     """Move the mass of every block (prev endpoint, endpoint] onto its right endpoint."""
     if not (rho > 1.0 and math.isfinite(rho)):

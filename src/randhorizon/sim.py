@@ -9,14 +9,13 @@ values arrives at the last record among them.  No closed form enters either
 sampler, so both stay independent oracles of the exact evaluators.
 
 Rank streams serve arbitrary policies (``simulate_custom``,
-``trace_episodes``, ``adversary_game``): one engine draws
-R_t = floor(u * t) + 1 for a whole chunk of episodes at once, stored
-arrival-major as int32 of shape (T, rows).  Policies are batched:
-``policy(t, ranks, rng) -> bool[rows]``, where ``ranks`` is a (t, rows) view
-holding R_1..R_t of every row still live at time t (``ranks[-1]`` is the
-current arrival).  The engine asks once per t for the whole chunk; rows that
-have already picked may be asked again, and those answers are ignored.
-``scalar_policy`` adapts a per-episode callable
+``adversary_game``): one engine draws R_t = floor(u * t) + 1 for a whole
+chunk of episodes at once, stored arrival-major as int32 of shape (T, rows).
+Policies are batched: ``policy(t, ranks, rng) -> bool[rows]``, where
+``ranks`` is a (t, rows) view holding R_1..R_t of every row still live at
+time t (``ranks[-1]`` is the current arrival).  The engine asks once per t
+for the whole chunk; rows that have already picked may be asked again, and
+those answers are ignored.  ``scalar_policy`` adapts a per-episode callable
 ``fn(t, ranks_tuple, rng) -> bool`` to this protocol.
 
 Record jumps serve acceptance vectors q (``simulate``) and the adversary's
@@ -48,16 +47,6 @@ class SimResult(NamedTuple):
     successes: int
     rate: float
     stderr: float
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """One realized episode: horizon, pick, outcome and the ranks R_1..R_N."""
-
-    n_realized: int
-    pick_time: int | None
-    success: bool
-    relative_ranks: tuple
 
 
 @dataclass(frozen=True)
@@ -108,20 +97,18 @@ def _draw_ranks(n_max: int, rows: int, rng: np.random.Generator) -> np.ndarray:
 
 def _play(
     horizons: np.ndarray, policy: Policy, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run ``policy`` on fresh rank streams, one chunk of rows at a time.
 
     Rows are sorted by horizon, so a chunk holds similar horizons and the
     rows still live at time t are a suffix of it.  Each chunk draws ranks up
     to its largest horizon and asks the policy at t = 1..that horizon.
-    Yields ``(rows, h, ranks, picks)``: indices into ``horizons``, their
-    horizons, their int32 ranks of shape (T, len(rows)), and each row's first
-    accepted time (0 for none).
+    Yields ``(h, ranks, picks)``: the chunk's horizons, their int32 ranks of
+    shape (T, len(h)), and each row's first accepted time (0 for none).
     """
-    order = np.argsort(horizons, kind="stable")
-    ordered = horizons[order]
+    ordered = np.sort(horizons)
     start = 0
-    while start < order.size:
+    while start < ordered.size:
         head = ordered[start : start + _CHUNK_ELEMS]
         fits = np.arange(1, head.size + 1) * head <= _CHUNK_ELEMS
         rows = max(1, int(np.count_nonzero(fits)))
@@ -133,7 +120,7 @@ def _play(
         for t, lo in enumerate(first_live, start=1):
             accepted[t - 1, lo:] = _checked(policy(t, ranks[:t, lo:], rng), rows - lo)
         picks = np.where(accepted.any(axis=0), accepted.argmax(axis=0) + 1, 0)
-        yield order[start : start + rows], h, ranks, picks
+        yield h, ranks, picks
         start += rows
 
 
@@ -183,29 +170,9 @@ def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -
     rng = np.random.default_rng(seed)
     successes = sum(
         int(np.count_nonzero(_wins(ranks, picks, h)))
-        for _, h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
+        for h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
     )
     return _binomial_result(successes, trials)
-
-
-def trace_episodes(p: HorizonDistribution, policy: Policy, trials: int, seed) -> list[EpisodeTrace]:
-    """Full episode traces (with rank streams), in draw order, for diagnostic checks."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    traces: list[EpisodeTrace | None] = [None] * trials
-    for rows, h, ranks, picks in _play(p.sample(trials, rng), policy, rng):
-        wins = _wins(ranks, picks, h)
-        for i, n, column, pick, win in zip(
-            rows.tolist(), h.tolist(), ranks.T.tolist(), picks.tolist(), wins.tolist()
-        ):
-            traces[i] = EpisodeTrace(
-                n_realized=n,
-                pick_time=pick or None,
-                success=win,
-                relative_ranks=tuple(column[:n]),
-            )
-    return traces
 
 
 def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
@@ -226,7 +193,7 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     successes = 0
     # ranks are drawn only up to last_asked; an early pick that is the last
     # record so far still needs no record in (last_asked, n], one jump away
-    for _, h, ranks, picks in _play(np.full(trials, last_asked), policy, rng):
+    for h, ranks, picks in _play(np.full(trials, last_asked), policy, rng):
         won = _wins(ranks, picks, h)
         beyond = _next_record(h.astype(float), rng) > n
         successes += int(np.count_nonzero(won & ((picks > k) | beyond)))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,22 +16,24 @@ from randhorizon import (
     delta,
     harmonic,
     make_strategy,
-    minimax_mixture,
     sample_dirichlet_uniform,
     single_threshold,
     solve_optimal,
     success_probability,
     theta,
+    uniform,
     worst_case_pstar,
 )
 from randhorizon.errors import InputFileError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_distribution_round_trip():
     rng = np.random.default_rng(51)
     for _ in range(20):
         p = sample_dirichlet_uniform(int(rng.integers(1, 40)), rng)
-        again = formats.distribution_from_json(formats.distribution_to_json(p))
+        again = formats.distribution_from_json(json.loads(json.dumps({"probs": p.probs.tolist()})))
         assert np.array_equal(again.probs, p.probs) and again.n == p.n
 
 
@@ -48,35 +54,38 @@ def test_named_distribution_kinds():
         {"kind": "delta"},
         {"kind": "geometric", "n": 3},
         {"n": 3},
-        [1, 2],
     ):
         with pytest.raises(ValidationError):
+            formats.distribution_from_json(bad)
+    for bad in ([1, 2], "x", None, {"kind": 5, "n": 3}, {"kind": ["delta"], "n": 3}):
+        with pytest.raises(InputFileError):
             formats.distribution_from_json(bad)
 
 
 def test_strategy_round_trip():
     q = make_strategy([0.25, 1.0, 0.0])
-    again = formats.strategy_from_json(formats.strategy_to_json(q))
+    again = formats.strategy_from_json(json.loads(json.dumps({"q": q.q.tolist()})), 5)
     assert np.array_equal(again.q, q.q)
-    thr = formats.strategy_from_json({"kind": "threshold", "l": 3})
-    assert np.array_equal(thr.q, [0, 0, 1])
+    # a threshold rule stores min(l, n) entries: A(p, q) reads q_1..q_n only
+    cases = ((3, 3, [0, 0, 1]), (3, 10, [0, 0, 1]), (10, 4, [0, 0, 0, 0]), (10**10, 2, [0, 0]))
+    for l, n, want in cases:
+        thr = formats.strategy_from_json({"kind": "threshold", "l": l}, n)
+        assert np.array_equal(thr.q, want), (l, n)
+        if l < 100:
+            p = uniform(n)
+            assert success_probability(p, thr) == success_probability(p, single_threshold(l, l))
     with pytest.raises(ValidationError):
-        formats.strategy_from_json({"kind": "threshold"})
+        formats.strategy_from_json({"kind": "threshold"}, 3)
     with pytest.raises(ValidationError):
-        formats.strategy_from_json({})
-
-
-def test_mixture_round_trip():
-    mix = minimax_mixture(5)
-    again = formats.mixture_from_json(formats.mixture_to_json(mix))
-    assert np.allclose(again.weights, mix.weights, atol=1e-15)
-    with pytest.raises(InputFileError):
-        formats.mixture_from_json({"weights": [0.5, "0.5"]})
+        formats.strategy_from_json({}, 3)
+    for bad in ([0.5], "x", {"kind": 1, "l": 2}):
+        with pytest.raises(InputFileError):
+            formats.strategy_from_json(bad, 3)
 
 
 def _write_dist(tmp_path, name, obj):
     path = tmp_path / name
-    formats.dump_json(obj, path)
+    path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
 
@@ -117,14 +126,44 @@ def test_cli_simulate_csv(tmp_path):
 def test_cli_eval_round_trip_strategy(tmp_path):
     dist_path = _write_dist(tmp_path, "u5.json", {"kind": "uniform", "n": 5})
     q = make_strategy([0.5, 1.0, 0.0, 1.0, 0.25])
-    strat_path = _write_dist(tmp_path, "q.json", formats.strategy_to_json(q))
+    strat_path = _write_dist(tmp_path, "q.json", {"q": q.q.tolist()})
     out = tmp_path / "eval.json"
     assert cli.main(["eval", "--dist", dist_path, "--strategy", strat_path, "--out", str(out)]) == 0
     result = json.loads(out.read_text())
-    from randhorizon import uniform
-
     assert abs(result["value"] - success_probability(uniform(5), q)) < 1e-12
     assert abs(result["value"] - result["value_pform"]) < 1e-12
+
+
+def test_cli_huge_threshold_needs_no_memory(tmp_path):
+    # run under an address-space cap, so a rule stored with l entries fails fast
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
+    strat_path = _write_dist(tmp_path, "s.json", {"kind": "threshold", "l": 10**10})
+    l = str(10**10)
+    script = (
+        "import json, resource, sys\n"
+        "cap = 1 << 31\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from randhorizon import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = cli.main(argv)\n"
+        "    if code:\n"
+        "        sys.exit(code)\n"
+    )
+    argvs = [
+        ["eval", "--dist", dist_path, "--threshold", l],
+        ["eval", "--dist", dist_path, "--strategy", strat_path],
+        ["simulate", "--dist", dist_path, "--threshold", l, "--trials", "1000"],
+    ]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    for line in lines[:2]:
+        result = json.loads(line)
+        assert result["value"] == 0.0 and result["value_pform"] == 0.0 and result["n"] == 3
+    assert lines[2:] == ["trials,successes,rate,stderr,exact,gap,pass", "1000,0,0,0,0,0,1"]
 
 
 def test_cli_learn_and_summary_deterministic(tmp_path):
@@ -186,8 +225,7 @@ def test_cli_meta_json_and_csv(tmp_path):
 
 
 def test_cli_meta_table_profile(tmp_path):
-    table_path = tmp_path / "table.json"
-    formats.dump_json({"2": 1.0, "3": 2.0, "4": 2.5}, table_path)
+    table_path = _write_dist(tmp_path, "table.json", {"2": 1.0, "3": 2.0, "4": 2.5})
     out = tmp_path / "meta_table.json"
     code = cli.main(
         ["meta", "--profile", f"table:{table_path}", "--c0", "0.5",
@@ -226,7 +264,7 @@ def test_cli_solve_matches_the_library(tmp_path, capsys):
             ("delta", {"kind": "delta", "n": n}),
             ("uniform", {"kind": "uniform", "n": n}),
             ("pstar", {"kind": "pstar", "n": n}),
-            ("dirichlet", formats.distribution_to_json(sample_dirichlet_uniform(n, rng))),
+            ("dirichlet", {"probs": sample_dirichlet_uniform(n, rng).probs.tolist()}),
         ):
             assert cli.main(["solve", "--dist", _write_dist(tmp_path, f"{name}{n}.json", obj)]) == 0
             p = formats.distribution_from_json(obj)
@@ -261,11 +299,18 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         "param_bool": {"kind": "poisson", "n": 4, "param": True},
         "param_string": {"kind": "geometric", "n": 4, "param": "0.5"},
         "l_bool": {"kind": "threshold", "l": True},
+        "top_list": [1, 2],
+        "top_string": "x",
+        "kind_number": {"kind": 5, "n": 3},
+        "kind_list": {"kind": ["threshold"], "l": 2},
     }
     paths = {key: _write_dist(tmp_path, f"{key}.json", obj) for key, obj in files.items()}
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"kind": "delta", "n": 3, "note": "caf\u00e9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 50_000 + "]" * 50_000)
     meta_argv = ["meta", "--nlo", "1", "--nhi", "2", "--profile"]
+    top_level = ("top_list", "top_string")  # not a JSON object, in every kind of input file
     for argv in (
         ["solve", "--dist", paths["probs"]],
         ["eval", "--dist", paths["probs_bool"], "--threshold", "1"],
@@ -279,6 +324,14 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         ["solve", "--dist", paths["param_string"]],
         ["eval", "--dist", dist_path, "--strategy", paths["l_bool"]],
         ["solve", "--dist", str(latin1)],
+        *(["solve", "--dist", paths[key]] for key in top_level),
+        *(["eval", "--dist", dist_path, "--strategy", paths[key]] for key in top_level),
+        *([*meta_argv, "table:" + paths[key]] for key in top_level),
+        ["solve", "--dist", paths["kind_number"]],
+        ["eval", "--dist", dist_path, "--strategy", paths["kind_list"]],
+        ["solve", "--dist", str(deep)],
+        ["eval", "--dist", dist_path, "--strategy", str(deep)],
+        [*meta_argv, f"table:{deep}"],
     ):
         assert cli.main(argv) == 3, argv
         err = capsys.readouterr().err

@@ -10,6 +10,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "randhorizon"
 # rebinds the copy bound in solver; it goes when that test points at a used name.
 ALLOWED_UNUSED = {("solver.py", "success_probability")}
 
+# Public top-level definitions that neither ``__init__`` exports nor package code reads.
+ALLOWED_UNREAD: set[tuple[str, str]] = set()
+
 
 def _unused_imports(path: Path) -> set[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -32,3 +35,41 @@ def test_no_unused_module_imports():
         for name in _unused_imports(path)
     }
     assert found == ALLOWED_UNUSED
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _reads(tree: ast.Module, modules: set[str]) -> set[str]:
+    """Names loaded in a module, plus ``module.name`` attributes of package modules."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_definition_is_exported_or_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    init = trees.pop("__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    modules = {name.removesuffix(".py") for name in trees}
+    read = set().union(*(_reads(tree, modules) for tree in trees.values()))
+    unread = {
+        (name, definition)
+        for name, tree in trees.items()
+        for definition in _public_definitions(tree) - exported - read
+    }
+    assert unread == ALLOWED_UNREAD

@@ -7,7 +7,6 @@ from randhorizon import (
     SampleBatch,
     ValidationError,
     block_distribution,
-    block_indices,
     delta,
     draw_samples,
     hard_instance_lb,
@@ -27,20 +26,21 @@ from randhorizon.learn import _endpoints_until
 
 
 def test_block_indices_examples():
-    assert np.array_equal(block_indices(2.0, 10), [1, 2, 4, 8])
-    assert np.array_equal(block_indices(1.5, 6), [1, 2, 3, 4, 6])
-    assert np.array_equal(block_indices(math.sqrt(2), 8), [1, 2, 3, 4, 6, 8])
+    # every endpoint up to and including the first one >= stop
+    assert np.array_equal(_endpoints_until(2.0, 8), [1, 2, 4, 8])
+    assert np.array_equal(_endpoints_until(2.0, 10), [1, 2, 4, 8, 16])
+    assert np.array_equal(_endpoints_until(1.5, 6), [1, 2, 3, 4, 6])
+    assert np.array_equal(_endpoints_until(math.sqrt(2), 8), [1, 2, 3, 4, 6, 8])
+    assert np.array_equal(_endpoints_until(2.0, 1), [1])
     with pytest.raises(ValidationError):
-        block_indices(1.0, 10)
-    with pytest.raises(ValidationError):
-        block_indices(2.0, 0)
+        block_distribution(delta(3), 1.0)
 
 
 def test_block_indices_ratio_bounds():
     rng = np.random.default_rng(21)
     for _ in range(40):
         rho = 1.05 + float(rng.random()) * 3.0
-        idx = block_indices(rho, int(rng.integers(1, 2000)))
+        idx = _endpoints_until(rho, int(rng.integers(1, 2000)))
         prev = np.concatenate([[0], idx[:-1]])
         assert np.all(idx <= rho * (prev + 1) + 1e-9)
         # geometric growth: endpoint l' dominates (rho^(l'-l)/2) * endpoint l

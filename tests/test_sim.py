@@ -26,13 +26,8 @@ from randhorizon import (
     worst_case_pstar,
 )
 from randhorizon import sim
-from randhorizon.sim import trace_episodes
 
 from oracles import perm_adversary_rate
-
-
-def never(t, ranks, rng):
-    return False
 
 
 def test_simulate_examples():
@@ -114,33 +109,40 @@ def test_simulate_engines_agree():
 
 def test_rank_law():
     # relative ranks are uniform on [t] and independent across t
-    traces = trace_episodes(delta(8), scalar_policy(never), 100_000, 7)
-    ranks = np.array([tr.relative_ranks for tr in traces])
+    ranks = sim._draw_ranks(8, 100_000, np.random.default_rng(7)).T
     stat, dof = 0.0, 0
     for t in range(2, 9):
         counts = np.bincount(ranks[:, t - 1], minlength=t + 1)[1:]
-        expected = len(traces) / t
+        expected = len(ranks) / t
         stat += float(np.sum((counts - expected) ** 2 / expected))
         dof += t - 1
     assert stats.chi2.sf(stat, dof) > 0.001
     # joint uniformity of (R_2, R_3) over its 6 cells implies independence
     joint = np.zeros((2, 3))
-    for r2, r3 in ranks[:, 1:3]:
-        joint[r2 - 1, r3 - 1] += 1
-    expected = len(traces) / 6
+    np.add.at(joint, (ranks[:, 1] - 1, ranks[:, 2] - 1), 1)
+    expected = len(ranks) / 6
     stat2 = float(np.sum((joint - expected) ** 2 / expected))
     assert stats.chi2.sf(stat2, 5) > 0.001
 
 
-def test_trace_invariants():
-    traces = trace_episodes(uniform(9), strategy_policy(make_strategy([0.3] * 9)), 2000, 9)
-    for tr in traces:
-        assert 1 <= tr.n_realized <= 9
-        assert len(tr.relative_ranks) == tr.n_realized
-        if tr.pick_time is not None:
-            assert tr.pick_time <= tr.n_realized
-        if tr.success:
-            assert tr.pick_time is not None
+def test_trace_invariants(monkeypatch):
+    # a small chunk cap splits the 2000 rows into many chunks
+    monkeypatch.setattr(sim, "_CHUNK_ELEMS", 64)
+    rng = np.random.default_rng(9)
+    horizons = uniform(9).sample(2000, rng)
+    chunks = list(sim._play(horizons, strategy_policy(make_strategy([0.3] * 9)), rng))
+    assert len(chunks) > 1
+    # the chunks cover every horizon exactly once, in ascending order
+    assert np.array_equal(np.concatenate([h for h, _, _ in chunks]), np.sort(horizons))
+    for h, ranks, picks in chunks:
+        assert ranks.shape == (h[-1], h.size) and 1 <= h[0] <= h[-1] <= 9
+        t = np.arange(1, h[-1] + 1)[:, None]
+        assert np.all((1 <= ranks) & (ranks <= t))
+        assert np.all((0 <= picks) & (picks <= h))
+        picked = picks > 0
+        # strategy_policy accepts only records
+        assert np.all(ranks[picks[picked] - 1, np.flatnonzero(picked)] == 1)
+        assert np.all(picked[sim._wins(ranks, picks, h)])
 
 
 def test_simulate_custom_matches_accept_first():
