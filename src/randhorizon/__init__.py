@@ -51,9 +51,7 @@ from .solver import (
     classical_cutoff,
     minimax_mixture,
     minimax_mixture_expected_bound,
-    single_threshold_approx,
     solve_optimal,
-    theta,
 )
 from .strategy import (
     ThresholdMixture,

@@ -2,8 +2,11 @@
 
 One binary, subcommand dispatch.  All randomness flows from --seed: trial t
 of stream s uses numpy's SeedSequence([seed, s, t]) so results are
-bit-reproducible for identical (config, seed).  Outputs are JSON (sorted
-keys) or CSV (header row, UTF-8, LF endings) and carry no timestamps.
+bit-reproducible for identical (config, seed).  Each ``cmd_*`` returns its
+document, a dict for JSON or a list of rows for CSV, and :func:`main` writes
+it to --out; only ``learn --summary`` writes a second document itself.
+Outputs are JSON (sorted keys) or CSV (header row, UTF-8, LF endings) and
+carry no timestamps.
 
 Exit codes: 0 success, 2 usage error, 3 missing or malformed input file,
 4 parameter out of range, 5 unwritable output.
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from pathlib import Path
@@ -39,7 +41,16 @@ def _subseed(seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, *path])
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write(doc: dict | list[dict], out: str | None) -> None:
+    """Write a dict as one line of JSON, or rows as tidy CSV, to a path or stdout."""
+    if isinstance(doc, dict):
+        text = formats.json_text(doc)
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(doc[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(doc)
+        text = buf.getvalue()
     if out is None or out == "-":
         sys.stdout.write(text)
         return
@@ -47,17 +58,6 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _OutputError(str(exc)) from exc
-
-
-def emit_plotdata(rows: list[dict], out: str | None) -> None:
-    """Write tidy CSV (header row, LF endings) for external plotting."""
-    if not rows:
-        raise ValidationError("no rows to write")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), out)
 
 
 def _load_distribution(path: str) -> dist.HorizonDistribution:
@@ -73,41 +73,29 @@ def _load_strategy(args, n: int) -> strategy.Strategy:
     raise ValidationError("need --strategy FILE or --threshold L")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     p = _load_distribution(args.dist)
     q = _load_strategy(args, p.n)
-    _write_text(
-        formats.json_text(
-            {
-                "value": strategy.success_probability(p, q),
-                "value_pform": strategy.success_probability_pform(p, q),
-                "n": p.n,
-            }
-        ),
-        args.out,
-    )
-    return 0
+    return {
+        "value": strategy.success_probability(p, q),
+        "value_pform": strategy.success_probability_pform(p, q),
+        "n": p.n,
+    }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> dict:
     p = _load_distribution(args.dist)
-    s = solver.solve_summary(p)
-    _write_text(
-        formats.json_text(
-            {
-                "q_opt": s.q.tolist(),
-                "value": s.value,
-                "theta": s.theta,
-                "k_star": s.k_star,
-                "threshold_value": s.threshold_value,
-            }
-        ),
-        args.out,
-    )
-    return 0
+    s = solver.solve_optimal(p)
+    return {
+        "q_opt": s.q.tolist(),
+        "value": s.value,
+        "theta": s.theta,
+        "k_star": s.k_star,
+        "threshold_value": s.threshold_value,
+    }
 
 
-def cmd_minimax(args) -> int:
+def cmd_minimax(args) -> dict:
     if args.mubar is not None:
         mix = solver.minimax_mixture_expected_bound(args.mubar)
     elif args.nbar is not None:
@@ -123,31 +111,26 @@ def cmd_minimax(args) -> int:
     if args.dist is not None:
         p = _load_distribution(args.dist)
         result["rate"] = strategy.mixture_success_probability(p, mix)
-    _write_text(formats.json_text(result), args.out)
-    return 0
+    return result
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[dict]:
     p = _load_distribution(args.dist)
     q = _load_strategy(args, p.n)
     res = sim.simulate(p, q, args.trials, _subseed(args.seed, 0))
     exact = strategy.success_probability(p, q)
     gap = abs(res.rate - exact)
-    emit_plotdata(
-        [
-            {
-                "trials": args.trials,
-                "successes": res.successes,
-                "rate": f"{res.rate:.10g}",
-                "stderr": f"{res.stderr:.10g}",
-                "exact": f"{exact:.10g}",
-                "gap": f"{gap:.10g}",
-                "pass": int(gap <= 4.0 * res.stderr),
-            }
-        ],
-        args.out,
-    )
-    return 0
+    return [
+        {
+            "trials": args.trials,
+            "successes": res.successes,
+            "rate": f"{res.rate:.10g}",
+            "stderr": f"{res.stderr:.10g}",
+            "exact": f"{exact:.10g}",
+            "gap": f"{gap:.10g}",
+            "pass": int(gap <= 4.0 * res.stderr),
+        }
+    ]
 
 
 _STOCK_POLICIES = ("first", "classical", "sqrt")
@@ -164,7 +147,7 @@ def _stock_policy(name: str, n: int) -> sim.Policy:
     raise ValidationError(f"unknown policy {name!r}")
 
 
-def cmd_adversary(args) -> int:
+def cmd_adversary(args) -> list[dict]:
     rows = []
     for i, n in enumerate(args.n):
         res = sim.adversary_game(
@@ -182,11 +165,10 @@ def cmd_adversary(args) -> int:
                 "pass": int(res.rate <= bound + 4.0 * res.stderr),
             }
         )
-    emit_plotdata(rows, args.out)
-    return 0
+    return rows
 
 
-def cmd_avgcase(args) -> int:
+def cmd_avgcase(args) -> list[dict]:
     rows = []
     for i, n in enumerate(args.n):
         res = sim.average_case_experiment(n, args.epsilon, args.draws, _subseed(args.seed, i))
@@ -201,12 +183,14 @@ def cmd_avgcase(args) -> int:
                 "stderr_mean": f"{res.stderr_mean:.10g}",
             }
         )
-    emit_plotdata(rows, args.out)
-    return 0
+    return rows
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args) -> list[dict]:
     p = _load_distribution(args.dist)
+    if args.trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {args.trials}")
+    value_opt = solver.solve_optimal(p).value
     rows, summary = [], []
     for i, eps in enumerate(args.epsilon):
         passes = 0
@@ -214,7 +198,8 @@ def cmd_learn(args) -> int:
         for trial in range(args.trials):
             seed = int(_subseed(args.seed, i, trial).generate_state(1)[0])
             res = learn.learning_trial(p, eps, args.delta, seed, T=args.tail_bound)
-            ok = int(res.gap <= eps)
+            gap = value_opt - res.value_hat
+            ok = int(gap <= eps)
             passes += ok
             m_used = res.m
             rows.append(
@@ -222,20 +207,19 @@ def cmd_learn(args) -> int:
                     "trial": trial,
                     "m": res.m,
                     "value_hat": f"{res.value_hat:.10g}",
-                    "value_opt": f"{res.value_opt:.10g}",
-                    "gap": f"{res.gap:.10g}",
+                    "value_opt": f"{value_opt:.10g}",
+                    "gap": f"{gap:.10g}",
                     "pass": ok,
                     "epsilon": eps,
                 }
             )
         summary.append({"epsilon": eps, "m": m_used, "pass_rate": f"{passes / args.trials:.10g}"})
-    emit_plotdata(rows, args.out)
     if args.summary is not None:
-        emit_plotdata(summary, args.summary)
-    return 0
+        _write(summary, args.summary)
+    return rows
 
 
-def cmd_meta(args) -> int:
+def cmd_meta(args) -> dict | list[dict]:
     profile = _parse_profile(args.profile, args.c0)
     mix = meta.meta_mixture(profile, args.nlo, args.nhi)
     guarantee = f"{mix.guarantee:.10g}"
@@ -244,25 +228,17 @@ def cmd_meta(args) -> int:
         for n, e in enumerate(meta.meta_expected_curve(mix, profile).tolist(), start=args.nlo)
     ]
     if args.format == "csv":
-        emit_plotdata(flat, args.out)
-    else:
-        _write_text(
-            formats.json_text(
-                {
-                    "profile": args.profile,
-                    "c0": args.c0,
-                    "n_lo": args.nlo,
-                    "n_hi": args.nhi,
-                    "weights": list(map(float, mix.weights)),
-                    "guarantee": mix.guarantee,
-                    "log_bound": profile.c0
-                    / (1.0 + math.log(profile.f(args.nhi) / profile.f(args.nlo))),
-                    "flat_check": flat,
-                }
-            ),
-            args.out,
-        )
-    return 0
+        return flat
+    return {
+        "profile": args.profile,
+        "c0": args.c0,
+        "n_lo": args.nlo,
+        "n_hi": args.nhi,
+        "weights": list(map(float, mix.weights)),
+        "guarantee": mix.guarantee,
+        "log_bound": profile.c0 / (1.0 + math.log(profile.f(args.nhi) / profile.f(args.nlo))),
+        "flat_check": flat,
+    }
 
 
 def _parse_profile(profile_arg: str, c0: float) -> meta.PerformanceProfile:
@@ -273,34 +249,28 @@ def _parse_profile(profile_arg: str, c0: float) -> meta.PerformanceProfile:
     return meta.PerformanceProfile(c0=c0, family=profile_arg)
 
 
-def cmd_lowerbound(args) -> int:
+def cmd_lowerbound(args) -> dict:
     p_plus, p_minus, s_star = learn.hard_instance_lb(args.n, args.epsilon)
     opt_plus = solver.solve_optimal(p_plus)
     opt_minus = solver.solve_optimal(p_minus)
-    cross_plus = strategy.success_probability(p_minus, opt_plus.q_opt)
-    cross_minus = strategy.success_probability(p_plus, opt_minus.q_opt)
+    cross_plus = strategy.success_probability(p_minus, strategy.make_strategy(opt_plus.q))
+    cross_minus = strategy.success_probability(p_plus, strategy.make_strategy(opt_minus.q))
     separated = (
         cross_plus < opt_minus.value - args.epsilon / 3.0
         and cross_minus < opt_plus.value - args.epsilon / 3.0
     )
-    _write_text(
-        formats.json_text(
-            {
-                "n": args.n,
-                "epsilon": args.epsilon,
-                "s_star": s_star,
-                "p_plus_at_1": float(p_plus.probs[0]),
-                "p_minus_at_1": float(p_minus.probs[0]),
-                "opt_plus": opt_plus.value,
-                "opt_minus": opt_minus.value,
-                "cross_plus_on_minus": cross_plus,
-                "cross_minus_on_plus": cross_minus,
-                "separated": bool(separated),
-            }
-        ),
-        args.out,
-    )
-    return 0
+    return {
+        "n": args.n,
+        "epsilon": args.epsilon,
+        "s_star": s_star,
+        "p_plus_at_1": float(p_plus.probs[0]),
+        "p_minus_at_1": float(p_minus.probs[0]),
+        "opt_plus": opt_plus.value,
+        "opt_minus": opt_minus.value,
+        "cross_plus_on_minus": cross_plus,
+        "cross_minus_on_plus": cross_minus,
+        "separated": bool(separated),
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,17 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.func(args), args.out)
+        return 0
     except _OutputError as exc:
         print(f"randhorizon: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_OUTPUT
     except ValidationError as exc:
         print(f"randhorizon: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE
-    except (InputFileError, OSError, json.JSONDecodeError) as exc:
+    except (InputFileError, OSError) as exc:
         print(f"randhorizon: bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

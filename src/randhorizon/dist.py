@@ -44,10 +44,9 @@ def _ceil_snapped(power: float) -> int:
 
 @dataclass(frozen=True)
 class HorizonDistribution:
-    """Probability vector over horizons 1..n (n = declared support bound)."""
+    """Probability vector over horizons 1..n; the support bound n is its length."""
 
     probs: np.ndarray
-    n: int
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -61,11 +60,13 @@ class HorizonDistribution:
             raise ValidationError(
                 f"probs must sum to 1 within {SUM_TOL}, got {float(p.sum())!r}"
             )
-        if self.n != p.size:
-            raise ValidationError("declared length n must equal len(probs)")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+
+    @property
+    def n(self) -> int:
+        return self.probs.size
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
@@ -98,7 +99,7 @@ def make_distribution(weights) -> HorizonDistribution:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:
         w = w / total
-    return HorizonDistribution(probs=w, n=w.size)
+    return HorizonDistribution(probs=w)
 
 
 def delta(n: int) -> HorizonDistribution:
@@ -107,14 +108,14 @@ def delta(n: int) -> HorizonDistribution:
         raise ValidationError(f"delta needs n >= 1, got {n}")
     p = np.zeros(n)
     p[-1] = 1.0
-    return HorizonDistribution(probs=p, n=n)
+    return HorizonDistribution(probs=p)
 
 
 def uniform(n: int) -> HorizonDistribution:
     """Uniform distribution over horizons 1..n."""
     if n < 1:
         raise ValidationError(f"uniform needs n >= 1, got {n}")
-    return HorizonDistribution(probs=np.full(n, 1.0 / n), n=n)
+    return HorizonDistribution(probs=np.full(n, 1.0 / n))
 
 
 def worst_case_pstar(n: int) -> HorizonDistribution:
@@ -128,7 +129,7 @@ def worst_case_pstar(n: int) -> HorizonDistribution:
     h = harmonic(n)
     p = (1.0 / h) / (np.arange(1, n + 1) + 1.0)
     p[-1] = 1.0 / h
-    return HorizonDistribution(probs=p, n=n)
+    return HorizonDistribution(probs=p)
 
 
 def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
@@ -170,4 +171,4 @@ def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:
         raise ValidationError(f"sample_dirichlet_uniform needs n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     x = rng.standard_exponential(n)
-    return HorizonDistribution(probs=x / x.sum(), n=n)
+    return HorizonDistribution(probs=x / x.sum())

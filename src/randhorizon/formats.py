@@ -5,12 +5,13 @@ family {"kind": "delta"|"uniform"|"pstar"|"geometric"|"poisson", "n": int,
 "param": number} (param is the geometric ratio or the Poisson rate; other
 kinds ignore it).  Strategy files are {"q": [..]} or
 {"kind": "threshold", "l": int}; performance profile tables are
-{"index": value, ..}.  A file that is not UTF-8 text or nests too deeply to
-parse, a top-level value that is not a JSON object, a ``kind`` that is not a
-string, a vector entry, table value or ``param`` that is not a JSON number,
-an ``n`` or ``l`` that is not a JSON integer, or a table key that is not the
-canonical decimal spelling of a non-negative integer is a malformed file
-(``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
+{"index": value, ..}.  A file that is not UTF-8 text or not JSON, that nests
+too deeply to parse or holds an integer literal beyond Python's 4300-digit
+conversion limit, a top-level value that is not a JSON object, a ``kind``
+that is not a string, a vector entry, table value or ``param`` that is not a
+JSON number, an ``n`` or ``l`` that is not a JSON integer, or a table key that
+is not the canonical decimal spelling of a non-negative integer is a malformed
+file (``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
 beyond the float range, or a named family's ``n`` above ``dist.MAX_ELEMS``, is
 out of range (``ValidationError``).
 Outputs are written by :func:`json_text`, the one JSON encoding of the CLI.
@@ -141,3 +142,5 @@ def load_json(path: str | Path):
         raise InputFileError(f"{path} is not UTF-8 text") from None
     except RecursionError:
         raise InputFileError(f"{path} nests too deeply to parse") from None
+    except ValueError as exc:  # bad JSON, or an integer beyond Python's digit limit
+        raise InputFileError(str(exc)) from None

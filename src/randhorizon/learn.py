@@ -8,6 +8,10 @@ empirical distribution, and maximizes the resulting surrogate objective
 exactly with the same backward recursion used by the full-information solver.
 Coarsening costs at most rho - 1 in success probability, uniformly over
 strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
+
+:func:`learning_trial` runs the learner once against a known truth and scores
+the learned strategy under it; the optimum it is judged against is solved by
+the caller, once per truth.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistributio
     for e in ends:
         out[e - 1] = p.probs[prev : min(int(e), p.n)].sum()
         prev = int(e)
-    return HorizonDistribution(probs=out, n=out.size)
+    return HorizonDistribution(probs=out)
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
@@ -111,7 +115,7 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     np.add.at(counts, slot, 1.0)
     probs = np.zeros(n_max)
     probs[ends - 1] = counts / batch.samples.size
-    p_hat = HorizonDistribution(probs=probs, n=n_max)
+    p_hat = HorizonDistribution(probs=probs)
 
     gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat)
     q, _ = backward_induction(gains)
@@ -173,14 +177,12 @@ def _two_point(n: int, s: float) -> HorizonDistribution:
     probs = np.zeros(n)
     probs[0] = s
     probs[-1] = 1.0 - s
-    return HorizonDistribution(probs=probs, n=n)
+    return HorizonDistribution(probs=probs)
 
 
 class LearnTrial(NamedTuple):
-    m: int
-    value_hat: float
-    value_opt: float
-    gap: float
+    m: int  # samples in the main phase
+    value_hat: float  # A(p, q_hat) under the truth
 
 
 def learning_trial(
@@ -190,12 +192,13 @@ def learning_trial(
     seed,
     T: int | None = None,
 ) -> LearnTrial:
-    """One full learner evaluation against a known truth distribution.
+    """One full learner evaluation: sample from the truth, learn, score under the truth.
 
     When T is given, the tail bound is taken as known and the whole
     confidence budget goes to the main phase.  Otherwise T is pre-estimated
     from a fresh batch and the budget is split evenly between the phases.
-    Sub-seeds for the phases derive from (seed, phase index).
+    Sub-seeds for the phases derive from (seed, phase index).  The optimum
+    to compare against is the caller's to compute, once per truth.
     """
     if T is None:
         T = estimate_tail_support(
@@ -207,9 +210,7 @@ def learning_trial(
     m = sample_size_bound(epsilon, main_delta, T)
     batch = draw_samples(p, m, np.random.SeedSequence([_entropy(seed), 1]))
     out = learn_strategy(batch, epsilon)
-    value_hat = success_probability(p, out.q_hat)
-    value_opt = solve_optimal(p).value
-    return LearnTrial(m=m, value_hat=value_hat, value_opt=value_opt, gap=value_opt - value_hat)
+    return LearnTrial(m=m, value_hat=success_probability(p, out.q_hat))
 
 
 def _entropy(seed) -> int:

@@ -177,7 +177,7 @@ def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
     ratios = av[:-1] / av[1:]
     c = 1.0 / (n - ratios.sum())
     probs = np.concatenate([c * (1.0 - ratios), [c]])
-    return HorizonDistribution(probs=probs, n=n), float(c)
+    return HorizonDistribution(probs=probs), float(c)
 
 
 def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:

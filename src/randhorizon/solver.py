@@ -9,12 +9,15 @@ with gain g_i = i * lambda_i(p).  The objective is linear in each q_i once the
 later entries are fixed, so some 0/1 vector attains the optimum; ties are
 broken toward accepting.  The same recursion, run with an arbitrary gain
 sequence, powers the sample-based learner.
+
+:func:`solve_optimal` is the one solve: from a single lambda pass it also
+reports theta = max_i g_i with its smallest index K*, and the value of the
+classical cutoff rule at scale K*, which lies between theta/e and the optimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +27,6 @@ from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
 from .strategy import (  # noqa: F401
-    Strategy,
     ThresholdMixture,
     lambda_form_value,
     single_threshold,
@@ -33,26 +35,13 @@ from .strategy import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    q_opt: Strategy
-    value: float
-    continuation: np.ndarray  # C_1..C_{n+1}
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    theta: float  # max_i i * lambda_i(p)
-    k_star: int  # smallest index attaining the max
-
-
-class SolveSummary(NamedTuple):
-    """Everything ``solve`` reports, from a single pass over the gains."""
+class SolveResult(NamedTuple):
+    """The optimum and the single-threshold sandwich around it, from one lambda pass."""
 
     q: np.ndarray  # optimal 0/1 acceptance vector
     value: float  # optimum, C_1
-    theta: float
-    k_star: int
+    theta: float  # max_i i * lambda_i(p)
+    k_star: int  # smallest index attaining theta
     cutoff: int  # classical cutoff at scale K*
     threshold_value: float  # value of that single-threshold rule
 
@@ -85,22 +74,6 @@ def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (g >= c[1:]).astype(float), c
 
 
-def _theta_of(gains: np.ndarray) -> ThetaResult:
-    k = int(np.argmax(gains))
-    return ThetaResult(theta=float(gains[k]), k_star=k + 1)
-
-
-def solve_optimal(p: HorizonDistribution) -> SolveResult:
-    """Exact maximizer of the success probability over all strategies."""
-    q, c = backward_induction(np.arange(1, p.n + 1) * lambda_sequence(p))
-    return SolveResult(q_opt=Strategy(q=q), value=float(c[0]), continuation=c)
-
-
-def theta(p: HorizonDistribution) -> ThetaResult:
-    """Largest scaled marginal max_i i*lambda_i(p) and its smallest attaining index."""
-    return _theta_of(np.arange(1, p.n + 1) * lambda_sequence(p))
-
-
 def classical_cutoff(k: int) -> int:
     """Optimal rejection cutoff of the fixed-horizon problem at scale k.
 
@@ -117,38 +90,30 @@ def classical_cutoff(k: int) -> int:
     return k - int(np.searchsorted(partial, 1.0, side="right"))
 
 
-def solve_summary(p: HorizonDistribution) -> SolveSummary:
-    """Optimum, theta, K* and the certified threshold value from one lambda pass.
+def solve_optimal(p: HorizonDistribution) -> SolveResult:
+    """Exact optimum over all strategies, with theta, K* and the certified threshold value.
 
     One lambda sequence, one gain vector and one backward induction serve
     every field; only the acceptance vector and scalars outlive the call.
-    Asserts theta/e <= threshold value <= optimum before returning.
+    The threshold rule is the classical cutoff at scale K* (the smallest
+    maximizer of i*lambda_i), which collects at least a 1/e fraction of
+    K* lambda_{K*} = theta.  Asserts theta/e <= threshold value <= optimum
+    before returning.
     """
     lam = lambda_sequence(p)
     gains = np.arange(1, p.n + 1) * lam
     q, c = backward_induction(gains)
-    th = _theta_of(gains)
-    cutoff = classical_cutoff(th.k_star)
+    k = int(np.argmax(gains))
+    theta = float(gains[k])
+    cutoff = classical_cutoff(k + 1)
     value = lambda_form_value(lam, single_threshold(cutoff, p.n).q)
     opt = float(c[0])
     tol = 1e-12
-    if not (th.theta / math.e <= value + tol and value <= opt + tol):
+    if not (theta / math.e <= value + tol and value <= opt + tol):
         raise AssertionError(
-            f"approximation sandwich violated: {th.theta / math.e} <= {value} <= {opt}"
+            f"approximation sandwich violated: {theta / math.e} <= {value} <= {opt}"
         )
-    return SolveSummary(q, opt, th.theta, th.k_star, cutoff, value)
-
-
-def single_threshold_approx(p: HorizonDistribution) -> tuple[Strategy, float]:
-    """A single-threshold strategy certified to earn at least theta(p)/e.
-
-    The threshold is the classical cutoff at scale K* (the smallest maximizer
-    of i*lambda_i), which at that scale collects at least a 1/e fraction of
-    K* lambda_{K*} = theta(p).  Asserts theta/e <= value <= optimum before
-    returning.
-    """
-    s = solve_summary(p)
-    return single_threshold(s.cutoff, p.n), s.threshold_value
+    return SolveResult(q, opt, theta, k + 1, cutoff, value)
 
 
 def best_single_threshold(p: HorizonDistribution) -> tuple[int, float]:

@@ -33,10 +33,8 @@ from randhorizon import (
     sample_size_bound,
     simulate,
     single_threshold,
-    single_threshold_approx,
     solve_optimal,
     success_probability,
-    theta,
     threshold_policy,
     uniform,
     union_event_rate,
@@ -98,10 +96,10 @@ def test_criterion_03_sandwich():
     for _ in range(1000):
         n = int(rng.integers(1, 201))
         p = sample_dirichlet_uniform(n, rng)
-        t = theta(p).theta
-        _, approx = single_threshold_approx(p)
-        opt = solve_optimal(p).value
-        margins.append((t / math.e - approx, approx - opt, opt - t))
+        s = solve_optimal(p)
+        t, opt = s.theta, s.value
+        approx = success_probability(p, single_threshold(s.cutoff, n))
+        margins.append((t / math.e - approx, approx - opt, opt - t, abs(approx - s.threshold_value)))
     worst = max(max(m) for m in margins)
     elapsed = time.perf_counter() - start
     _report(
@@ -204,8 +202,8 @@ def test_criterion_08_lower_bound_instances():
     p_plus, p_minus, s_star = hard_instance_lb(n, eps)
     limit_gap = abs(s_star - 1.0 / (1.0 + math.e))
     r_plus, r_minus = solve_optimal(p_plus), solve_optimal(p_minus)
-    cross_plus = success_probability(p_minus, r_plus.q_opt)
-    cross_minus = success_probability(p_plus, r_minus.q_opt)
+    cross_plus = success_probability(p_minus, make_strategy(r_plus.q))
+    cross_minus = success_probability(p_plus, make_strategy(r_minus.q))
     separated = (
         cross_plus < r_minus.value - eps / 3.0 and cross_minus < r_plus.value - eps / 3.0
     )

@@ -9,18 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randhorizon import cli, formats
+from randhorizon import cli, formats, learn, solver
 from randhorizon import (
     ValidationError,
+    backward_induction,
     classical_cutoff,
     delta,
     harmonic,
+    lambda_sequence,
     make_strategy,
     sample_dirichlet_uniform,
     single_threshold,
-    solve_optimal,
     success_probability,
-    theta,
     uniform,
     worst_case_pstar,
 )
@@ -184,6 +184,23 @@ def test_cli_learn_and_summary_deterministic(tmp_path):
     assert outs[0][1].decode().split("\n")[0] == "epsilon,m,pass_rate"
 
 
+def test_cli_learn_solves_the_truth_once(tmp_path, monkeypatch):
+    dist_path = _write_dist(tmp_path, "p.json", {"kind": "pstar", "n": 20})
+    solved = []
+
+    def counted(p, real=solver.solve_optimal):
+        solved.append(p.n)
+        return real(p)
+
+    monkeypatch.setattr(solver, "solve_optimal", counted)
+    monkeypatch.setattr(learn, "solve_optimal", counted)
+    code = cli.main(
+        ["learn", "--dist", dist_path, "--epsilon", "0.3", "0.5", "--trials", "3",
+         "--out", str(tmp_path / "learn.csv")]
+    )
+    assert code == 0 and solved == [20]
+
+
 def test_cli_avgcase_columns(tmp_path):
     out = tmp_path / "avg.csv"
     code = cli.main(
@@ -268,13 +285,15 @@ def test_cli_solve_matches_the_library(tmp_path, capsys):
         ):
             assert cli.main(["solve", "--dist", _write_dist(tmp_path, f"{name}{n}.json", obj)]) == 0
             p = formats.distribution_from_json(obj)
-            opt, th = solve_optimal(p), theta(p)
-            rule = single_threshold(classical_cutoff(th.k_star), n)
+            gains = np.arange(1, n + 1) * lambda_sequence(p)
+            q, c = backward_induction(gains)
+            k = int(np.argmax(gains))
+            rule = single_threshold(classical_cutoff(k + 1), n)
             want = {
-                "q_opt": list(map(float, opt.q_opt.q)),
-                "value": opt.value,
-                "theta": th.theta,
-                "k_star": th.k_star,
+                "q_opt": list(map(float, q)),
+                "value": float(c[0]),
+                "theta": float(gains[k]),
+                "k_star": k + 1,
                 "threshold_value": success_probability(p, rule),
             }
             assert capsys.readouterr().out == formats.json_text(want), (name, n)
@@ -309,6 +328,9 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
     latin1.write_bytes('{"kind": "delta", "n": 3, "note": "caf\u00e9"}'.encode("latin-1"))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 50_000 + "]" * 50_000)
+    # beyond Python's 4300-digit limit, json.loads raises a plain ValueError
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"kind": "delta", "n": ' + "9" * 5000 + "}")
     meta_argv = ["meta", "--nlo", "1", "--nhi", "2", "--profile"]
     top_level = ("top_list", "top_string")  # not a JSON object, in every kind of input file
     for argv in (
@@ -332,6 +354,7 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         ["solve", "--dist", str(deep)],
         ["eval", "--dist", dist_path, "--strategy", str(deep)],
         [*meta_argv, f"table:{deep}"],
+        ["solve", "--dist", str(long_int)],
     ):
         assert cli.main(argv) == 3, argv
         err = capsys.readouterr().err
@@ -359,6 +382,8 @@ def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_pat
         (["solve", "--dist", huge_n], "cap"),
         (learn_argv, "cap"),
         ([*learn_argv, "--tail-bound", "5"], "cap"),
+        (["learn", "--dist", dist_path, "--epsilon", "0.5", "--trials", "0"], "trials"),
+        (["learn", "--dist", dist_path, "--epsilon", "0.5", "--trials", "-3"], "trials"),
         (["solve", "--dist", overflow], "overflows"),
     ):
         with warnings.catch_warnings():

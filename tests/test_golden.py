@@ -1,0 +1,120 @@
+"""Byte identity of the CLI's outputs against recorded hashes.
+
+Runs the README's CLI examples at small sizes, plus ``meta`` as CSV and on a
+table profile, ``learn --tail-bound`` and the exit-3/4/5 paths, in-process.
+Each case's exit code and the sha256 of its stdout and of every file it
+writes (``--out``, ``--summary``) must equal ``tests/golden.json``.  A change
+meant to move an output records new hashes with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+The hashes hold for the numpy version stored with them; under another
+version the test is skipped.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from randhorizon import cli
+
+GOLDEN = Path(__file__).resolve().with_name("golden.json")
+
+
+def _cases() -> list[tuple[str, list[str], list[Path]]]:
+    """(name, argv, files the run writes) of every case; writes the inputs into the cwd."""
+
+    def put(name: str, obj) -> str:
+        Path(name).write_text(json.dumps(obj), encoding="utf-8")
+        return name
+
+    x = np.random.default_rng(2024).standard_exponential(30)
+    p = put("p.json", {"probs": (x / x.sum()).tolist()})
+    pstar3 = put("pstar3.json", {"kind": "pstar", "n": 3})
+    delta3 = put("delta3.json", {"kind": "delta", "n": 3})
+    any2 = put("any2.json", {"probs": [0.3, 0.7]})
+    q = put("q.json", {"q": [0.0, 0.5, 1.0, 0.25]})
+    table = put("table.json", {"2": 1.0, "3": 1.5, "4": 2.5, "5": 2.6})
+    out, summary = Path("out"), Path("summary.csv")
+    learn = ["learn", "--dist", p, "--delta", "0.1", "--seed", "0"]
+    meta = ["meta", "--profile", "exp-max", "--c0", "0.745", "--nlo", "10", "--nhi", "1000"]
+    return [
+        ("solve", ["solve", "--dist", pstar3], []),
+        ("solve_out", ["solve", "--dist", p, "--out", str(out)], [out]),
+        ("eval", ["eval", "--dist", p, "--strategy", q], []),
+        ("eval_threshold", ["eval", "--dist", p, "--threshold", "4"], []),
+        ("minimax", ["minimax", "--nbar", "2", "--dist", any2], []),
+        ("minimax_mubar", ["minimax", "--mubar", "10", "--dist", p], []),
+        ("simulate", ["simulate", "--dist", delta3, "--threshold", "2", "--trials", "20000",
+                      "--seed", "7"], []),
+        ("simulate_strategy", ["simulate", "--dist", p, "--strategy", q, "--trials", "5000",
+                               "--seed", "3", "--out", str(out)], [out]),
+        ("learn", [*learn, "--epsilon", "0.1", "0.2", "--trials", "3", "--summary", str(summary)],
+         [summary]),
+        ("learn_tail_bound", [*learn, "--epsilon", "0.3", "--trials", "3", "--tail-bound", "40",
+                              "--out", str(out), "--summary", str(summary)], [out, summary]),
+        *((f"adversary_{policy}", ["adversary", "--n", "16", "64", "--policy", policy,
+                                   "--trials", "2000", "--seed", "0"], [])
+          for policy in ("first", "classical", "sqrt")),
+        ("avgcase", ["avgcase", "--n", "100", "--epsilon", "0.03", "--draws", "200",
+                     "--seed", "0"], []),
+        ("meta", meta, []),
+        ("meta_csv", [*meta, "--format", "csv"], []),
+        ("meta_table", ["meta", "--profile", f"table:{table}", "--c0", "0.5", "--nlo", "2",
+                        "--nhi", "5"], []),
+        ("lowerbound", ["lowerbound", "--n", "200", "--epsilon", "0.02"], []),
+        ("missing_file", ["solve", "--dist", "missing.json"], []),
+        ("garbled_file", ["solve", "--dist", put("garbled.json", "{not json")], []),
+        ("range_error", ["minimax", "--nbar", "0"], []),
+        ("learn_range_error", [*learn, "--epsilon", "1.5", "--trials", "2"], []),
+        ("unwritable", ["solve", "--dist", delta3, "--out", "no/x.json"], []),
+    ]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _hashes() -> dict[str, dict]:
+    found = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative input paths: the meta JSON echoes its --profile path
+        try:
+            for name, argv, files in _cases():
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                found[name] = {
+                    "exit": code,
+                    "stdout": _sha(stdout.getvalue().encode()),
+                    "files": [_sha(f.read_bytes()) for f in files],
+                }
+                for f in files:
+                    f.unlink()
+        finally:
+            os.chdir(home)
+    return found
+
+
+def test_outputs_match_the_recorded_hashes():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"hashes recorded under numpy {golden['numpy']}, not {np.__version__}")
+    assert _hashes() == golden["cases"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cases": _hashes()}, indent=1) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -11,16 +11,15 @@ from randhorizon import (
     delta,
     harmonic,
     lambda_sequence,
+    make_distribution,
     make_strategy,
     minimax_mixture,
     minimax_mixture_expected_bound,
     mixture_success_probability,
     sample_dirichlet_uniform,
     single_threshold,
-    single_threshold_approx,
     solve_optimal,
     success_probability,
-    theta,
     uniform,
     worst_case_pstar,
 )
@@ -32,10 +31,10 @@ from oracles import bi_loop, classical_cutoff_loop, exhaustive_value_optimum, pe
 
 def test_solve_optimal_examples():
     r = solve_optimal(delta(4))
-    assert np.array_equal(r.q_opt.q, [0, 1, 1, 1])
+    assert np.array_equal(r.q, [0, 1, 1, 1])
     assert abs(r.value - 11 / 24) < 1e-12
     r1 = solve_optimal(delta(1))
-    assert np.array_equal(r1.q_opt.q, [1.0]) and r1.value == 1.0
+    assert np.array_equal(r1.q, [1.0]) and r1.value == 1.0
     for n in (2, 3, 10, 25):
         assert abs(solve_optimal(worst_case_pstar(n)).value - 1 / harmonic(n)) < 1e-12
 
@@ -46,15 +45,16 @@ def test_solve_result_recursion_invariants():
         n = int(rng.integers(1, 80))
         p = sample_dirichlet_uniform(n, rng)
         r = solve_optimal(p)
-        c, q = r.continuation, r.q_opt.q
         gains = np.arange(1, n + 1) * lambda_sequence(p)
+        _, c = backward_induction(gains)
+        q = r.q
         assert c[-1] == 0.0
         assert r.value == c[0]
         for i in range(1, n + 1):
             expect = (q[i - 1] / i) * gains[i - 1] + (1 - q[i - 1] / i) * c[i]
             assert abs(c[i - 1] - expect) < 1e-12
             assert q[i - 1] == (1.0 if gains[i - 1] >= c[i] else 0.0)
-        assert abs(success_probability(p, r.q_opt) - r.value) < 1e-12
+        assert abs(success_probability(p, make_strategy(q)) - r.value) < 1e-12
 
 
 def test_solve_optimal_matches_exhaustive_search():
@@ -67,35 +67,29 @@ def test_solve_optimal_matches_exhaustive_search():
 
 def test_delta_optimum_is_single_threshold():
     for n in range(1, 10):
-        q = solve_optimal(delta(n)).q_opt.q
+        q = solve_optimal(delta(n)).q
         ones = np.flatnonzero(q)
         assert ones.size > 0 and np.array_equal(ones, np.arange(ones[0], n))
 
 
 def test_theta_examples():
     for n in (1, 4, 9):
-        t = theta(delta(n))
+        t = solve_optimal(delta(n))
         assert t.theta == 1.0 and t.k_star == n
-    t = theta(worst_case_pstar(3))
+    t = solve_optimal(worst_case_pstar(3))
     assert abs(t.theta - 6 / 11) < 1e-12 and t.k_star == 1
-    t1 = theta(make_strategy_dist_single())
+    t1 = solve_optimal(make_distribution([1.0]))
     assert t1.theta == 1.0 and t1.k_star == 1
 
 
-def make_strategy_dist_single():
-    from randhorizon import make_distribution
-
-    return make_distribution([1.0])
-
-
 def test_single_threshold_approx():
-    q, v = single_threshold_approx(delta(10))
-    assert 1 / math.e <= v <= 1.0
-    q, v = single_threshold_approx(worst_case_pstar(5))
+    s = solve_optimal(delta(10))
+    assert s.cutoff == 4 and 1 / math.e <= s.threshold_value <= 1.0
     h5 = harmonic(5)
+    v = solve_optimal(worst_case_pstar(5)).threshold_value
     assert (1 / h5) / math.e - 1e-12 <= v <= 1 / h5 + 1e-12
-    q, v = single_threshold_approx(delta(1))
-    assert np.array_equal(q.q, [1.0]) and v == 1.0
+    s = solve_optimal(delta(1))
+    assert s.cutoff == 1 and s.threshold_value == 1.0
 
 
 def test_sandwich_on_random_distributions():
@@ -103,12 +97,13 @@ def test_sandwich_on_random_distributions():
     for _ in range(100):
         n = int(rng.integers(1, 150))
         p = sample_dirichlet_uniform(n, rng)
-        t = theta(p)
-        _, v = single_threshold_approx(p)
-        opt = solve_optimal(p).value
-        assert t.theta / math.e <= v + 1e-12
-        assert v <= opt + 1e-12
-        assert opt <= t.theta + 1e-12
+        s = solve_optimal(p)
+        assert s.cutoff == classical_cutoff(s.k_star)
+        v = success_probability(p, single_threshold(s.cutoff, n))
+        assert abs(s.threshold_value - v) < 1e-12
+        assert s.theta / math.e <= v + 1e-12
+        assert v <= s.value + 1e-12
+        assert s.value <= s.theta + 1e-12
 
 
 def test_best_single_threshold():

@@ -5,6 +5,7 @@ from randhorizon import (
     ThresholdMixture,
     ValidationError,
     delta,
+    lambda_sequence,
     make_distribution,
     make_strategy,
     mixture_success_probability,
@@ -15,7 +16,6 @@ from randhorizon import (
     solve_optimal,
     success_probability,
     success_probability_pform,
-    theta,
     threshold_success_values,
     worst_case_pstar,
 )
@@ -117,7 +117,7 @@ def test_theta_upper_bounds_every_strategy():
     for _ in range(60):
         n = int(rng.integers(1, 100))
         p = sample_dirichlet_uniform(n, rng)
-        bound = theta(p).theta
+        bound = float(np.max(np.arange(1, n + 1) * lambda_sequence(p)))
         q = make_strategy(rng.random(n))
         assert success_probability(p, q) <= bound + 1e-12
 
