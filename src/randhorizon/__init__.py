@@ -30,7 +30,6 @@ from .learn import (
 )
 from .meta import (
     PerformanceProfile,
-    meta_expected_curve,
     meta_mixture,
     non_iid_hard_instance,
     prophet_block_distribution,

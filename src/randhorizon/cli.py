@@ -133,26 +133,20 @@ def cmd_simulate(args) -> list[dict]:
     ]
 
 
-_STOCK_POLICIES = ("first", "classical", "sqrt")
-
-
-def _stock_policy(name: str, n: int) -> sim.Policy:
-    if name == "first":
-        return sim.threshold_policy(1)
-    if name == "classical":
-        return sim.threshold_policy(solver.classical_cutoff(n))
-    if name == "sqrt":
-        # tuned to the horizon the adversary forces on cautious players
-        return sim.threshold_policy(solver.classical_cutoff(math.isqrt(n) + 1))
-    raise ValidationError(f"unknown policy {name!r}")
+# threshold at n of each stock adversary policy; sqrt is tuned to the horizon
+# the adversary forces on cautious players
+_STOCK_POLICIES = {
+    "first": lambda n: 1,
+    "classical": solver.classical_cutoff,
+    "sqrt": lambda n: solver.classical_cutoff(math.isqrt(n) + 1),
+}
 
 
 def cmd_adversary(args) -> list[dict]:
     rows = []
     for i, n in enumerate(args.n):
-        res = sim.adversary_game(
-            n, _stock_policy(args.policy, n), args.trials, _subseed(args.seed, i)
-        )
+        policy = sim.threshold_policy(_STOCK_POLICIES[args.policy](n))
+        res = sim.adversary_game(n, policy, args.trials, _subseed(args.seed, i))
         bound = 1.0 / math.sqrt(n)
         rows.append(
             {
@@ -225,7 +219,7 @@ def cmd_meta(args) -> dict | list[dict]:
     guarantee = f"{mix.guarantee:.10g}"
     flat = [
         {"n": n, "expected_performance": f"{e:.10g}", "guarantee": guarantee}
-        for n, e in enumerate(meta.meta_expected_curve(mix, profile).tolist(), start=args.nlo)
+        for n, e in enumerate(mix.expected.tolist(), start=args.nlo)
     ]
     if args.format == "csv":
         return flat
@@ -236,7 +230,7 @@ def cmd_meta(args) -> dict | list[dict]:
         "n_hi": args.nhi,
         "weights": list(map(float, mix.weights)),
         "guarantee": mix.guarantee,
-        "log_bound": profile.c0 / (1.0 + math.log(profile.f(args.nhi) / profile.f(args.nlo))),
+        "log_bound": mix.log_bound,
         "flat_check": flat,
     }
 

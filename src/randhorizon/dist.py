@@ -42,6 +42,38 @@ def _ceil_snapped(power: float) -> int:
     return nearest if abs(power - nearest) <= 1e-9 * nearest else math.ceil(power)
 
 
+def _check_cap(size: int, what: str) -> None:
+    """Reject a size taken from outside input that asks for more than MAX_ELEMS elements."""
+    if size > MAX_ELEMS:
+        raise ValidationError(f"{what} {size} exceeds the cap of {MAX_ELEMS} elements")
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values: the one way a caller's array becomes part of a library value."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _check_weights(w: np.ndarray, what: str) -> None:
+    """Reject a weight vector that is empty, not 1-D, not finite or negative somewhere."""
+    if w.ndim != 1 or w.size == 0:
+        raise ValidationError(f"{what} must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError(f"{what} must be finite")
+    if np.any(w < 0):
+        raise ValidationError(f"{what} must be non-negative")
+
+
+def _probability_vector(values, what: str) -> np.ndarray:
+    """A read-only copy of values, checked to be a weight vector that sums to 1."""
+    v = _frozen(values)
+    _check_weights(v, what)
+    if abs(v.sum() - 1.0) > SUM_TOL:
+        raise ValidationError(f"{what} must sum to 1 within {SUM_TOL}, got {float(v.sum())!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class HorizonDistribution:
     """Probability vector over horizons 1..n; the support bound n is its length."""
@@ -49,20 +81,7 @@ class HorizonDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValidationError("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probs must be finite")
-        if np.any(p < 0):
-            raise ValidationError("probs must be non-negative")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"probs must sum to 1 within {SUM_TOL}, got {float(p.sum())!r}"
-            )
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _probability_vector(self.probs, "probs"))
 
     @property
     def n(self) -> int:
@@ -85,12 +104,7 @@ def make_distribution(weights) -> HorizonDistribution:
     (no trimming of zero entries).
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("weights must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("weights must be non-negative")
+    _check_weights(w, "weights")
     with np.errstate(over="ignore"):
         total = float(w.sum())
     if total == math.inf:

@@ -90,8 +90,7 @@ def distribution_from_json(obj) -> dist.HorizonDistribution:
         if "n" not in obj:
             raise ValidationError("named distribution needs a support bound 'n'")
         n = _integer(obj["n"], "'n'")
-        if n > dist.MAX_ELEMS:
-            raise ValidationError(f"'n' = {n} exceeds the cap of {dist.MAX_ELEMS} elements")
+        dist._check_cap(n, "'n' =")
         param = _number(obj["param"], "'param'") if "param" in obj else None
         if kind in ("geometric", "poisson") and param is None:
             raise ValidationError(f"{kind} distribution needs 'param'")

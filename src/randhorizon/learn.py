@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import MAX_ELEMS, HorizonDistribution, _ceil_snapped, delta, lambda_sequence
+from .dist import HorizonDistribution, _ceil_snapped, _check_cap, _frozen, delta, lambda_sequence
 from .errors import ValidationError
 from .solver import backward_induction, solve_optimal
 from .strategy import Strategy, success_probability
@@ -35,17 +35,15 @@ class SampleBatch:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.int64)
+        s = _frozen(self.samples, np.int64)
         if s.ndim != 1 or s.size == 0:
             raise ValidationError("samples must be a non-empty 1-D vector")
         if np.any(s < 1):
             raise ValidationError("samples must be positive integers")
-        s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
 
-@dataclass(frozen=True)
-class LearnOutput:
+class LearnOutput(NamedTuple):
     q_hat: Strategy
     G: np.ndarray  # estimated gain sequence on 1..N_max
     N_max: int
@@ -89,8 +87,7 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     """m iid horizon draws via inverse-CDF; deterministic given the seed."""
     if m < 1:
         raise ValidationError(f"sample count must be >= 1, got {m}")
-    if m > MAX_ELEMS:
-        raise ValidationError(f"sample count {m} exceeds the cap of {MAX_ELEMS} elements")
+    _check_cap(m, "sample count")
     return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)))
 
 
@@ -118,6 +115,7 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     p_hat = HorizonDistribution(probs=probs)
 
     gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat)
+    gains.setflags(write=False)
     q, _ = backward_induction(gains)
     return LearnOutput(q_hat=Strategy(q=q), G=gains, N_max=n_max)
 
@@ -164,6 +162,7 @@ def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, Horiz
     """
     if n < 3:
         raise ValidationError(f"hard instances need n >= 3, got {n}")
+    _check_cap(n, "n")
     a_n = solve_optimal(delta(n)).value
     s_star = (a_n - 1.0 / n) / (1.0 + a_n - 1.0 / n)
     if not (0.0 < epsilon < min(s_star, 1.0 - s_star)):

@@ -5,24 +5,28 @@ performance floor M(s, n) >= c0 * f(s)/f(n) * 1[s <= n] on instances of true
 horizon n, for some nondecreasing positive f.  Drawing s from the right
 distribution makes the expected floor constant in n over a known range
 [n_lo, n_hi], and that constant is at least c0 / (1 + log(f(n_hi)/f(n_lo))).
+:func:`meta_mixture` evaluates f once over the range and returns the
+weights, that constant, its log bound and the expected-floor curve.
 
 The module also builds the matching hardness gadgets: a deterministic
 nondecreasing value sequence with a horizon law that pins every stopping rule
 to the same ratio, and a value distribution whose running maximum climbs
-through a prescribed grid with high probability.
+through a prescribed grid with high probability (a record of the grid's
+points, its cdf values there, the prefix counts and the union slack).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped
+from .dist import HorizonDistribution, _ceil_snapped, _check_cap, _frozen
 from .errors import ValidationError
-from .sim import SimResult, _binomial_result
+from .sim import SimResult, _binomial_result, _check_trials
 
 _FAMILIES = ("identity", "uniform-max", "exp-max", "table")
 
@@ -48,6 +52,8 @@ class PerformanceProfile:
             raise ValidationError(f"unknown profile family {self.family!r}")
         if self.family == "table" and not self.table:
             raise ValidationError("table profile needs a non-empty table")
+        if self.table is not None:
+            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def f(self, i):
         """f at a positive integer, or elementwise at an integer array."""
@@ -70,32 +76,19 @@ class PerformanceProfile:
         return float(out) if idx.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class MetaMixture:
+class MetaMixture(NamedTuple):
     """Distribution over horizon guesses s = n_lo..n_hi with its flat guarantee."""
 
     weights: np.ndarray
     n_lo: int
     n_hi: int
-    guarantee: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+    guarantee: float  # c0/Z, the flat expected floor
+    log_bound: float  # c0 / (1 + log(f(n_hi)/f(n_lo))) <= guarantee
+    expected: np.ndarray  # sum_{s<=n} weights(s) c0 f(s)/f(n) at n = n_lo..n_hi
 
 
 class ProphetGrid(NamedTuple):
-    """Output of the grid construction: step cdf, prefix counts, union slack."""
-
-    cdf: "GridCdf"
-    k: np.ndarray
-    xi: float
-
-
-@dataclass(frozen=True)
-class GridCdf:
-    """Right-continuous step cdf with atoms on a value grid.
+    """Right-continuous step cdf with atoms on a value grid, its prefix counts and union slack.
 
     points holds theta_0..theta_n; values holds the cdf at those points, with
     values[0] = 0 and values[-1] = 1, so the atoms sit at points[1:].
@@ -103,30 +96,8 @@ class GridCdf:
 
     points: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if pts.shape != val.shape or pts.ndim != 1 or pts.size < 2:
-            raise ValidationError("points and values must be matching 1-D grids")
-        if np.any(np.diff(pts) < 0) or np.any(np.diff(val) < 0):
-            raise ValidationError("grid cdf must be nondecreasing")
-        if val[0] != 0.0 or abs(val[-1] - 1.0) > 1e-12:
-            raise ValidationError("cdf must run from 0 to 1 over the grid")
-        pts.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", val)
-
-    def cdf(self, x) -> np.ndarray:
-        """P[X <= x], stepping at the atoms."""
-        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        return self.values[np.clip(idx - 1, 0, self.values.size - 1)]
-
-    def sample_max_atoms(self, block: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Atom indices (1-based into points) of maxima of `block` iid draws."""
-        levels = self.values**block
-        return np.searchsorted(levels, rng.random(size), side="right")
+    k: np.ndarray
+    xi: float
 
 
 def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixture:
@@ -134,10 +105,12 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
 
     weights(n_lo) = 1/Z, weights(s) = (1 - f(s-1)/f(s))/Z for s > n_lo, with
     Z = n_hi - n_lo + 1 - sum_{i=n_lo}^{n_hi-1} f(i)/f(i+1); the flat value is
-    c0/Z >= c0 / (1 + log(f(n_hi)/f(n_lo))).
+    c0/Z >= c0 / (1 + log(f(n_hi)/f(n_lo))).  The one call of f over the range
+    also gives the expected-floor curve, by one cumulative sum, and that bound.
     """
     if not (1 <= n_lo <= n_hi):
         raise ValidationError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    _check_cap(n_hi, "n_hi")
     fv = profile.f(np.arange(n_lo, n_hi + 1))
     if np.any(fv <= 0):
         raise ValidationError("f must be positive on [n_lo, n_hi]")
@@ -146,16 +119,11 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     ratios = fv[:-1] / fv[1:]
     z = (n_hi - n_lo + 1) - ratios.sum()
     weights = np.concatenate([[1.0], 1.0 - ratios]) / z
-    return MetaMixture(weights=weights, n_lo=n_lo, n_hi=n_hi, guarantee=profile.c0 / z)
-
-
-def meta_expected_curve(mix: MetaMixture, profile: PerformanceProfile) -> np.ndarray:
-    """Expected floor sum_{s<=n} weights(s) * c0 * f(s)/f(n) for n = n_lo..n_hi.
-
-    One cumulative sum over the range; constant in n up to rounding.
-    """
-    fv = profile.f(np.arange(mix.n_lo, mix.n_hi + 1))
-    return profile.c0 * np.cumsum(mix.weights * fv) / fv
+    expected = profile.c0 * np.cumsum(weights * fv) / fv
+    weights.setflags(write=False)
+    expected.setflags(write=False)
+    log_bound = profile.c0 / (1.0 + math.log(fv[-1] / fv[0]))
+    return MetaMixture(weights, n_lo, n_hi, profile.c0 / z, log_bound, expected)
 
 
 def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
@@ -191,7 +159,7 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
         xi = sum_i 1 - (G(theta_i)^{k_i} - G(theta_{i-1})^{k_i})
            <= (n-1) * (1 + z^(-z/(2(z-1))) - z^(-1/(z-1))).
     """
-    th = np.asarray(thetas, dtype=float)
+    th = _frozen(thetas)
     if n < 2:
         raise ValidationError(f"need at least two grid intervals, got n={n}")
     if th.ndim != 1 or th.size != n + 1:
@@ -211,13 +179,14 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
     values[0] = 0.0
     values[1:n] = alpha ** (1.0 / k[:-1])
     values[n] = 1.0
-    cdf = GridCdf(points=th, values=values)
     xi = float(np.sum(1.0 - (values[1:] ** k - values[:-1] ** k)))
     hbar = z ** (-z / (2.0 * (z - 1.0))) - z ** (-1.0 / (z - 1.0))
     bound = (n - 1) * (1.0 + hbar)
     if xi > bound + 1e-9:
         raise AssertionError(f"union slack {xi} exceeds its bound {bound}")
-    return ProphetGrid(cdf=cdf, k=k, xi=xi)
+    k.setflags(write=False)
+    values.setflags(write=False)
+    return ProphetGrid(th, values, k, xi)
 
 
 def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
@@ -227,8 +196,7 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
     so each is drawn directly from its discrete max law and the prefix maxima
     are their running maximum.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     k = grid.k
     blocks = np.diff(np.concatenate([[0], k]))
@@ -236,7 +204,8 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
         raise ValidationError("prefix counts must be strictly increasing")
     atoms = np.empty((trials, k.size), dtype=np.int64)
     for i, b in enumerate(blocks):
-        atoms[:, i] = grid.cdf.sample_max_atoms(int(b), trials, rng)
+        # atom indices (1-based into points) of the maximum of b iid draws
+        atoms[:, i] = np.searchsorted(grid.values ** int(b), rng.random(trials), side="right")
     prefix = np.maximum.accumulate(atoms, axis=1)
     hits = np.all(prefix == np.arange(1, k.size + 1), axis=1)
     return _binomial_result(int(hits.sum()), trials)

@@ -23,17 +23,20 @@ tail.  Record indicators are independent with P(R_s = 1) = 1/s, so the first
 record after t is T = floor(t / U) + 1 with U uniform on (0, 1], which gives
 P(T > x) = t / x.  A q-vector acts only on records, so a trial walks from
 record to record, about H_N steps instead of N.
+
+Results are plain records (``SimResult``, ``AvgCaseResult``).  Trial and
+draw counts, and the sizes n of the adversary and the average-case
+experiment, are held to ``dist.MAX_ELEMS`` before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution
+from .dist import HorizonDistribution, _check_cap
 from .errors import HarnessError, ValidationError
 from .strategy import Strategy, point_mass_values, single_threshold
 
@@ -49,15 +52,19 @@ class SimResult(NamedTuple):
     stderr: float
 
 
-@dataclass(frozen=True)
-class AvgCaseResult:
+class AvgCaseResult(NamedTuple):
     """Exact strategy values against many uniformly drawn distributions."""
 
     fraction_below: float
     mean_value: float
     stderr_mean: float
     threshold: int
-    draws: int
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_cap(trials, "trials")
 
 
 def _binomial_result(successes: int, trials: int) -> SimResult:
@@ -145,8 +152,7 @@ def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> S
     (1 past the stored vector) and wins iff the next record lies beyond its
     horizon.  Memory is O(trials + n).  Deterministic given the seed.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     qx = strategy.extended(p.n)
     horizons = p.sample(trials, rng)
@@ -165,8 +171,7 @@ def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> S
 
 def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -> SimResult:
     """Empirical success rate of a batched rank-feedback policy."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     successes = sum(
         int(np.count_nonzero(_wins(ranks, picks, h)))
@@ -185,8 +190,8 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_cap(n, "n")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     k = math.isqrt(n)
     last_asked = min(k + 1, n)
@@ -213,6 +218,8 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
         raise ValidationError(f"epsilon must be in (0, 2/e^2), got {epsilon}")
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
+    _check_cap(n, "n")
+    _check_cap(draws, "draws")
     l_star = math.ceil(n / math.e**2)
     coeff = point_mass_values(single_threshold(l_star, n).q)
     rng = np.random.default_rng(seed)
@@ -224,13 +231,7 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
         sample /= sample.sum(axis=1, keepdims=True)
         values[lo : lo + sample.shape[0]] = sample @ coeff
     stderr = float(values.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-    return AvgCaseResult(
-        fraction_below=float(np.mean(values <= epsilon)),
-        mean_value=float(values.mean()),
-        stderr_mean=stderr,
-        threshold=l_star,
-        draws=draws,
-    )
+    return AvgCaseResult(float(np.mean(values <= epsilon)), float(values.mean()), stderr, l_star)
 
 
 def scalar_policy(fn: Callable[[int, tuple, np.random.Generator], bool]) -> Policy:

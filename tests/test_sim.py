@@ -152,6 +152,15 @@ def test_simulate_custom_matches_accept_first():
     assert abs(r.rate - exact) <= 4 * r.stderr
 
 
+def test_strategy_policy_replays_threshold_policy_exactly():
+    # a 0/1 vector draws no uniforms, so both policies consume one random stream
+    p = uniform(8)
+    for l in (1, 2, 5, 8, 9, 12):
+        a = simulate_custom(p, strategy_policy(single_threshold(l, l)), 3000, 17)
+        b = simulate_custom(p, threshold_policy(l), 3000, 17)
+        assert a == b, l
+
+
 def test_simulate_custom_rejects_bad_policy_output():
     with pytest.raises(HarnessError):
         simulate_custom(delta(3), scalar_policy(lambda t, ranks, rng: "yes"), 10, 0)
