@@ -65,9 +65,8 @@ def _load_distribution(path: str) -> dist.HorizonDistribution:
 
 
 def _load_strategy(args, n: int) -> strategy.Strategy:
-    if args.threshold is not None:
-        # A(p, q) reads q_1..q_n only
-        return strategy.single_threshold(args.threshold, min(args.threshold, n))
+    if args.threshold is not None:  # the strategy file {"kind": "threshold", "l": L}
+        return formats.strategy_from_json({"kind": "threshold", "l": args.threshold}, n)
     if args.strategy is not None:
         return formats.strategy_from_json(formats.load_json(args.strategy), n)
     raise ValidationError("need --strategy FILE or --threshold L")
@@ -239,7 +238,7 @@ def _parse_profile(profile_arg: str, c0: float) -> meta.PerformanceProfile:
     if profile_arg.startswith("table:"):
         raw = formats.load_json(profile_arg[len("table:") :])
         table = formats.profile_table_from_json(raw)
-        return meta.PerformanceProfile(c0=c0, family="table", table=table)
+        return meta.PerformanceProfile(c0=c0, table=table)
     return meta.PerformanceProfile(c0=c0, family=profile_arg)
 
 

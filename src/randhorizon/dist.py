@@ -32,20 +32,27 @@ def harmonic(n: int) -> float:
     return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1]) if n else 0.0
 
 
-def _ceil_snapped(power: float) -> int:
-    """ceil(power) for a float power >= 1, but an integer within 1e-9 relative of it.
+def _ceil_snapped(power):
+    """ceil(power) for float powers >= 1, elementwise, but an integer within 1e-9 relative of it.
 
     A power computed in floating point can land a few ulp above the integer it
     stands for (32**0.8 is 16.000000000000004), where a plain ceil overshoots.
     """
-    nearest = round(power)
-    return nearest if abs(power - nearest) <= 1e-9 * nearest else math.ceil(power)
+    nearest = np.round(power)
+    return np.where(abs(power - nearest) <= 1e-9 * nearest, nearest, np.ceil(power)).astype(np.int64)
 
 
 def _check_cap(size: int, what: str) -> None:
     """Reject a size taken from outside input that asks for more than MAX_ELEMS elements."""
     if size > MAX_ELEMS:
         raise ValidationError(f"{what} {size} exceeds the cap of {MAX_ELEMS} elements")
+
+
+def _ceil_size(size: float, what: str) -> int:
+    """ceil of a size computed in floating point; one that overflows a float is out of range."""
+    if size == math.inf:
+        raise ValidationError(f"{what} overflows a float")
+    return math.ceil(size)
 
 
 def _frozen(values, dtype=float) -> np.ndarray:

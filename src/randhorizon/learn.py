@@ -9,9 +9,14 @@ exactly with the same backward recursion used by the full-information solver.
 Coarsening costs at most rho - 1 in success probability, uniformly over
 strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
 
-:func:`learning_trial` runs the learner once against a known truth and scores
-the learned strategy under it; the optimum it is judged against is solved by
-the caller, once per truth.
+The endpoints come from one cumulative product of rho (the multiplications
+of repeated ``power *= rho``, in order), snapped to integers, and one rule
+sums weights onto the right endpoint of their block, for a distribution
+(:func:`block_distribution`) and for samples (:func:`learn_strategy`) alike.
+:func:`learning_trial` pre-estimates the tail bound T from a fresh batch
+unless T is given, draws :func:`sample_size_bound` samples, learns, and
+scores the learned strategy under the truth; the optimum it is judged
+against is solved by the caller, once per truth.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped, _check_cap, _frozen, delta, lambda_sequence
+from .dist import (HorizonDistribution, _ceil_size, _ceil_snapped, _check_cap, _frozen, delta,
+                   lambda_sequence)
 from .errors import ValidationError
 from .solver import backward_induction, solve_optimal
 from .strategy import Strategy, success_probability
@@ -45,42 +51,32 @@ class SampleBatch:
 
 class LearnOutput(NamedTuple):
     q_hat: Strategy
-    G: np.ndarray  # estimated gain sequence on 1..N_max
-    N_max: int
+    G: np.ndarray  # estimated gain sequence on 1..N_max, N_max = G.size
 
 
 def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     """Distinct ceil(rho^l) in ascending order, up to and including the first >= stop."""
-    out = [1]
-    power = 1.0
-    stalled = 0
-    while out[-1] < stop:
-        power *= rho
-        value = _ceil_snapped(power)
-        if value > out[-1]:
-            out.append(value)
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 64:
-                # ratio extremely close to 1: jump the exponent to the last
-                # power below the current endpoint instead of crawling
-                power = max(power, rho ** math.floor(math.log(out[-1]) / math.log(rho)))
-                stalled = 0
-    return np.asarray(out, dtype=np.int64)
+    if not (rho > 1.0 and math.isfinite(rho)):
+        raise ValidationError(f"block ratio must be > 1, got {rho}")
+    count = int(math.log(stop) / math.log(rho)) + 2  # rho^0 and a spare power past stop
+    _check_cap(count, "block ratio power count")
+    factors = np.full(count, rho)
+    factors[0] = 1.0  # rho^0; the cumulative product multiplies in order, like power *= rho
+    ends = np.unique(_ceil_snapped(np.cumprod(factors)))
+    return ends[: np.searchsorted(ends, stop) + 1]
+
+
+def _blocked(ends: np.ndarray, horizons: np.ndarray, weights=None) -> np.ndarray:
+    """Weights of the horizons summed onto the right endpoint e of their block (prev, e]."""
+    out = np.zeros(int(ends[-1]))
+    out[ends - 1] = np.bincount(np.searchsorted(ends, horizons), weights, minlength=ends.size)
+    return out
 
 
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
     """Move the mass of every block (prev endpoint, endpoint] onto its right endpoint."""
-    if not (rho > 1.0 and math.isfinite(rho)):
-        raise ValidationError(f"block ratio must be > 1, got {rho}")
     ends = _endpoints_until(rho, p.n)
-    out = np.zeros(int(ends[-1]))
-    prev = 0
-    for e in ends:
-        out[e - 1] = p.probs[prev : min(int(e), p.n)].sum()
-        prev = int(e)
-    return HorizonDistribution(probs=out)
+    return HorizonDistribution(probs=_blocked(ends, np.arange(1, p.n + 1), p.probs))
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
@@ -95,29 +91,28 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     """Blocked-estimate learner: samples -> near-optimal acceptance vector.
 
     Steps: block ratio rho = 1 + epsilon/4; endpoints up to the largest
-    sample; empirical blocked distribution p_hat; gain sequence
-    G_i = i * lambda_i(p_hat) (block-constant after rescaling by i); exact
-    maximization of the surrogate objective by backward induction.  Beyond
-    N_max the returned strategy accepts (the stored vector ends there and
-    evaluation extends it with ones).
+    sample; empirical blocked distribution p_hat (block counts over m);
+    gain sequence G_i = i * lambda_i(p_hat) (block-constant after rescaling
+    by i); exact maximization of the surrogate objective by backward
+    induction.  Beyond N_max = G.size the returned strategy accepts (the
+    stored vector ends there and evaluation extends it with ones).
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
-    rho = 1.0 + epsilon / 4.0
-    ends = _endpoints_until(rho, int(batch.samples.max()))
-    n_max = int(ends[-1])
-
-    counts = np.zeros(ends.size)
-    slot = np.searchsorted(ends, batch.samples, side="left")
-    np.add.at(counts, slot, 1.0)
-    probs = np.zeros(n_max)
-    probs[ends - 1] = counts / batch.samples.size
-    p_hat = HorizonDistribution(probs=probs)
-
-    gains = np.arange(1, n_max + 1) * lambda_sequence(p_hat)
+    ends = _endpoints_until(1.0 + epsilon / 4.0, int(batch.samples.max()))
+    p_hat = HorizonDistribution(probs=_blocked(ends, batch.samples) / batch.samples.size)
+    gains = np.arange(1, p_hat.n + 1) * lambda_sequence(p_hat)
     gains.setflags(write=False)
     q, _ = backward_induction(gains)
-    return LearnOutput(q_hat=Strategy(q=q), G=gains, N_max=n_max)
+    return LearnOutput(q_hat=Strategy(q=q), G=gains)
+
+
+def _check_budget(epsilon: float, delta: float) -> None:
+    """Reject an error budget epsilon or a confidence budget delta outside (0, 1)."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
 
 
 def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
@@ -125,31 +120,19 @@ def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
 
     Requires that the horizon exceeds T with probability at most epsilon/12.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_budget(epsilon, delta)
     if T < 1:
         raise ValidationError(f"tail bound T must be >= 1, got {T}")
-    if T == 1:
-        return math.ceil(18.0 / epsilon * math.log(2.0 / delta))
-    m_tail = 18.0 / epsilon * math.log(50.0 * math.log(T) / (epsilon * delta))
-    m_conc = 1.0 / (2.0 * epsilon**2) * math.log(1200.0 / (epsilon**2 * delta))
-    return math.ceil(max(m_tail, m_conc))
-
-
-def estimate_tail_support(p: HorizonDistribution, epsilon: float, delta: float, seed) -> int:
-    """Pre-estimation phase: T = max of ceil((12/eps)*log(2/delta)) fresh samples.
-
-    With probability at least 1 - delta/2 the tail beyond T is at most
-    epsilon/12, as the main sample-size bound requires.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    m1 = math.ceil(12.0 / epsilon * math.log(2.0 / delta))
-    return int(draw_samples(p, m1, seed).samples.max())
+    try:
+        if T == 1:
+            m = 18.0 / epsilon * math.log(2.0 / delta)
+        else:
+            m_tail = 18.0 / epsilon * math.log(50.0 * math.log(T) / (epsilon * delta))
+            m_conc = 1.0 / (2.0 * epsilon**2) * math.log(1200.0 / (epsilon**2 * delta))
+            m = max(m_tail, m_conc)
+    except ZeroDivisionError:  # epsilon**2 or epsilon*delta underflows to 0
+        m = math.inf
+    return _ceil_size(m, f"sample size bound at epsilon={epsilon!r}, delta={delta!r}")
 
 
 def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, HorizonDistribution, float]:
@@ -200,9 +183,12 @@ def learning_trial(
     to compare against is the caller's to compute, once per truth.
     """
     if T is None:
-        T = estimate_tail_support(
-            p, epsilon, delta_conf, np.random.SeedSequence([_entropy(seed), 0])
-        )
+        # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
+        # at least 1 - delta/2 the tail beyond T is at most eps/12
+        _check_budget(epsilon, delta_conf)
+        m_pre = _ceil_size(12.0 / epsilon * math.log(2.0 / delta_conf),
+                           f"tail pre-estimate size at epsilon={epsilon!r}, delta={delta_conf!r}")
+        T = int(draw_samples(p, m_pre, np.random.SeedSequence([_entropy(seed), 0])).samples.max())
         main_delta = delta_conf / 2.0
     else:
         main_delta = delta_conf

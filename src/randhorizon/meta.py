@@ -28,31 +28,36 @@ from .dist import HorizonDistribution, _ceil_snapped, _check_cap, _frozen
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result, _check_trials
 
-_FAMILIES = ("identity", "uniform-max", "exp-max", "table")
+_FAMILIES = ("identity", "uniform-max", "exp-max")
 
 
 @dataclass(frozen=True)
 class PerformanceProfile:
     """Floor constant c0 and scale function f for a family of black boxes.
 
+    f is a named family or a table, not both; with neither it is "identity".
     Named families: "identity" f(i) = i, "uniform-max" f(i) = i/(i+1) (mean
     maximum of i standard uniforms), "exp-max" f(i) = H_i (mean maximum of i
-    standard exponentials).  A "table" profile evaluates only inside its
+    standard exponentials).  A table profile evaluates only inside its
     table; anything else is an error rather than an extrapolation.
     """
 
     c0: float
-    family: str = "identity"
+    family: str | None = None
     table: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise ValidationError(f"c0 must be positive, got {self.c0}")
-        if self.family not in _FAMILIES:
-            raise ValidationError(f"unknown profile family {self.family!r}")
-        if self.family == "table" and not self.table:
+        if self.table is None:
+            object.__setattr__(self, "family", "identity" if self.family is None else self.family)
+            if self.family not in _FAMILIES:
+                raise ValidationError(f"unknown profile family {self.family!r}")
+        elif self.family is not None:
+            raise ValidationError(f"a table profile takes no family, got {self.family!r}")
+        elif not self.table:
             raise ValidationError("table profile needs a non-empty table")
-        if self.table is not None:
+        else:
             object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def f(self, i):
@@ -60,19 +65,19 @@ class PerformanceProfile:
         idx = np.asarray(i)
         if idx.dtype.kind not in "iu" or np.any(idx < 1):
             raise ValidationError(f"f is defined on positive integers, got {i}")
-        if self.family == "identity":
-            out = idx.astype(float)
-        elif self.family == "uniform-max":
-            out = idx / (idx + 1.0)
-        elif self.family == "exp-max":
-            # sequential cumsum: entry i - 1 is harmonic(i) bit for bit
-            out = np.cumsum(1.0 / np.arange(1, idx.max(initial=0) + 1))[idx - 1]
-        else:
+        if self.table is not None:
             try:
                 out = np.array([self.table[k] for k in idx.ravel().tolist()], dtype=float)
             except KeyError as exc:
                 raise ValidationError(f"profile table has no value at {exc.args[0]}") from None
             out = out.reshape(idx.shape)
+        elif self.family == "identity":
+            out = idx.astype(float)
+        elif self.family == "uniform-max":
+            out = idx / (idx + 1.0)
+        else:
+            # sequential cumsum: entry i - 1 is harmonic(i) bit for bit
+            out = np.cumsum(1.0 / np.arange(1, idx.max(initial=0) + 1))[idx - 1]
         return float(out) if idx.ndim == 0 else out
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _check_cap, harmonic, lambda_sequence
+from .dist import HorizonDistribution, _ceil_size, _check_cap, harmonic, lambda_sequence
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
@@ -147,4 +147,4 @@ def minimax_mixture_expected_bound(mu_bar: float) -> ThresholdMixture:
     """Threshold randomization for a known bound on E[N]: mix over [ceil(mu*log(mu))]."""
     if not (mu_bar > 1.0 and math.isfinite(mu_bar)):
         raise ValidationError(f"mean bound must be > 1, got {mu_bar}")
-    return minimax_mixture(math.ceil(mu_bar * math.log(mu_bar)))
+    return minimax_mixture(_ceil_size(mu_bar * math.log(mu_bar), "mixture size ceil(mu log mu)"))

@@ -150,3 +150,32 @@ def meta_expected_performance(mix, profile, n: int) -> float:
         s = mix.n_lo + offset
         total += w * (profile.c0 * profile.f(s) / profile.f(n) if s <= n else 0.0)
     return total
+
+
+def endpoints_loop(rho: float, stop: int) -> list[int]:
+    """Distinct snapped ceil(rho^l) up to the first >= stop, one power at a time.
+
+    The learner's former endpoint loop, stall path included: after 64 powers
+    that add no new endpoint it jumps the exponent to the last power below the
+    current endpoint.  The snapped ceil is restated here with Python scalars.
+    """
+
+    def snapped(power: float) -> int:
+        nearest = round(power)
+        return nearest if abs(power - nearest) <= 1e-9 * nearest else math.ceil(power)
+
+    out = [1]
+    power = 1.0
+    stalled = 0
+    while out[-1] < stop:
+        power *= rho
+        value = snapped(power)
+        if value > out[-1]:
+            out.append(value)
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 64:
+                power = max(power, rho ** math.floor(math.log(out[-1]) / math.log(rho)))
+                stalled = 0
+    return out

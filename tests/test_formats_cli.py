@@ -408,6 +408,12 @@ def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_pat
         (["learn", "--dist", dist_path, "--epsilon", "0.5", "--trials", "0"], "trials"),
         (["learn", "--dist", dist_path, "--epsilon", "0.5", "--trials", "-3"], "trials"),
         (["solve", "--dist", overflow], "overflows"),
+        # size formulas whose float result overflows (or whose epsilon**2 underflows to 0)
+        ([*learn_argv[:4], "1e-200", "--tail-bound", "10"], "overflows"),
+        ([*learn_argv[:4], "1e-160", "--tail-bound", "10"], "overflows"),
+        ([*learn_argv[:4], "0.1", "--delta", "1e-320", "--tail-bound", "10"], "overflows"),
+        ([*learn_argv[:4], "1e-310"], "overflows"),
+        (["minimax", "--mubar", "1e308"], "overflows"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would fail here

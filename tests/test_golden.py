@@ -1,10 +1,11 @@
 """Byte identity of the CLI's outputs against recorded hashes.
 
 Runs the README's CLI examples at small sizes, plus ``meta`` as CSV and on a
-table profile, ``learn --tail-bound`` and the exit-3/4/5 paths, in-process.
-Each case's exit code and the sha256 of its stdout and of every file it
-writes (``--out``, ``--summary``) must equal ``tests/golden.json``.  A change
-meant to move an output records new hashes with
+table profile, ``learn --tail-bound``, ``learn`` at eps 0.02 and the exit-3/4/5
+paths, in-process.  Each case's exit code and the sha256 of its stdout and of
+every file it writes (``--out``, ``--summary``) must equal
+``tests/golden.json``.  A change meant to move an output records new hashes
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -63,6 +64,12 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
          [summary]),
         ("learn_tail_bound", [*learn, "--epsilon", "0.3", "--trials", "3", "--tail-bound", "40",
                               "--out", str(out), "--summary", str(summary)], [out, summary]),
+        # eps 0.02: rho = 1.005 < 2^(1/64), so each small endpoint spans over 64 powers of rho
+        ("learn_fine_blocks", [*learn, "--epsilon", "0.02", "0.05", "--trials", "2",
+                               "--summary", str(summary)], [summary]),
+        ("learn_fine_blocks_tail_bound", [*learn, "--epsilon", "0.02", "0.05", "--trials", "2",
+                                          "--tail-bound", "40", "--summary", str(summary)],
+         [summary]),
         *((f"adversary_{policy}", ["adversary", "--n", "16", "64", "--policy", policy,
                                    "--trials", "2000", "--seed", "0"], [])
           for policy in ("first", "classical", "sqrt")),

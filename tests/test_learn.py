@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 from randhorizon.learn import _endpoints_until
+from oracles import endpoints_loop
 
 
 def test_block_indices_examples():
@@ -34,6 +36,31 @@ def test_block_indices_examples():
     assert np.array_equal(_endpoints_until(2.0, 1), [1])
     with pytest.raises(ValidationError):
         block_distribution(delta(3), 1.0)
+
+
+def test_endpoints_match_the_power_loop():
+    # ratios below 2^(1/64) ~ 1.0109 took the loop's stall-and-jump path
+    rng = np.random.default_rng(28)
+    rhos = [1.0001, 1.0003, 1.001, 1.0025, 1.005, 1.0075, 1.01, 1.0108, 1.011, 1.0125,
+            1.02, 1.05, 1.1, 1.25, math.sqrt(2), 1.5, 2.0, 2.5, 3.0, 4.0]
+    rhos += (1.0001 + 2.9999 * rng.random(20) ** 4).tolist()
+    stops = [1, 2, 3, 7, 10, 64, 100, 999, 1000, 1025, 12345, 100_000]
+    for rho in rhos:
+        # the loop's powers do not depend on stop: a smaller stop cuts a prefix
+        loop = endpoints_loop(rho, stops[-1])
+        for stop in stops:
+            want = loop[: bisect.bisect_left(loop, stop) + 1]
+            assert _endpoints_until(rho, stop).tolist() == want, (rho, stop)
+
+
+def test_endpoints_of_a_ratio_too_close_to_one_are_capped():
+    for rho in (1.0 + 1e-12, 1.0 + 1e-15):
+        with pytest.raises(ValidationError, match="cap"):
+            _endpoints_until(rho, 10**5)
+        with pytest.raises(ValidationError, match="cap"):
+            block_distribution(uniform(10), rho)
+    with pytest.raises(ValidationError, match="block ratio"):
+        _endpoints_until(1.0, 5)
 
 
 def test_block_indices_ratio_bounds():
@@ -142,7 +169,7 @@ def test_draw_samples():
 
 def test_learn_strategy_degenerate_batch():
     out = learn_strategy(SampleBatch(samples=np.ones(7, dtype=int)), 0.5)
-    assert out.N_max == 1
+    assert out.G.size == 1
     assert np.array_equal(out.G, [1.0])
     assert np.array_equal(out.q_hat.q, [1.0])
     assert success_probability(delta(1), out.q_hat) == 1.0
@@ -188,7 +215,7 @@ def test_gain_estimates_unbiased():
         out = learn_strategy(batch, eps)
         for j, e in enumerate(ends):
             e = int(e)
-            sums[j] += out.G[e - 1] if e <= out.N_max else 0.0
+            sums[j] += out.G[e - 1] if e <= out.G.size else 0.0
     means = sums / reps
     for j, e in enumerate(ends):
         e = int(e)

@@ -22,7 +22,7 @@ def test_profile_families():
     assert p.f(3) == 0.75
     assert PerformanceProfile(c0=1, family="identity").f(7) == 7.0
     assert PerformanceProfile(c0=1, family="exp-max").f(3) == harmonic(3)
-    t = PerformanceProfile(c0=1, family="table", table={2: 1.0, 3: 1.5})
+    t = PerformanceProfile(c0=1, table={2: 1.0, 3: 1.5})
     assert t.f(3) == 1.5
     with pytest.raises(ValidationError):
         t.f(4)  # outside the table: no extrapolation
@@ -41,6 +41,19 @@ def test_profile_families():
         PerformanceProfile(c0=0.0)
     with pytest.raises(ValidationError):
         PerformanceProfile(c0=1.0, family="linear")
+
+
+def test_a_given_table_is_the_profile():
+    # a table is never silently ignored in favour of a named family
+    assert PerformanceProfile(c0=1.0, table={1: 5.0, 2: 7.0}).f(2) == 7.0
+    assert PerformanceProfile(c0=1.0).family == "identity"
+    for family in ("identity", "exp-max", "table"):
+        with pytest.raises(ValidationError, match="takes no family"):
+            PerformanceProfile(c0=1.0, family=family, table={1: 5.0, 2: 7.0})
+    with pytest.raises(ValidationError, match="unknown profile family 'table'"):
+        PerformanceProfile(c0=1.0, family="table")
+    with pytest.raises(ValidationError, match="non-empty table"):
+        PerformanceProfile(c0=1.0, table={})
 
 
 def test_meta_mixture_identity_example():
@@ -66,7 +79,7 @@ def test_meta_curve_matches_the_per_n_oracle():
         (PerformanceProfile(c0=0.7), 1, 300),
         (PerformanceProfile(c0=1.3, family="uniform-max"), 2, 200),
         (PerformanceProfile(c0=0.745, family="exp-max"), 10, 150),
-        (PerformanceProfile(c0=0.5, family="table", table=table), 3, 59),
+        (PerformanceProfile(c0=0.5, table=table), 3, 59),
     ):
         mix = meta_mixture(prof, n_lo, n_hi)
         curve = mix.expected
@@ -98,7 +111,7 @@ def test_meta_mixture_validation():
         meta_mixture(prof, 0, 5)
     with pytest.raises(ValidationError):
         meta_mixture(prof, 5, 3)
-    decreasing = PerformanceProfile(c0=1.0, family="table", table={1: 2.0, 2: 1.0})
+    decreasing = PerformanceProfile(c0=1.0, table={1: 2.0, 2: 1.0})
     with pytest.raises(ValidationError):
         meta_mixture(decreasing, 1, 2)
     mix = meta_mixture(prof, 2, 4)

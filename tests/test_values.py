@@ -69,7 +69,7 @@ def test_values_hold_read_only_copies(value, inputs):
 
 def test_profile_table_is_a_read_only_copy():
     table = {1: 1.0, 2: 2.0}
-    prof = PerformanceProfile(c0=1.0, family="table", table=table)
+    prof = PerformanceProfile(c0=1.0, table=table)
     table[2] = 5.0
     assert prof.f(2) == 2.0
     with pytest.raises(TypeError):
