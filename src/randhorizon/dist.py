@@ -21,14 +21,13 @@ from .errors import ValidationError
 
 SUM_TOL = 1e-12
 
-# the largest vector a size taken from outside input may ask for (800 MB of float64)
+# the largest count or length a caller may set (a vector of it is 800 MB of float64)
 MAX_ELEMS = 10**8
 
 
 def harmonic(n: int) -> float:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, by direct summation (H_0 = 0)."""
-    if n < 0:
-        raise ValidationError(f"harmonic number needs n >= 0, got {n}")
+    _check_size(n, "n", low=0)
     return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1]) if n else 0.0
 
 
@@ -42,8 +41,10 @@ def _ceil_snapped(power):
     return np.where(abs(power - nearest) <= 1e-9 * nearest, nearest, np.ceil(power)).astype(np.int64)
 
 
-def _check_cap(size: int, what: str) -> None:
-    """Reject a size taken from outside input that asks for more than MAX_ELEMS elements."""
+def _check_size(size: int, what: str, low: int = 1) -> None:
+    """Reject a count or length a caller sets that is below its floor low or above MAX_ELEMS."""
+    if size < low:
+        raise ValidationError(f"{what} must be >= {low}, got {size}")
     if size > MAX_ELEMS:
         raise ValidationError(f"{what} {size} exceeds the cap of {MAX_ELEMS} elements")
 
@@ -125,8 +126,7 @@ def make_distribution(weights) -> HorizonDistribution:
 
 def delta(n: int) -> HorizonDistribution:
     """Point mass at horizon n (the classical fixed-horizon problem)."""
-    if n < 1:
-        raise ValidationError(f"delta needs n >= 1, got {n}")
+    _check_size(n, "n")
     p = np.zeros(n)
     p[-1] = 1.0
     return HorizonDistribution(probs=p)
@@ -134,8 +134,7 @@ def delta(n: int) -> HorizonDistribution:
 
 def uniform(n: int) -> HorizonDistribution:
     """Uniform distribution over horizons 1..n."""
-    if n < 1:
-        raise ValidationError(f"uniform needs n >= 1, got {n}")
+    _check_size(n, "n")
     return HorizonDistribution(probs=np.full(n, 1.0 / n))
 
 
@@ -145,8 +144,7 @@ def worst_case_pstar(n: int) -> HorizonDistribution:
     p_i = (1/H_n)/(i+1) for i < n and p_n = 1/H_n, so that i*lambda_i is the
     constant 1/H_n on the whole support.
     """
-    if n < 1:
-        raise ValidationError(f"worst_case_pstar needs n >= 1, got {n}")
+    _check_size(n, "n")
     h = harmonic(n)
     p = (1.0 / h) / (np.arange(1, n + 1) + 1.0)
     p[-1] = 1.0 / h
@@ -157,8 +155,7 @@ def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
     """Geometric weights rho^(k-1), k = 1..n, renormalized onto [n]."""
     if not (0.0 < rho < 1.0):
         raise ValidationError(f"geometric ratio must be in (0,1), got {rho}")
-    if n < 1:
-        raise ValidationError(f"geometric_truncated needs n >= 1, got {n}")
+    _check_size(n, "n")
     return make_distribution(rho ** np.arange(n, dtype=float))
 
 
@@ -166,8 +163,7 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     """Poisson(mu) weights on k = 1..n (k = 0 excluded: a horizon is >= 1)."""
     if not (mu > 0 and math.isfinite(mu)):
         raise ValidationError(f"poisson rate must be positive, got {mu}")
-    if n < 1:
-        raise ValidationError(f"poisson_truncated needs n >= 1, got {n}")
+    _check_size(n, "n")
     k = np.arange(1, n + 1, dtype=float)
     log_fact = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), dtype=float, count=n)
     logw = k * math.log(mu) - log_fact
@@ -188,8 +184,7 @@ def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:
     Constructed by normalizing n independent unit-rate exponentials;
     deterministic given the seed.
     """
-    if n < 1:
-        raise ValidationError(f"sample_dirichlet_uniform needs n >= 1, got {n}")
+    _check_size(n, "n")
     rng = np.random.default_rng(seed)
     x = rng.standard_exponential(n)
     return HorizonDistribution(probs=x / x.sum())

@@ -12,8 +12,9 @@ that is not a string, a vector entry, table value or ``param`` that is not a
 JSON number, an ``n`` or ``l`` that is not a JSON integer, or a table key that
 is not the canonical decimal spelling of a non-negative integer is a malformed
 file (``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
-beyond the float range, or a named family's ``n`` above ``dist.MAX_ELEMS``, is
-out of range (``ValidationError``).
+beyond the float range is out of range (``ValidationError``), and so is a
+named family's ``n`` below 1 or above ``dist.MAX_ELEMS``, which the family's
+constructor in ``dist`` refuses before it allocates.
 Outputs are written by :func:`json_text`, the one JSON encoding of the CLI.
 """
 
@@ -90,7 +91,6 @@ def distribution_from_json(obj) -> dist.HorizonDistribution:
         if "n" not in obj:
             raise ValidationError("named distribution needs a support bound 'n'")
         n = _integer(obj["n"], "'n'")
-        dist._check_cap(n, "'n' =")
         param = _number(obj["param"], "'param'") if "param" in obj else None
         if kind in ("geometric", "poisson") and param is None:
             raise ValidationError(f"{kind} distribution needs 'param'")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import (HorizonDistribution, _ceil_size, _ceil_snapped, _check_cap, _frozen, delta,
+from .dist import (HorizonDistribution, _ceil_size, _ceil_snapped, _check_size, _frozen, delta,
                    lambda_sequence)
 from .errors import ValidationError
 from .solver import backward_induction, solve_optimal
@@ -59,7 +59,7 @@ def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     if not (rho > 1.0 and math.isfinite(rho)):
         raise ValidationError(f"block ratio must be > 1, got {rho}")
     count = int(math.log(stop) / math.log(rho)) + 2  # rho^0 and a spare power past stop
-    _check_cap(count, "block ratio power count")
+    _check_size(count, "block ratio power count")
     factors = np.full(count, rho)
     factors[0] = 1.0  # rho^0; the cumulative product multiplies in order, like power *= rho
     ends = np.unique(_ceil_snapped(np.cumprod(factors)))
@@ -81,9 +81,7 @@ def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistributio
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     """m iid horizon draws via inverse-CDF; deterministic given the seed."""
-    if m < 1:
-        raise ValidationError(f"sample count must be >= 1, got {m}")
-    _check_cap(m, "sample count")
+    _check_size(m, "sample count")
     return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)))
 
 
@@ -119,19 +117,19 @@ def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
     """Samples sufficient for an epsilon-suboptimal strategy with confidence 1-delta.
 
     Requires that the horizon exceeds T with probability at most epsilon/12.
+    Each log of a quotient is taken as a difference of logs, so a tiny
+    epsilon or delta overflows only the final size, never an intermediate.
     """
     _check_budget(epsilon, delta)
     if T < 1:
         raise ValidationError(f"tail bound T must be >= 1, got {T}")
-    try:
-        if T == 1:
-            m = 18.0 / epsilon * math.log(2.0 / delta)
-        else:
-            m_tail = 18.0 / epsilon * math.log(50.0 * math.log(T) / (epsilon * delta))
-            m_conc = 1.0 / (2.0 * epsilon**2) * math.log(1200.0 / (epsilon**2 * delta))
-            m = max(m_tail, m_conc)
-    except ZeroDivisionError:  # epsilon**2 or epsilon*delta underflows to 0
-        m = math.inf
+    log_eps, log_delta = math.log(epsilon), math.log(delta)
+    if T == 1:
+        m = 18.0 / epsilon * (math.log(2.0) - log_delta)
+    else:
+        m_tail = 18.0 / epsilon * (math.log(50.0 * math.log(T)) - log_eps - log_delta)
+        m_conc = 0.5 / epsilon / epsilon * (math.log(1200.0) - 2.0 * log_eps - log_delta)
+        m = max(m_tail, m_conc)
     return _ceil_size(m, f"sample size bound at epsilon={epsilon!r}, delta={delta!r}")
 
 
@@ -143,9 +141,7 @@ def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, Horiz
     flips; the returned pair puts mass s* +/- epsilon on horizon 1.  No single
     strategy is epsilon/3-suboptimal for both.
     """
-    if n < 3:
-        raise ValidationError(f"hard instances need n >= 3, got {n}")
-    _check_cap(n, "n")
+    _check_size(n, "n", low=3)
     a_n = solve_optimal(delta(n)).value
     s_star = (a_n - 1.0 / n) / (1.0 + a_n - 1.0 / n)
     if not (0.0 < epsilon < min(s_star, 1.0 - s_star)):
@@ -186,7 +182,7 @@ def learning_trial(
         # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
         # at least 1 - delta/2 the tail beyond T is at most eps/12
         _check_budget(epsilon, delta_conf)
-        m_pre = _ceil_size(12.0 / epsilon * math.log(2.0 / delta_conf),
+        m_pre = _ceil_size(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf)),
                            f"tail pre-estimate size at epsilon={epsilon!r}, delta={delta_conf!r}")
         T = int(draw_samples(p, m_pre, np.random.SeedSequence([_entropy(seed), 0])).samples.max())
         main_delta = delta_conf / 2.0

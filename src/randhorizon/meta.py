@@ -24,9 +24,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped, _check_cap, _frozen
+from .dist import HorizonDistribution, _ceil_snapped, _check_size, _frozen
 from .errors import ValidationError
-from .sim import SimResult, _binomial_result, _check_trials
+from .sim import SimResult, _binomial_result
 
 _FAMILIES = ("identity", "uniform-max", "exp-max")
 
@@ -115,7 +115,7 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     """
     if not (1 <= n_lo <= n_hi):
         raise ValidationError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    _check_cap(n_hi, "n_hi")
+    _check_size(n_hi, "n_hi")
     fv = profile.f(np.arange(n_lo, n_hi + 1))
     if np.any(fv <= 0):
         raise ValidationError("f must be positive on [n_lo, n_hi]")
@@ -201,7 +201,7 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
     so each is drawn directly from its discrete max law and the prefix maxima
     are their running maximum.
     """
-    _check_trials(trials)
+    _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     k = grid.k
     blocks = np.diff(np.concatenate([[0], k]))

@@ -26,7 +26,8 @@ record to record, about H_N steps instead of N.
 
 Results are plain records (``SimResult``, ``AvgCaseResult``).  Trial and
 draw counts, and the sizes n of the adversary and the average-case
-experiment, are held to ``dist.MAX_ELEMS`` before anything is allocated.
+experiment, pass ``dist._check_size`` (at least 1, at most
+``dist.MAX_ELEMS``) before anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _check_cap
+from .dist import HorizonDistribution, _check_size
 from .errors import HarnessError, ValidationError
 from .strategy import Strategy, point_mass_values, single_threshold
 
@@ -59,12 +60,6 @@ class AvgCaseResult(NamedTuple):
     mean_value: float
     stderr_mean: float
     threshold: int
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    _check_cap(trials, "trials")
 
 
 def _binomial_result(successes: int, trials: int) -> SimResult:
@@ -152,7 +147,7 @@ def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> S
     (1 past the stored vector) and wins iff the next record lies beyond its
     horizon.  Memory is O(trials + n).  Deterministic given the seed.
     """
-    _check_trials(trials)
+    _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     qx = strategy.extended(p.n)
     horizons = p.sample(trials, rng)
@@ -171,7 +166,7 @@ def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> S
 
 def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -> SimResult:
     """Empirical success rate of a batched rank-feedback policy."""
-    _check_trials(trials)
+    _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     successes = sum(
         int(np.count_nonzero(_wins(ranks, picks, h)))
@@ -188,10 +183,8 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     best of all n values); otherwise the horizon becomes min(k + 1, n) and
     only that arrival can still win.  No policy beats 1/sqrt(n).
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    _check_cap(n, "n")
-    _check_trials(trials)
+    _check_size(n, "n")
+    _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     k = math.isqrt(n)
     last_asked = min(k + 1, n)
@@ -212,14 +205,10 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
     the single-threshold strategy at ceil(n/e^2) against each; reports the
     fraction at or below epsilon plus the sample mean of the values.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_size(n, "n")
     if not (0.0 < epsilon < 2.0 / math.e**2):
         raise ValidationError(f"epsilon must be in (0, 2/e^2), got {epsilon}")
-    if draws < 1:
-        raise ValidationError(f"draws must be >= 1, got {draws}")
-    _check_cap(n, "n")
-    _check_cap(draws, "draws")
+    _check_size(draws, "draws")
     l_star = math.ceil(n / math.e**2)
     coeff = point_mass_values(single_threshold(l_star, n).q)
     rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_size, _check_cap, harmonic, lambda_sequence
+from .dist import HorizonDistribution, _ceil_size, _check_size, harmonic, lambda_sequence
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
@@ -82,11 +82,9 @@ def classical_cutoff(k: int) -> int:
     down to 1/2 in the order a loop lowering s would add them, so the count
     of those <= 1 is exact.
     """
-    if k < 1:
-        raise ValidationError(f"scale must be >= 1, got {k}")
+    _check_size(k, "scale")
     if k <= 2:
         return k
-    _check_cap(k, "scale")
     partial = np.cumsum(1.0 / np.arange(k - 1, 1, -1))
     return k - int(np.searchsorted(partial, 1.0, side="right"))
 
@@ -132,9 +130,7 @@ def minimax_mixture(n_bar: int) -> ThresholdMixture:
     the success probability equals the constant for every horizon distribution
     supported on [n_bar].
     """
-    if n_bar < 1:
-        raise ValidationError(f"minimax_mixture needs n_bar >= 1, got {n_bar}")
-    _check_cap(n_bar, "n_bar")
+    _check_size(n_bar, "n_bar")
     top = 1.0 / (1.0 + harmonic(n_bar - 1))
     w = np.empty(n_bar)
     w[0] = top

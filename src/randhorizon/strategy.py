@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import HorizonDistribution, _frozen, _probability_vector, lambda_sequence
+from .dist import HorizonDistribution, _check_size, _frozen, _probability_vector, lambda_sequence
 from .errors import ValidationError
 
 
@@ -73,8 +73,7 @@ def single_threshold(l: int, m: int) -> Strategy:
     """
     if l < 1:
         raise ValidationError(f"threshold must be >= 1, got {l}")
-    if m < 0:
-        raise ValidationError(f"length must be >= 0, got {m}")
+    _check_size(m, "length", low=0)
     q = np.zeros(m)
     if l <= m:
         q[l - 1 :] = 1.0

@@ -214,6 +214,20 @@ def test_cli_learn_solves_the_truth_once(tmp_path, monkeypatch):
     assert code == 0 and solved == [20]
 
 
+def test_cli_runs_a_rebound_command_with_the_parser_it_already_built(tmp_path, monkeypatch):
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
+    argv = ["solve", "--dist", dist_path, "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    calls = []
+
+    def counted(args, real=cli.cmd_solve):
+        calls.append(args.dist)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_solve", counted)
+    assert cli.main(argv) == 0 and calls == [dist_path]
+
+
 def test_cli_avgcase_columns(tmp_path):
     out = tmp_path / "avg.csv"
     code = cli.main(
@@ -280,12 +294,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     garbled.write_text("{not json")
     assert cli.main(["solve", "--dist", str(garbled)]) == 3
     assert cli.main(["minimax", "--nbar", "0"]) == 4
-    assert cli.main(["minimax"]) == 4  # neither --nbar nor --mubar
     dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
     assert cli.main(["solve", "--dist", dist_path, "--out", str(tmp_path / "no" / "x.json")]) == 5
-    # neither --strategy nor --threshold
-    assert cli.main(["eval", "--dist", dist_path]) == 4
-    assert cli.main(["simulate", "--dist", dist_path, "--trials", "10"]) == 4
+    for policy in ("sqrt", "classical"):
+        capsys.readouterr()
+        assert cli.main(["adversary", "--policy", policy, "--n", "-5", "--trials", "10"]) == 4
+        assert capsys.readouterr().err == "randhorizon: invalid parameter: n must be >= 1, got -5\n"
+    # an option pair given neither way or both ways is a usage error
+    strat_path = _write_dist(tmp_path, "s.json", {"kind": "threshold", "l": 2})
+    for argv in (
+        ["minimax"],
+        ["minimax", "--nbar", "3", "--mubar", "5"],
+        ["eval", "--dist", dist_path],
+        ["eval", "--dist", dist_path, "--strategy", strat_path, "--threshold", "2"],
+        ["simulate", "--dist", dist_path, "--trials", "10"],
+        ["simulate", "--dist", dist_path, "--strategy", strat_path, "--threshold", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
     for value in (0, -1):
         table_path = _write_dist(tmp_path, "t.json", {"1": value, "2": 1.0})
         capsys.readouterr()
@@ -340,6 +367,8 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         "n_float": {"kind": "uniform", "n": 2.5},
         "param_bool": {"kind": "poisson", "n": 4, "param": True},
         "param_string": {"kind": "geometric", "n": 4, "param": "0.5"},
+        # the file's shape is checked before the family refuses its size
+        "param_string_huge_n": {"kind": "geometric", "n": 10**11, "param": "0.5"},
         "l_bool": {"kind": "threshold", "l": True},
         "top_list": [1, 2],
         "top_string": "x",
@@ -367,6 +396,7 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
         ["solve", "--dist", paths["n_float"]],
         ["eval", "--dist", paths["param_bool"], "--threshold", "1"],
         ["solve", "--dist", paths["param_string"]],
+        ["solve", "--dist", paths["param_string_huge_n"]],
         ["eval", "--dist", dist_path, "--strategy", paths["l_bool"]],
         ["solve", "--dist", str(latin1)],
         *(["solve", "--dist", paths[key]] for key in top_level),
@@ -411,7 +441,6 @@ def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_pat
         # size formulas whose float result overflows (or whose epsilon**2 underflows to 0)
         ([*learn_argv[:4], "1e-200", "--tail-bound", "10"], "overflows"),
         ([*learn_argv[:4], "1e-160", "--tail-bound", "10"], "overflows"),
-        ([*learn_argv[:4], "0.1", "--delta", "1e-320", "--tail-bound", "10"], "overflows"),
         ([*learn_argv[:4], "1e-310"], "overflows"),
         (["minimax", "--mubar", "1e308"], "overflows"),
     ):
@@ -421,9 +450,14 @@ def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_pat
         err = capsys.readouterr().err
         assert err.startswith("randhorizon: invalid parameter:") and err.count("\n") == 1, err
         assert words in err and "np.float64" not in err, err
+    # the bound is computed in log space, so a tiny delta alone overflows nothing
+    assert learn.sample_size_bound(0.1, 1e-320, 10) == 133898
     # sizes the library allocates from: each must be refused before any allocation
     huge = "100000000000"
+    uniform_over_cap = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": 100000001})
     results = _main_under_memory_cap([
+        ["learn", "--dist", dist_path, "--epsilon", "0.5", "--trials", "100000001"],
+        ["solve", "--dist", uniform_over_cap],
         ["simulate", "--dist", dist_path, "--threshold", "2", "--trials", huge],
         ["adversary", "--n", "16", "--trials", huge],
         ["adversary", "--n", huge, "--trials", "10"],

@@ -1,6 +1,11 @@
-"""Property tests of the closed forms and the sample-size bound on generated inputs."""
+"""Property tests of the closed forms, the sample-size bound and the CLI on generated inputs."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from randhorizon import cli  # noqa: E402
+from randhorizon.dist import MAX_ELEMS  # noqa: E402
 from randhorizon import (  # noqa: E402
     ValidationError,
     best_single_threshold,
@@ -73,3 +80,152 @@ def test_sample_size_bound_is_an_int_or_a_range_error(epsilon, delta, T):
         assert "overflows" in str(exc)
         return
     assert type(m) is int and m >= 1
+
+
+# --- the CLI's exit-code contract on generated files and sizes -------------
+
+CLI_PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# integers skip (10^4, MAX_ELEMS]: a size there is accepted and would allocate up to 800 MB
+json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**4),
+    st.integers(MAX_ELEMS + 1, 10**400),
+    st.floats(),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_leaf,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=5), kids, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def sizes(floor: int, top: int):
+    """Sizes on both sides of a floor and of MAX_ELEMS; the accepted ones are at most top."""
+    return st.one_of(
+        st.integers(floor - 3, floor + 2),
+        st.integers(floor, top),
+        st.integers(MAX_ELEMS + 1, MAX_ELEMS + 10),
+        st.integers(MAX_ELEMS + 1, 10**30),
+    )
+
+
+n_values = st.one_of(sizes(1, 10**4), st.integers(-(10**30), 0))
+kinds = st.sampled_from(["delta", "uniform", "pstar", "geometric", "poisson", "zeta"])
+unit_lists = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+leaf_lists = st.lists(json_leaf, max_size=20)
+# well-formed shapes are drawn more often than arbitrary values, so every exit code occurs
+dist_docs = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"kind": st.one_of(kinds, kinds, json_values),
+         "n": st.one_of(n_values, n_values, json_values)},
+        optional={"param": st.one_of(st.floats(), st.floats(0.0, 2.0), json_values)},
+    ),
+    st.fixed_dictionaries({"probs": st.one_of(unit_lists, leaf_lists, json_values)}),
+)
+strategy_docs = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"kind": st.one_of(st.just("threshold"), st.just("threshold"), json_values),
+         "l": st.one_of(n_values, n_values, json_values)}
+    ),
+    st.fixed_dictionaries({"q": st.one_of(unit_lists, leaf_lists, json_values)}),
+)
+
+
+def file_texts(docs):
+    """A document as file text: JSON of a generated value, too deep to parse, or bare text."""
+    as_json = docs.map(json.dumps)
+    return st.one_of(
+        as_json,
+        as_json,
+        as_json,
+        st.sampled_from([10, 1000, 100_000]).map(lambda d: "[" * d + "]" * d),
+        st.text(max_size=12),
+    )
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main in this process; argparse's exit is a code too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv: list[str]) -> int:
+    """The README's exit codes, no output on failure, and one line of stderr saying why."""
+    code, out, err = _main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err, err
+    if code != 0:
+        assert out == "", (argv, out)
+        lines = err.splitlines()
+        if code == 2:  # argparse prints its usage lines, then one error line
+            assert ": error: " in lines[-1], err
+        else:
+            assert len(lines) == 1 and err.startswith("randhorizon: "), err
+    return code
+
+
+@CLI_PROPERTY
+@given(text=file_texts(dist_docs), command=st.sampled_from(["solve", "eval", "simulate"]))
+def test_cli_keeps_its_exit_code_contract_on_any_distribution_file(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "dist.json")
+        path.write_text(text, encoding="utf-8")
+        extra = {"solve": [], "eval": ["--threshold", "2"],
+                 "simulate": ["--threshold", "2", "--trials", "50"]}
+        _assert_contract([command, "--dist", str(path), *extra[command]])
+
+
+@CLI_PROPERTY
+@given(text=file_texts(strategy_docs), command=st.sampled_from(["eval", "simulate"]))
+def test_cli_keeps_its_exit_code_contract_on_any_strategy_file(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        dist_path, strat_path = Path(tmp, "dist.json"), Path(tmp, "strategy.json")
+        dist_path.write_text(json.dumps({"kind": "uniform", "n": 40}), encoding="utf-8")
+        strat_path.write_text(text, encoding="utf-8")
+        extra = ["--trials", "50"] if command == "simulate" else []
+        _assert_contract([command, "--dist", str(dist_path), "--strategy", str(strat_path), *extra])
+
+
+def _size_argvs(dist_path: str):
+    """argvs of every command with a size a user sets, on both sides of its floor and the cap."""
+    d = ["--dist", dist_path]
+    return st.one_of(
+        st.builds(lambda t: ["simulate", *d, "--threshold", "2", "--trials", str(t)],
+                  sizes(1, 10**4)),
+        st.builds(lambda n, t, rule: ["adversary", "--policy", rule, "--n", str(n),
+                                      "--trials", str(t)],
+                  sizes(1, 10**4), sizes(1, 300), st.sampled_from(["first", "classical", "sqrt"])),
+        st.builds(lambda n, k: ["avgcase", "--n", str(n), "--epsilon", "0.05", "--draws", str(k)],
+                  sizes(1, 1000), sizes(1, 50)),
+        st.builds(lambda n: ["minimax", "--nbar", str(n)], sizes(1, 10**4)),
+        st.builds(lambda n: ["meta", "--nlo", "1", "--nhi", str(n)], sizes(1, 10**4)),
+        st.builds(lambda n: ["lowerbound", "--n", str(n), "--epsilon", "0.01"], sizes(3, 10**4)),
+        st.builds(lambda t: ["learn", *d, "--epsilon", "0.5", "--delta", "0.5", "--trials", str(t)],
+                  sizes(1, 3)),
+        st.builds(lambda l: ["eval", *d, "--threshold", str(l)], sizes(1, 10**4)),
+    )
+
+
+@CLI_PROPERTY
+@given(data=st.data())
+def test_cli_keeps_its_exit_code_contract_on_sizes_across_floor_and_cap(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        dist_path = Path(tmp, "dist.json")
+        dist_path.write_text(json.dumps({"kind": "delta", "n": 3}), encoding="utf-8")
+        argv = data.draw(_size_argvs(str(dist_path)))
+        code = _assert_contract(argv)
+        # every size but eval's threshold, which costs no memory, is capped
+        if argv[0] != "eval" and any(a.isdigit() and int(a) > MAX_ELEMS for a in argv):
+            assert code == 4, argv
