@@ -25,7 +25,7 @@ from .learn import (
     draw_samples,
     hard_instance_lb,
     learn_strategy,
-    learning_trial,
+    learning_trials,
     sample_size_bound,
 )
 from .meta import (

@@ -110,6 +110,14 @@ def cmd_minimax(args) -> dict:
     return result
 
 
+def _margin(p: float, trials: int) -> float:
+    """Four standard errors of a rate of trials draws under the hypothesis p: the pass margin.
+
+    Unlike the observed rate's stderr, it is not 0 when a run sees no success.
+    """
+    return 4.0 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+
 def cmd_simulate(args) -> list[dict]:
     p = _load_distribution(args.dist)
     q = _load_strategy(args, p.n)
@@ -124,7 +132,7 @@ def cmd_simulate(args) -> list[dict]:
             "stderr": f"{res.stderr:.10g}",
             "exact": f"{exact:.10g}",
             "gap": f"{gap:.10g}",
-            "pass": int(gap <= 4.0 * res.stderr),
+            "pass": int(gap <= _margin(exact, args.trials)),
         }
     ]
 
@@ -153,7 +161,7 @@ def cmd_adversary(args) -> list[dict]:
                 "rate": f"{res.rate:.10g}",
                 "stderr": f"{res.stderr:.10g}",
                 "bound": f"{bound:.10g}",
-                "pass": int(res.rate <= bound + 4.0 * res.stderr),
+                "pass": int(res.rate <= bound + _margin(bound, args.trials)),
             }
         )
     return rows
@@ -183,27 +191,25 @@ def cmd_learn(args) -> list[dict]:
     value_opt = solver.solve_optimal(p).value
     rows, summary = [], []
     for i, eps in enumerate(args.epsilon):
-        passes = 0
-        m_used = 0
-        for trial in range(args.trials):
-            seed = int(_subseed(args.seed, i, trial).generate_state(1)[0])
-            res = learn.learning_trial(p, eps, args.delta, seed, T=args.tail_bound)
-            gap = value_opt - res.value_hat
-            ok = int(gap <= eps)
-            passes += ok
-            m_used = res.m
+        seeds = [int(_subseed(args.seed, i, t).generate_state(1)[0]) for t in range(args.trials)]
+        m, value_hat = learn.learning_trials(p, eps, args.delta, seeds, T=args.tail_bound)
+        gap = value_opt - value_hat
+        ok = gap <= eps
+        for trial, (m_t, v_t, gap_t, ok_t) in enumerate(zip(m.tolist(), value_hat.tolist(),
+                                                             gap.tolist(), ok.tolist())):
             rows.append(
                 {
                     "trial": trial,
-                    "m": res.m,
-                    "value_hat": f"{res.value_hat:.10g}",
+                    "m": m_t,
+                    "value_hat": f"{v_t:.10g}",
                     "value_opt": f"{value_opt:.10g}",
-                    "gap": f"{gap:.10g}",
-                    "pass": ok,
+                    "gap": f"{gap_t:.10g}",
+                    "pass": int(ok_t),
                     "epsilon": eps,
                 }
             )
-        summary.append({"epsilon": eps, "m": m_used, "pass_rate": f"{passes / args.trials:.10g}"})
+        summary.append({"epsilon": eps, "m": int(m[-1]),
+                        "pass_rate": f"{int(ok.sum()) / args.trials:.10g}"})
     if args.summary is not None:
         _write(summary, args.summary)
     return rows

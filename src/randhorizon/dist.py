@@ -13,6 +13,7 @@ and the eventual overall best.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,14 @@ def _ceil_snapped(power):
 
 
 def _check_size(size: int, what: str, low: int = 1) -> None:
-    """Reject a count or length a caller sets that is below its floor low or above MAX_ELEMS."""
+    """Reject a size a caller sets that is no integer, below its floor low or above MAX_ELEMS.
+
+    An integer is what ``operator.index`` takes, except a bool: 2.0 and True are refused.
+    """
+    try:
+        size = operator.index(None if isinstance(size, bool) else size)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {size!r}") from None
     if size < low:
         raise ValidationError(f"{what} must be >= {low}, got {size}")
     if size > MAX_ELEMS:
@@ -97,11 +105,15 @@ class HorizonDistribution:
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
-        cdf = np.cumsum(self.probs)
-        idx = np.searchsorted(cdf, rng.random(m), side="right")
-        # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
-        last_positive = int(np.flatnonzero(self.probs)[-1])
-        return np.minimum(idx, last_positive) + 1
+        return _horizons(self, rng.random(m))
+
+
+def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
+    """The horizon of each uniform in [0, 1) by inverse CDF, ascending for ascending uniforms."""
+    idx = np.searchsorted(np.cumsum(p.probs), u, side="right")
+    # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
+    last_positive = int(np.flatnonzero(p.probs)[-1])
+    return np.minimum(idx, last_positive) + 1
 
 
 def make_distribution(weights) -> HorizonDistribution:

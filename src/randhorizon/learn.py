@@ -10,13 +10,12 @@ Coarsening costs at most rho - 1 in success probability, uniformly over
 strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
 
 The endpoints come from one cumulative product of rho (the multiplications
-of repeated ``power *= rho``, in order), snapped to integers, and one rule
-sums weights onto the right endpoint of their block, for a distribution
-(:func:`block_distribution`) and for samples (:func:`learn_strategy`) alike.
-:func:`learning_trial` pre-estimates the tail bound T from a fresh batch
-unless T is given, draws :func:`sample_size_bound` samples, learns, and
-scores the learned strategy under the truth; the optimum it is judged
-against is solved by the caller, once per truth.
+of repeated ``power *= rho``, in order), snapped to integers.  One core
+learns from blocked sample counts with one column per trial: lambda is one
+reversed cumulative sum down the columns, and the backward induction one
+numpy step per index across them, with the float operations of
+``solver.backward_induction``.  :func:`learn_strategy` is one column;
+:func:`learning_trials` runs every trial of one epsilon through the core.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import (HorizonDistribution, _ceil_size, _ceil_snapped, _check_size, _frozen, delta,
-                   lambda_sequence)
+from . import sim
+from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_size, _frozen,
+                   _horizons, delta, lambda_sequence)
 from .errors import ValidationError
-from .solver import backward_induction, solve_optimal
-from .strategy import Strategy, success_probability
+from .solver import solve_optimal
+from .strategy import Strategy, lambda_form_value
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,50 @@ def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistributio
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
-    """m iid horizon draws via inverse-CDF; deterministic given the seed."""
+    """m iid horizon draws via inverse-CDF, in ascending order; deterministic given the seed.
+
+    Consumes exactly ``default_rng(seed).random(m)`` and sorts those uniforms,
+    so the horizons are those ``p.sample`` draws from the same seed, sorted.
+    """
     _check_size(m, "sample count")
-    return SampleBatch(samples=p.sample(m, np.random.default_rng(seed)))
+    u = np.random.default_rng(seed).random(m)
+    u.sort()
+    return SampleBatch(samples=_horizons(p, u))
+
+
+def _backward_induction_columns(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solver.backward_induction`` of every column of gains (width, rows), bit for bit.
+
+    One numpy step per index across all columns, with the scalar loop's float operations.
+    """
+    idx = np.arange(1, gains.shape[0] + 1)
+    scaled, keep = gains / idx[:, None], 1.0 - 1.0 / idx  # g_i/i and 1 - 1/i of every step
+    c = np.zeros((idx.size + 1, gains.shape[1]))
+    rejects = np.empty(gains.shape[1], dtype=bool)
+    for i in range(idx.size, 0, -1):
+        cont, nxt = c[i], c[i - 1]
+        # (1 - 1/i) C_{i+1} + g_i/i: IEEE products and sums commute exactly
+        np.multiply(cont, keep[i - 1], out=nxt)
+        nxt += scaled[i - 1]
+        np.less(gains[i - 1], cont, out=rejects)
+        np.copyto(nxt, cont, where=rejects)
+    return (gains >= c[1:]).astype(float), c
+
+
+def _learn_columns(blocked: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """Gains G_i = i * lambda_i(p_hat) and the learned 0/1 strategies, one column per trial.
+
+    Column r of blocked (width, rows) holds trial r's m[r] samples counted onto
+    the right endpoint of their block; p_hat is that column over m[r].
+    """
+    p_hat = blocked / m
+    sums = p_hat.sum(axis=0)
+    if np.any(abs(sums - 1.0) > SUM_TOL):
+        raise ValidationError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
+                              f"got sums from {sums.min()!r} to {sums.max()!r}")
+    idx = np.arange(1, p_hat.shape[0] + 1)[:, None]
+    gains = idx * np.cumsum((p_hat / idx)[::-1], axis=0)[::-1]
+    return gains, _backward_induction_columns(gains)[0]
 
 
 def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
@@ -98,11 +139,10 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
     ends = _endpoints_until(1.0 + epsilon / 4.0, int(batch.samples.max()))
-    p_hat = HorizonDistribution(probs=_blocked(ends, batch.samples) / batch.samples.size)
-    gains = np.arange(1, p_hat.n + 1) * lambda_sequence(p_hat)
-    gains.setflags(write=False)
-    q, _ = backward_induction(gains)
-    return LearnOutput(q_hat=Strategy(q=q), G=gains)
+    gains, q = _learn_columns(_blocked(ends, batch.samples)[:, None], batch.samples.size)
+    g = gains[:, 0]
+    g.setflags(write=False)
+    return LearnOutput(q_hat=Strategy(q=q[:, 0]), G=g)
 
 
 def _check_budget(epsilon: float, delta: float) -> None:
@@ -158,43 +198,60 @@ def _two_point(n: int, s: float) -> HorizonDistribution:
     return HorizonDistribution(probs=probs)
 
 
-class LearnTrial(NamedTuple):
-    m: int  # samples in the main phase
-    value_hat: float  # A(p, q_hat) under the truth
-
-
-def learning_trial(
+def learning_trials(
     p: HorizonDistribution,
     epsilon: float,
     delta_conf: float,
-    seed,
+    seeds,
     T: int | None = None,
-) -> LearnTrial:
-    """One full learner evaluation: sample from the truth, learn, score under the truth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """m and value_hat = A(p, q_hat) of one learner trial per seed, at one epsilon.
 
-    When T is given, the tail bound is taken as known and the whole
-    confidence budget goes to the main phase.  Otherwise T is pre-estimated
-    from a fresh batch and the budget is split evenly between the phases.
-    Sub-seeds for the phases derive from (seed, phase index).  The optimum
-    to compare against is the caller's to compute, once per truth.
+    Trial r pre-estimates the tail bound T from SeedSequence([seeds[r], 0])
+    unless T is given (which leaves the main phase the whole confidence budget
+    instead of half), then draws its main samples from SeedSequence([seeds[r],
+    1]) and counts them per block with one search.  A column narrower than its
+    chunk has zero gains past its width, so it accepts there and C stays 0, as
+    padding its strategy with ones gives.  The optimum is the caller's to solve.
     """
+    _check_budget(epsilon, delta_conf)
+    entropy = [_entropy(seed) for seed in seeds]
+    main_delta = delta_conf
     if T is None:
         # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
         # at least 1 - delta/2 the tail beyond T is at most eps/12
-        _check_budget(epsilon, delta_conf)
         m_pre = _ceil_size(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf)),
                            f"tail pre-estimate size at epsilon={epsilon!r}, delta={delta_conf!r}")
-        T = int(draw_samples(p, m_pre, np.random.SeedSequence([_entropy(seed), 0])).samples.max())
         main_delta = delta_conf / 2.0
-    else:
-        main_delta = delta_conf
-    m = sample_size_bound(epsilon, main_delta, T)
-    batch = draw_samples(p, m, np.random.SeedSequence([_entropy(seed), 1]))
-    out = learn_strategy(batch, epsilon)
-    return LearnTrial(m=m, value_hat=success_probability(p, out.q_hat))
+    lam = lambda_sequence(p)
+    m = np.empty(len(entropy), dtype=np.int64)
+    n_max = np.empty(len(entropy), dtype=np.int64)
+    value_hat = np.empty(len(entropy))
+    ends = None
+    for r, e in enumerate(entropy):
+        tail = T if T is not None else int(
+            draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
+        h = draw_samples(p, sample_size_bound(epsilon, main_delta, tail),
+                         np.random.SeedSequence([e, 1])).samples
+        m[r], n_max[r] = h.size, h[-1]
+        if ends is None:  # after the first draws, so that an oversized sample count is reported first
+            ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
+            chunk = min(max(1, sim._CHUNK_ELEMS // int(ends[-1])), len(entropy))
+            blocked = np.zeros((int(ends[-1]), chunk))
+        # every block count of the column, so none is left from its trial of the last chunk
+        col = r % chunk
+        blocked[ends - 1, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
+        if col == chunk - 1 or r == len(entropy) - 1:
+            lo = r - col
+            width = int(ends[np.searchsorted(ends, n_max[lo : r + 1].max())])
+            _, q = _learn_columns(blocked[:width, : col + 1], m[lo : r + 1])
+            value_hat[lo : r + 1] = [
+                lambda_form_value(lam, Strategy(q=q[:, j]).extended(p.n)) for j in range(col + 1)
+            ]
+    return m, value_hat
 
 
 def _entropy(seed) -> int:
     if isinstance(seed, (int, np.integer)):
         return int(seed)
-    raise ValidationError("learning_trial needs an integer seed")
+    raise ValidationError("learning_trials needs integer seeds")

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from randhorizon import HorizonDistribution, ValidationError, make_strategy, success_probability
+from randhorizon import (HorizonDistribution, ValidationError, backward_induction, lambda_sequence,
+                         make_strategy, sample_size_bound, success_probability)
+from randhorizon.learn import _blocked, _endpoints_until
 
 
 def permutation_tables(n: int):
@@ -179,3 +181,27 @@ def endpoints_loop(rho: float, stop: int) -> list[int]:
                 power = max(power, rho ** math.floor(math.log(out[-1]) / math.log(rho)))
                 stalled = 0
     return out
+
+
+def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: float, seed: int,
+                        T=None) -> tuple[int, float]:
+    """One learner trial the way it ran before trials were batched: (m, A(p, q_hat)).
+
+    Horizons come from ``p.sample`` in draw order, the tail pre-estimate
+    (unless T is given) from stream 0 and the main phase from stream 1 of the
+    seed; counts sum onto block endpoints with ``_blocked``, and one scalar
+    ``backward_induction`` maximizes the surrogate.
+    """
+    def sample(m: int, stream: int) -> np.ndarray:
+        return p.sample(m, np.random.default_rng(np.random.SeedSequence([seed, stream])))
+
+    main_delta = delta_conf
+    if T is None:
+        T = int(sample(math.ceil(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf))), 0).max())
+        main_delta = delta_conf / 2.0
+    m = sample_size_bound(epsilon, main_delta, T)
+    h = sample(m, 1)
+    ends = _endpoints_until(1.0 + epsilon / 4.0, int(h.max()))
+    p_hat = HorizonDistribution(probs=_blocked(ends, h) / m)
+    q, _ = backward_induction(np.arange(1, p_hat.n + 1) * lambda_sequence(p_hat))
+    return m, success_probability(p, make_strategy(q))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randhorizon import cli, formats, learn, solver
+from randhorizon import cli, formats, learn, sim, solver
 from randhorizon import (
     ValidationError,
     backward_induction,
@@ -25,6 +25,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 from randhorizon.errors import InputFileError
+from oracles import learning_trial_loop
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,66 @@ def test_cli_learn_and_summary_deterministic(tmp_path):
     header = outs[0][0].decode().split("\n")[0]
     assert header == "trial,m,value_hat,value_opt,gap,pass,epsilon"
     assert outs[0][1].decode().split("\n")[0] == "epsilon,m,pass_rate"
+
+
+def test_cli_learn_repeats_its_bytes_after_another_truth(tmp_path, capsys):
+    # three epsilons, 40 trials of ragged sample counts, and a second truth of the same
+    # size in between: nothing one call leaves behind may reach the next
+    rng = np.random.default_rng(31)
+    paths = [_write_dist(tmp_path, f"p{k}.json", {"probs": rng.standard_exponential(1000).tolist()})
+             for k in range(2)]
+    summary = tmp_path / "summary.csv"
+    outputs = []
+    for path in (paths[0], paths[1], paths[0]):
+        argv = ["learn", "--dist", path, "--epsilon", "0.05", "0.1", "0.2", "--trials", "40",
+                "--seed", "3", "--summary", str(summary)]
+        assert cli.main(argv) == 0
+        outputs.append((capsys.readouterr().out, summary.read_bytes()))
+    assert outputs[2] == outputs[0]
+    # the run in between is the second truth's own: its values are those of the per-trial loop
+    p = formats.distribution_from_json(formats.load_json(paths[1]))
+    rows = [row.split(",") for row in outputs[1][0].split("\n")[1:-1]]
+    for k, (trial, m, value_hat, *_rest, eps) in enumerate(rows):
+        seed = int(cli._subseed(3, k // 40, int(trial)).generate_state(1)[0])
+        want_m, want_value = learning_trial_loop(p, float(eps), 0.1, seed)
+        assert (int(m), value_hat) == (want_m, f"{want_value:.10g}")
+    assert len({m for _trial, m, *_rest in rows}) > 1  # ragged sample counts
+
+
+def _simulate_row(tmp_path, capsys, dist_path, threshold, trials, seed=0):
+    argv = ["simulate", "--dist", dist_path, "--threshold", str(threshold),
+            "--trials", str(trials), "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_cli_simulate_passes_a_correct_run_without_successes(tmp_path, capsys):
+    # exact value 0.01: a correct run of 100 trials sees no success with probability 0.37
+    dist_path = _write_dist(tmp_path, "delta100.json", {"kind": "delta", "n": 100})
+    row = _simulate_row(tmp_path, capsys, dist_path, 100, 100, seed=2)
+    assert (row["successes"], row["stderr"], row["pass"]) == ("0", "0", "1")
+
+
+def test_cli_simulate_fails_a_biased_sampler(tmp_path, capsys, monkeypatch):
+    dist_path = _write_dist(tmp_path, "delta100.json", {"kind": "delta", "n": 100})
+    for bias, want in ((1.0, "1"), (1.1, "0")):
+        def sampler(p, q, trials, seed, bias=bias):
+            return sim._binomial_result(round(bias * success_probability(p, q) * trials), trials)
+
+        monkeypatch.setattr(sim, "simulate", sampler)
+        assert _simulate_row(tmp_path, capsys, dist_path, 38, 10**6)["pass"] == want, bias
+
+
+def test_cli_adversary_fails_a_rate_over_the_bound(capsys, monkeypatch):
+    # bound 1/4 at n = 16; 4 standard errors of 10^4 trials under it are 0.0173
+    for rate, want in ((0.267, "1"), (0.268, "0")):
+        monkeypatch.setattr(sim, "adversary_game",
+                            lambda n, policy, trials, seed, rate=rate: sim._binomial_result(
+                                round(rate * trials), trials))
+        assert cli.main(["adversary", "--n", "16", "--trials", "10000"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["pass"] == want, rate
 
 
 def test_cli_learn_solves_the_truth_once(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Byte identity of the CLI's outputs against recorded hashes.
 
 Runs the README's CLI examples at small sizes, plus ``meta`` as CSV and on a
-table profile, ``learn --tail-bound``, ``learn`` at eps 0.02 and the exit-3/4/5
-paths, in-process.  Each case's exit code and the sha256 of its stdout and of
+table profile, ``learn --tail-bound``, ``learn`` at eps 0.02, ``learn`` on a
+distribution with zero entries whose trials differ in their largest sample,
+and the exit-3/4/5 paths, in-process.  Each case's exit code and the sha256 of its stdout and of
 every file it writes (``--out``, ``--summary``) must equal
 ``tests/golden.json``.  A change meant to move an output records new hashes
 with
@@ -44,6 +45,10 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
     pstar3 = put("pstar3.json", {"kind": "pstar", "n": 3})
     delta3 = put("delta3.json", {"kind": "delta", "n": 3})
     any2 = put("any2.json", {"probs": [0.3, 0.7]})
+    # every third entry and the last 20 are zero; the largest sample varies between trials
+    w = 0.8 ** np.arange(40)
+    w[2::3] = 0.0
+    ragged = put("ragged.json", {"probs": (np.concatenate([w, np.zeros(20)]) / w.sum()).tolist()})
     q = put("q.json", {"q": [0.0, 0.5, 1.0, 0.25]})
     table = put("table.json", {"2": 1.0, "3": 1.5, "4": 2.5, "5": 2.6})
     out, summary = Path("out"), Path("summary.csv")
@@ -64,6 +69,8 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
          [summary]),
         ("learn_tail_bound", [*learn, "--epsilon", "0.3", "--trials", "3", "--tail-bound", "40",
                               "--out", str(out), "--summary", str(summary)], [out, summary]),
+        ("learn_ragged", [*learn[:2], ragged, *learn[3:], "--epsilon", "0.05", "0.3",
+                          "--trials", "50", "--summary", str(summary)], [summary]),
         # eps 0.02: rho = 1.005 < 2^(1/64), so each small endpoint spans over 64 powers of rho
         ("learn_fine_blocks", [*learn, "--epsilon", "0.02", "0.05", "--trials", "2",
                                "--summary", str(summary)], [summary]),

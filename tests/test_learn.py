@@ -13,7 +13,7 @@ from randhorizon import (
     hard_instance_lb,
     lambda_sequence,
     learn_strategy,
-    learning_trial,
+    learning_trials,
     make_distribution,
     make_strategy,
     sample_dirichlet_uniform,
@@ -23,8 +23,10 @@ from randhorizon import (
     uniform,
     worst_case_pstar,
 )
-from randhorizon.learn import _endpoints_until
-from oracles import endpoints_loop
+from randhorizon import sim
+from randhorizon.learn import _backward_induction_columns, _endpoints_until
+from randhorizon.solver import backward_induction
+from oracles import endpoints_loop, learning_trial_loop
 
 
 def test_block_indices_examples():
@@ -157,6 +159,11 @@ def test_surrogate_objective_accuracy():
 
 def test_draw_samples():
     assert np.all(draw_samples(delta(5), 10, 0).samples == 5)
+    # the horizons p.sample draws from the same uniforms, in ascending order
+    p = make_distribution([0.2, 0.0, 0.5, 0.3, 0.0])
+    h = draw_samples(p, 1000, 4).samples
+    assert np.array_equal(h, np.sort(p.sample(1000, np.random.default_rng(4))))
+    assert h.max() == 4
     batch = draw_samples(make_distribution([0.5, 0.5]), 100_000, 3)
     freq = np.mean(batch.samples == 1)
     assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / 100_000)
@@ -292,12 +299,62 @@ def test_hard_instances_separate_strategies():
     assert success_probability(p_plus, make_strategy(r_minus.q)) < r_plus.value - eps / 3
 
 
-def test_learning_trial_two_phase():
+def test_learning_trials_two_phase():
     p = worst_case_pstar(30)
-    res1 = learning_trial(p, 0.25, 0.2, seed=4)
-    res2 = learning_trial(p, 0.25, 0.2, seed=4)
-    assert res1 == res2  # deterministic given seed
+    m1, v1 = learning_trials(p, 0.25, 0.2, [4, 5])
+    m2, v2 = learning_trials(p, 0.25, 0.2, [4, 5])
+    assert np.array_equal(m1, m2) and np.array_equal(v1, v2)  # deterministic given seeds
     opt = solve_optimal(p).value
-    assert opt - res1.value_hat <= 0.25
-    res_known = learning_trial(p, 0.25, 0.2, seed=4, T=30)
-    assert opt - res_known.value_hat <= 0.25
+    assert np.all(opt - v1 <= 0.25)
+    m_known, v_known = learning_trials(p, 0.25, 0.2, [4], T=30)
+    assert opt - v_known[0] <= 0.25
+    # with T given the whole budget goes to the main phase
+    assert m_known[0] == sample_size_bound(0.25, 0.2, 30)
+    with pytest.raises(ValidationError, match="integer seeds"):
+        learning_trials(p, 0.25, 0.2, [4.0])
+
+
+def _zero_entries(n: int, seed: int):
+    """Decaying weights with about 30% of the entries and the last tenth zero.
+
+    The decay puts so little mass near the last positive entry that the
+    largest sample differs between trials.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_exponential(n) * np.exp(-np.arange(n) / (n / 12))
+    w[rng.random(n) < 0.3] = 0.0
+    w[-(n // 10):] = 0.0
+    return make_distribution(w)
+
+
+def test_learning_trials_match_the_per_trial_loop(monkeypatch):
+    # 5 truths x 4 epsilons x (T given, T pre-estimated) x 25 trials = 1000 trials,
+    # in chunks of 1 or 7 columns, so that chunk boundaries fall inside a batch
+    truths = [delta(1), make_distribution([0.3, 0.7]), sample_dirichlet_uniform(10, 5),
+              _zero_entries(1000, 6), delta(40)]
+    rng = np.random.default_rng(29)
+    case = 0
+    for p in truths:
+        for eps in (0.02, 0.05, 0.2, 0.9):
+            for T in (None, p.n):
+                width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
+                monkeypatch.setattr(sim, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
+                case += 1
+                seeds = rng.integers(2**32, size=25).tolist()
+                m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
+                want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
+                assert m.tolist() == [w[0] for w in want], (p.n, eps, T)
+                assert value_hat.tolist() == [w[1] for w in want], (p.n, eps, T)
+
+
+def test_batched_backward_induction_matches_the_scalar_solve():
+    rng = np.random.default_rng(30)
+    for width, rows in ((1, 1), (2, 5), (50, 9), (400, 3)):
+        gains = rng.random((width, rows)) * rng.random(rows)
+        gains[rng.random((width, rows)) < 0.2] = 0.0  # zero gains, as past a narrow column
+        if width >= 3:  # a tie g_i = C_{i+1}, which accepts, at i = width - 1 of every column
+            gains[-2] = [backward_induction(gains[:, r])[1][-2] for r in range(rows)]
+        q, c = _backward_induction_columns(gains)
+        for r in range(rows):
+            q1, c1 = backward_induction(gains[:, r])
+            assert np.array_equal(q[:, r], q1) and np.array_equal(c[:, r], c1), (width, r)

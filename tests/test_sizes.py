@@ -39,6 +39,9 @@ SIZES = {
 # meta_mixture's floor is its relation check 1 <= n_lo <= n_hi
 FLOOR_ERRORS = {"meta_mixture n_hi": "need 1 <= n_lo <= n_hi, got (1, 0)"}
 
+# NaN fails meta_mixture's relation check before its size check
+NAN_ERRORS = {"meta_mixture n_hi": "need 1 <= n_lo <= n_hi, got (1, nan)"}
+
 # small enough that a site which allocated before checking would still stay cheap
 SMALL_CAP = 1000
 
@@ -72,3 +75,13 @@ def test_check_size_at_and_past_its_bounds():
         with pytest.raises(ValidationError) as exc:
             dist._check_size(size, "x", low)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, float("nan"), True], ids=["2.5", "3.0", "nan", "True"])
+@pytest.mark.parametrize("name", SIZES)
+def test_every_size_refuses_what_is_not_an_integer(name, size):
+    call, _floor, what = SIZES[name]
+    with pytest.raises(ValidationError) as exc:
+        call(size)
+    want = f"{what} must be an integer, got {size!r}"
+    assert str(exc.value) == (NAN_ERRORS.get(name, want) if size != size else want)
