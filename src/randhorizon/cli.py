@@ -37,9 +37,7 @@ class _OutputError(Exception):
 
 
 def _subseed(seed: int, *path: int) -> np.random.SeedSequence:
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return np.random.SeedSequence([seed, *path])
+    return np.random.SeedSequence([dist._check_int(seed, "seed", 0), *path])
 
 
 def _write(doc: dict | list[dict], out: str | None) -> None:

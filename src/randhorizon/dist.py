@@ -42,19 +42,26 @@ def _ceil_snapped(power):
     return np.where(abs(power - nearest) <= 1e-9 * nearest, nearest, np.ceil(power)).astype(np.int64)
 
 
-def _check_size(size: int, what: str, low: int = 1) -> None:
-    """Reject a size a caller sets that is no integer, below its floor low or above MAX_ELEMS.
+def _check_int(value: int, what: str, low: int) -> int:
+    """A caller-set integer as an int, refused when it is no integer or below its floor low.
 
     An integer is what ``operator.index`` takes, except a bool: 2.0 and True are refused.
     """
     try:
-        size = operator.index(None if isinstance(size, bool) else size)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {size!r}") from None
-    if size < low:
-        raise ValidationError(f"{what} must be >= {low}, got {size}")
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValidationError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def _check_size(size: int, what: str, low: int = 1) -> int:
+    """A caller-set count or length as an int: :func:`_check_int`, and at most MAX_ELEMS."""
+    size = _check_int(size, what, low)
     if size > MAX_ELEMS:
         raise ValidationError(f"{what} {size} exceeds the cap of {MAX_ELEMS} elements")
+    return size
 
 
 def _ceil_size(size: float, what: str) -> int:
@@ -105,6 +112,7 @@ class HorizonDistribution:
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
+        _check_size(m, "sample count")
         return _horizons(self, rng.random(m))
 
 

@@ -27,11 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sim
-from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_size, _frozen,
-                   _horizons, delta, lambda_sequence)
+from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_int, _check_size,
+                   _frozen, _horizons, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
-from .strategy import Strategy, lambda_form_value
+from .strategy import Strategy, prefix_products
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ class SampleBatch:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = _frozen(self.samples, np.int64)
-        if s.ndim != 1 or s.size == 0:
-            raise ValidationError("samples must be a non-empty 1-D vector")
+        s = np.asarray(self.samples)  # a float or bool vector is refused, not truncated
+        if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
+            raise ValidationError(
+                f"samples must be a non-empty 1-D integer vector, got {s.shape} {s.dtype}")
+        s = _frozen(s, np.int64)
         if np.any(s < 1):
             raise ValidationError("samples must be positive integers")
         object.__setattr__(self, "samples", s)
@@ -138,7 +140,8 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
-    ends = _endpoints_until(1.0 + epsilon / 4.0, int(batch.samples.max()))
+    n_max = _check_size(int(batch.samples.max()), "largest sample")  # the strategy's length
+    ends = _endpoints_until(1.0 + epsilon / 4.0, n_max)
     gains, q = _learn_columns(_blocked(ends, batch.samples)[:, None], batch.samples.size)
     g = gains[:, 0]
     g.setflags(write=False)
@@ -161,8 +164,7 @@ def sample_size_bound(epsilon: float, delta: float, T: int) -> int:
     epsilon or delta overflows only the final size, never an intermediate.
     """
     _check_budget(epsilon, delta)
-    if T < 1:
-        raise ValidationError(f"tail bound T must be >= 1, got {T}")
+    _check_int(T, "tail bound T", 1)
     log_eps, log_delta = math.log(epsilon), math.log(delta)
     if T == 1:
         m = 18.0 / epsilon * (math.log(2.0) - log_delta)
@@ -215,43 +217,36 @@ def learning_trials(
     padding its strategy with ones gives.  The optimum is the caller's to solve.
     """
     _check_budget(epsilon, delta_conf)
-    entropy = [_entropy(seed) for seed in seeds]
-    main_delta = delta_conf
+    entropy = [_check_int(seed, "seed", 0) for seed in seeds]
     if T is None:
         # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
         # at least 1 - delta/2 the tail beyond T is at most eps/12
         m_pre = _ceil_size(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf)),
                            f"tail pre-estimate size at epsilon={epsilon!r}, delta={delta_conf!r}")
-        main_delta = delta_conf / 2.0
+    else:
+        m_main = sample_size_bound(epsilon, delta_conf, T)
+    # before the endpoints, so that an oversized sample count is the error reported
+    _check_size(m_pre if T is None else m_main, "sample count")
+    ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
+    chunk = max(1, sim._CHUNK_ELEMS // int(ends[-1]))
     lam = lambda_sequence(p)
     m = np.empty(len(entropy), dtype=np.int64)
-    n_max = np.empty(len(entropy), dtype=np.int64)
     value_hat = np.empty(len(entropy))
-    ends = None
-    for r, e in enumerate(entropy):
-        tail = T if T is not None else int(
-            draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
-        h = draw_samples(p, sample_size_bound(epsilon, main_delta, tail),
-                         np.random.SeedSequence([e, 1])).samples
-        m[r], n_max[r] = h.size, h[-1]
-        if ends is None:  # after the first draws, so that an oversized sample count is reported first
-            ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
-            chunk = min(max(1, sim._CHUNK_ELEMS // int(ends[-1])), len(entropy))
-            blocked = np.zeros((int(ends[-1]), chunk))
-        # every block count of the column, so none is left from its trial of the last chunk
-        col = r % chunk
-        blocked[ends - 1, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
-        if col == chunk - 1 or r == len(entropy) - 1:
-            lo = r - col
-            width = int(ends[np.searchsorted(ends, n_max[lo : r + 1].max())])
-            _, q = _learn_columns(blocked[:width, : col + 1], m[lo : r + 1])
-            value_hat[lo : r + 1] = [
-                lambda_form_value(lam, Strategy(q=q[:, j]).extended(p.n)) for j in range(col + 1)
-            ]
+    for lo in range(0, len(entropy), chunk):
+        rows = entropy[lo : lo + chunk]
+        blocked = np.zeros((int(ends[-1]), len(rows)))
+        n_max = 1
+        for col, e in enumerate(rows):
+            if T is None:
+                tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
+                m_main = sample_size_bound(epsilon, delta_conf / 2.0, tail)
+            h = draw_samples(p, m_main, np.random.SeedSequence([e, 1])).samples
+            m[lo + col], n_max = h.size, max(n_max, int(h[-1]))
+            blocked[ends - 1, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
+        width = int(ends[np.searchsorted(ends, n_max)])
+        _, q = _learn_columns(blocked[:width], m[lo : lo + len(rows)])
+        qx = np.ones((len(rows), p.n))  # each trial's strategy on [n], ones past its width
+        qx[:, : min(width, p.n)] = q[: p.n].T
+        # one contiguous row per trial, so each sum is lambda_form_value's 1-D sum, bit for bit
+        value_hat[lo : lo + len(rows)] = np.sum(prefix_products(qx)[:, :-1] * qx * lam, axis=1)
     return m, value_hat
-
-
-def _entropy(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise ValidationError("learning_trials needs integer seeds")

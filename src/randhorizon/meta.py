@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped, _check_size, _frozen
+from .dist import HorizonDistribution, _ceil_snapped, _check_int, _check_size, _frozen
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -113,9 +113,10 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     c0/Z >= c0 / (1 + log(f(n_hi)/f(n_lo))).  The one call of f over the range
     also gives the expected-floor curve, by one cumulative sum, and that bound.
     """
-    if not (1 <= n_lo <= n_hi):
-        raise ValidationError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    _check_size(n_lo, "n_lo")
     _check_size(n_hi, "n_hi")
+    if n_lo > n_hi:
+        raise ValidationError(f"need n_lo <= n_hi, got ({n_lo}, {n_hi})")
     fv = profile.f(np.arange(n_lo, n_hi + 1))
     if np.any(fv <= 0):
         raise ValidationError("f must be positive on [n_lo, n_hi]")
@@ -164,9 +165,9 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
         xi = sum_i 1 - (G(theta_i)^{k_i} - G(theta_{i-1})^{k_i})
            <= (n-1) * (1 + z^(-z/(2(z-1))) - z^(-1/(z-1))).
     """
+    _check_size(n, "n", low=2)
+    _check_int(K, "K", 1)  # not capped: z >= 2 needs K >= 2^(n-1)
     th = _frozen(thetas)
-    if n < 2:
-        raise ValidationError(f"need at least two grid intervals, got n={n}")
     if th.ndim != 1 or th.size != n + 1:
         raise ValidationError(f"thetas must hold n+1 = {n + 1} grid points")
     if np.any(np.diff(th) < 0):
@@ -203,14 +204,13 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
     """
     _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
-    k = grid.k
-    blocks = np.diff(np.concatenate([[0], k]))
+    blocks = np.diff(grid.k, prepend=0)
     if np.any(blocks <= 0):
         raise ValidationError("prefix counts must be strictly increasing")
-    atoms = np.empty((trials, k.size), dtype=np.int64)
-    for i, b in enumerate(blocks):
-        # atom indices (1-based into points) of the maximum of b iid draws
-        atoms[:, i] = np.searchsorted(grid.values ** int(b), rng.random(trials), side="right")
-    prefix = np.maximum.accumulate(atoms, axis=1)
-    hits = np.all(prefix == np.arange(1, k.size + 1), axis=1)
+    prefix = np.zeros(trials, dtype=np.int64)
+    hits = np.ones(trials, dtype=bool)
+    for i, b in enumerate(blocks.tolist(), start=1):
+        # atom index (1-based into points) of the maximum of b iid draws
+        prefix = np.maximum(prefix, np.searchsorted(grid.values ** b, rng.random(trials), "right"))
+        hits &= prefix == i
     return _binomial_result(int(hits.sum()), trials)

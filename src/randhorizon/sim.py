@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _check_size
+from .dist import HorizonDistribution, _check_int, _check_size
 from .errors import HarnessError, ValidationError
 from .strategy import Strategy, point_mass_values, single_threshold
 
@@ -244,8 +244,7 @@ def scalar_policy(fn: Callable[[int, tuple, np.random.Generator], bool]) -> Poli
 
 def threshold_policy(l: int) -> Policy:
     """Accept the first best-so-far arrival at time >= l."""
-    if l < 1:
-        raise ValidationError(f"threshold must be >= 1, got {l}")
+    _check_int(l, "threshold", 1)
 
     def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return (ranks[-1] == 1) & (t >= l)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import HorizonDistribution, _check_size, _frozen, _probability_vector, lambda_sequence
+from .dist import (HorizonDistribution, _check_int, _check_size, _frozen, _probability_vector,
+                   lambda_sequence)
 from .errors import ValidationError
 
 
@@ -71,8 +72,7 @@ def single_threshold(l: int, m: int) -> Strategy:
     Stored with length m; thresholds beyond the length give the all-zero
     vector.
     """
-    if l < 1:
-        raise ValidationError(f"threshold must be >= 1, got {l}")
+    _check_int(l, "threshold", 1)
     _check_size(m, "length", low=0)
     q = np.zeros(m)
     if l <= m:
@@ -81,8 +81,9 @@ def single_threshold(l: int, m: int) -> Strategy:
 
 
 def prefix_products(q: np.ndarray) -> np.ndarray:
-    """U_0..U_m where U_i = prod_{l<=i} (1 - q_l/l): the no-pick-yet probabilities."""
-    return np.concatenate([[1.0], np.cumprod(1.0 - q / np.arange(1, q.size + 1))])
+    """U_0..U_m along q's last axis, U_i = prod_{l<=i} (1 - q_l/l): no-pick-yet probabilities."""
+    u = np.cumprod(1.0 - q / np.arange(1, q.shape[-1] + 1), axis=-1)
+    return np.concatenate([np.ones(q.shape[:-1] + (1,)), u], axis=-1)
 
 
 def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
@@ -115,8 +116,7 @@ def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
     Uses the closed form A(p, q^(l)) = lambda_l + (l-1) * sum_{i>l} lambda_i/(i-1),
     which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.
     """
-    if l_max < 1:
-        raise ValidationError(f"l_max must be >= 1, got {l_max}")
+    _check_size(l_max, "l_max")
     span = max(l_max, p.n)
     lam = np.zeros(span + 1)
     lam[: p.n] = lambda_sequence(p)

@@ -205,3 +205,22 @@ def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: floa
     p_hat = HorizonDistribution(probs=_blocked(ends, h) / m)
     q, _ = backward_induction(np.arange(1, p_hat.n + 1) * lambda_sequence(p_hat))
     return m, success_probability(p, make_strategy(q))
+
+
+def union_event_rate_matrix(grid, trials: int, seed) -> tuple[int, float, float]:
+    """``meta.union_event_rate`` the way it ran before it kept O(trials) state.
+
+    Fills a (trials, n) matrix of block-maximum atoms, one column per block from
+    the same ``rng.random(trials)`` draws in the same order, and takes the
+    running maximum along each row at once.
+    """
+    rng = np.random.default_rng(seed)
+    k = grid.k
+    blocks = np.diff(np.concatenate([[0], k]))
+    atoms = np.empty((trials, k.size), dtype=np.int64)
+    for i, b in enumerate(blocks):
+        atoms[:, i] = np.searchsorted(grid.values ** int(b), rng.random(trials), side="right")
+    prefix = np.maximum.accumulate(atoms, axis=1)
+    successes = int(np.all(prefix == np.arange(1, k.size + 1), axis=1).sum())
+    rate = successes / trials
+    return successes, rate, math.sqrt(rate * (1.0 - rate) / trials)

@@ -73,3 +73,31 @@ def test_every_public_definition_is_exported_or_read():
         for definition in _public_definitions(tree) - exported - read
     }
     assert unread == ALLOWED_UNREAD
+
+
+def _validation_messages(tree: ast.Module) -> list[str]:
+    """Every string piece, f-string parts included, of the arguments of a ValidationError(...)."""
+    return [
+        piece.value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "ValidationError"
+        for arg in call.args
+        for piece in ast.walk(arg)
+        if isinstance(piece, ast.Constant) and isinstance(piece.value, str)
+    ]
+
+
+def test_only_dist_words_the_integer_rule():
+    # the floor and integer messages come from dist._check_int, so no module checks its own
+    found = {
+        (path.name, message)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dist.py"
+        for message in _validation_messages(ast.parse(path.read_text(encoding="utf-8")))
+        if "must be >= " in message or "must be an integer" in message
+    }
+    assert found == set()
+    dist_messages = _validation_messages(ast.parse((SRC / "dist.py").read_text(encoding="utf-8")))
+    assert any("must be >= " in m for m in dist_messages)
+    assert any("must be an integer" in m for m in dist_messages)

@@ -310,7 +310,7 @@ def test_learning_trials_two_phase():
     assert opt - v_known[0] <= 0.25
     # with T given the whole budget goes to the main phase
     assert m_known[0] == sample_size_bound(0.25, 0.2, 30)
-    with pytest.raises(ValidationError, match="integer seeds"):
+    with pytest.raises(ValidationError, match=r"^seed must be an integer, got 4\.0$"):
         learning_trials(p, 0.25, 0.2, [4.0])
 
 
@@ -358,3 +358,10 @@ def test_batched_backward_induction_matches_the_scalar_solve():
         for r in range(rows):
             q1, c1 = backward_induction(gains[:, r])
             assert np.array_equal(q[:, r], q1) and np.array_equal(c[:, r], c1), (width, r)
+
+
+def test_an_oversized_sample_count_is_reported_before_the_endpoints():
+    # at epsilon 1e-7 the endpoint count of uniform(40) is past the cap too
+    for T in (None, 10):
+        with pytest.raises(ValidationError, match="^sample count [0-9]+ exceeds the cap"):
+            learning_trials(uniform(40), 1e-7, 0.1, [0], T=T)

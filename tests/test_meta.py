@@ -14,7 +14,7 @@ from randhorizon import (
     union_event_rate,
 )
 
-from oracles import meta_expected_performance
+from oracles import meta_expected_performance, union_event_rate_matrix
 
 
 def test_profile_families():
@@ -225,3 +225,16 @@ def test_union_event_rate_matches_direct_simulation():
     r = union_event_rate(grid, trials, 99)
     se = math.sqrt(direct * (1 - direct) / trials) + r.stderr
     assert abs(direct - r.rate) <= 4 * se
+
+
+def test_union_event_rate_equals_the_matrix_form():
+    grids = [
+        prophet_block_distribution(3, 4096, 0.1 ** (1 - np.arange(4) / 3)),
+        prophet_block_distribution(3, 64, np.linspace(0.25, 1.0, 4)),
+        prophet_block_distribution(6, 32, np.linspace(0.1, 1.0, 7)),
+        prophet_block_distribution(2, 4, [0.0, 0.5, 1.0]),
+    ]
+    for grid in grids:
+        for seed in (0, 7, 2024):
+            want = union_event_rate_matrix(grid, 5000, seed)
+            assert tuple(union_event_rate(grid, 5000, seed)) == want, (grid.k.tolist(), seed)

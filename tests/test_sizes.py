@@ -1,8 +1,12 @@
-"""The one size rule: every count or length a caller sets passes ``dist._check_size``."""
+"""The one integer rule: every integer a caller sets passes ``dist._check_int``.
 
+Counts and lengths pass it through ``dist._check_size``, which adds the cap.
+"""
+
+import numpy as np
 import pytest
 
-from randhorizon import ValidationError, dist, learn, meta, sim, solver, strategy
+from randhorizon import ValidationError, cli, dist, learn, meta, sim, solver, strategy
 
 P = dist.delta(3)
 POLICY = sim.threshold_policy(1)
@@ -29,6 +33,11 @@ SIZES = {
         lambda d: sim.average_case_experiment(10, 0.05, d, 0), 1, "draws"),
     "union_event_rate trials": (lambda t: meta.union_event_rate(GRID, t, 0), 1, "trials"),
     "meta_mixture n_hi": (lambda n: meta.meta_mixture(PROFILE, 1, n), 1, "n_hi"),
+    "meta_mixture n_lo": (lambda n: meta.meta_mixture(PROFILE, n, n), 1, "n_lo"),
+    "threshold_success_values l_max": (lambda l: strategy.threshold_success_values(P, l), 1,
+                                       "l_max"),
+    "HorizonDistribution.sample m": (lambda m: P.sample(m, np.random.default_rng(0)), 1,
+                                     "sample count"),
     "draw_samples m": (lambda m: learn.draw_samples(P, m, 0), 1, "sample count"),
     "hard_instance_lb n": (lambda n: learn.hard_instance_lb(n, 0.01), 3, "n"),
     "classical_cutoff k": (solver.classical_cutoff, 1, "scale"),
@@ -36,14 +45,11 @@ SIZES = {
     "single_threshold m": (lambda m: strategy.single_threshold(1, m), 0, "length"),
 }
 
-# meta_mixture's floor is its relation check 1 <= n_lo <= n_hi
-FLOOR_ERRORS = {"meta_mixture n_hi": "need 1 <= n_lo <= n_hi, got (1, 0)"}
-
-# NaN fails meta_mixture's relation check before its size check
-NAN_ERRORS = {"meta_mixture n_hi": "need 1 <= n_lo <= n_hi, got (1, nan)"}
-
 # small enough that a site which allocated before checking would still stay cheap
 SMALL_CAP = 1000
+
+NOT_INTEGERS = pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True],
+                                       ids=["2.5", "3.0", "nan", "True"])
 
 
 @pytest.mark.parametrize("name", SIZES)
@@ -51,7 +57,7 @@ def test_every_size_passes_its_floor_and_the_cap_and_refuses_one_past_either(nam
     call, floor, what = SIZES[name]
     with pytest.raises(ValidationError) as exc:
         call(floor - 1)
-    assert str(exc.value) == FLOOR_ERRORS.get(name, f"{what} must be >= {floor}, got {floor - 1}")
+    assert str(exc.value) == f"{what} must be >= {floor}, got {floor - 1}"
     # every site reads the one cap in dist, so lowering it there lowers it everywhere
     monkeypatch.setattr(dist, "MAX_ELEMS", SMALL_CAP)
     with pytest.raises(ValidationError) as exc:
@@ -77,11 +83,101 @@ def test_check_size_at_and_past_its_bounds():
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("size", [2.5, 3.0, float("nan"), True], ids=["2.5", "3.0", "nan", "True"])
+@NOT_INTEGERS
 @pytest.mark.parametrize("name", SIZES)
-def test_every_size_refuses_what_is_not_an_integer(name, size):
+def test_every_size_refuses_what_is_not_an_integer(name, value):
     call, _floor, what = SIZES[name]
     with pytest.raises(ValidationError) as exc:
-        call(size)
-    want = f"{what} must be an integer, got {size!r}"
-    assert str(exc.value) == (NAN_ERRORS.get(name, want) if size != size else want)
+        call(value)
+    assert str(exc.value) == f"{what} must be an integer, got {value!r}"
+
+# (entry point of one uncapped integer, its floor, the name its errors give it): a huge
+# threshold, tail bound or seed costs no memory
+INTEGERS = {
+    "single_threshold l": (lambda l: strategy.single_threshold(l, 3), 1, "threshold"),
+    "threshold_policy l": (lambda l: sim.simulate_custom(P, sim.threshold_policy(l), 10, 0), 1,
+                           "threshold"),
+    "sample_size_bound T": (lambda t: learn.sample_size_bound(0.5, 0.5, t), 1, "tail bound T"),
+    "learning_trials T": (lambda t: learn.learning_trials(P, 0.5, 0.5, [0], T=t), 1,
+                          "tail bound T"),
+    "learning_trials seed": (lambda s: learn.learning_trials(P, 0.5, 0.5, [0, s]), 0, "seed"),
+    "cli._subseed seed": (lambda s: cli._subseed(s, 0), 0, "seed"),
+    "prophet_block_distribution K": (
+        lambda k: meta.prophet_block_distribution(2, k, [0.0, 0.5, 1.0]), 1, "K"),
+}
+
+
+@pytest.mark.parametrize("name", INTEGERS)
+def test_every_uncapped_integer_refuses_one_below_its_floor(name):
+    call, floor, what = INTEGERS[name]
+    with pytest.raises(ValidationError) as exc:
+        call(floor - 1)
+    assert str(exc.value) == f"{what} must be >= {floor}, got {floor - 1}"
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("name", INTEGERS)
+def test_every_uncapped_integer_refuses_what_is_not_an_integer(name, value):
+    call, _floor, what = INTEGERS[name]
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert str(exc.value) == f"{what} must be an integer, got {value!r}"
+
+
+# K sets the prefix counts k_i <= K, stored as int64, so it has no huge case
+@pytest.mark.parametrize("name", [n for n in INTEGERS if n != "prophet_block_distribution K"])
+def test_every_uncapped_integer_takes_a_huge_one(name):
+    INTEGERS[name][0](10**40)
+
+
+def test_a_huge_threshold_is_a_threshold_past_every_arrival():
+    assert np.array_equal(strategy.single_threshold(10**40, 3).q, [0.0, 0.0, 0.0])
+    assert sim.simulate_custom(P, sim.threshold_policy(10**40), 10, 0).successes == 0
+
+
+# the grid's n needs K >= 2^(n-1), so its prefix counts leave int64 long before the cap
+def test_the_grid_size_passes_its_floor_and_refuses_one_past_it_or_the_cap(monkeypatch):
+    call = lambda n: meta.prophet_block_distribution(n, 4, np.linspace(0.0, 1.0, 4))  # noqa: E731
+    with pytest.raises(ValidationError, match=r"^n must be >= 2, got 1$"):
+        call(1)
+    for value in (2.5, 3.0, float("nan"), True):
+        with pytest.raises(ValidationError, match=r"^n must be an integer, got "):
+            call(value)
+    monkeypatch.setattr(dist, "MAX_ELEMS", SMALL_CAP)
+    with pytest.raises(ValidationError, match=f"^n {SMALL_CAP + 1} exceeds the cap of {SMALL_CAP}"):
+        call(SMALL_CAP + 1)
+    assert meta.prophet_block_distribution(2, 4, [0.0, 0.5, 1.0]).k.tolist() == [1, 4]
+
+
+def test_the_largest_sample_is_the_learned_length_and_passes_the_cap(monkeypatch):
+    # SampleBatch refuses a sample below 1, so the floor is its; the cap is learn_strategy's
+    with pytest.raises(ValidationError) as exc:
+        learn.learn_strategy(learn.SampleBatch(samples=[1, 10**12]), 0.5)
+    assert str(exc.value) == f"largest sample {10**12} exceeds the cap of {dist.MAX_ELEMS} elements"
+    monkeypatch.setattr(dist, "MAX_ELEMS", SMALL_CAP)
+    with pytest.raises(ValidationError, match=f"^largest sample {SMALL_CAP + 1} exceeds the cap"):
+        learn.learn_strategy(learn.SampleBatch(samples=[SMALL_CAP + 1]), 0.5)
+    assert learn.learn_strategy(learn.SampleBatch(samples=[SMALL_CAP]), 0.5).G.size >= SMALL_CAP
+
+
+@pytest.mark.parametrize("samples", [[2.7, 3.9], [True, True], [float("nan"), 2], [1e30], [10**30],
+                                     [], [[1, 2]]],
+                         ids=["floats", "bools", "nan", "1e30", "10**30", "empty", "2-D"])
+def test_sample_batch_refuses_what_is_no_integer_vector(samples):
+    with pytest.raises(ValidationError, match="^samples must be a non-empty 1-D integer vector"):
+        learn.SampleBatch(samples=samples)
+
+
+def test_sample_batch_takes_integer_vectors_of_any_width_and_refuses_one_below_1():
+    for samples in ([2, 3], np.array([2, 3], dtype=np.uint8), np.array([2, 3], dtype=np.int32)):
+        batch = learn.SampleBatch(samples=samples)
+        assert batch.samples.dtype == np.int64 and batch.samples.tolist() == [2, 3]
+    for samples in ([0, 2], np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValidationError, match="^samples must be positive integers$"):
+            learn.SampleBatch(samples=samples)
+
+
+def test_check_int_returns_a_python_int_and_has_no_cap():
+    assert type(dist._check_int(np.int64(5), "x", 0)) is int
+    assert dist._check_int(10**40, "x", 1) == 10**40
+    assert type(dist._check_size(np.uint8(5), "x")) is int

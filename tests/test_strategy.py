@@ -42,6 +42,15 @@ def test_prefix_products_examples():
     assert np.array_equal(prefix_products(np.array([1.0, 1.0, 1.0])), [1, 0, 0, 0])
     assert np.allclose(prefix_products(np.array([0.0, 1.0, 1.0])), [1, 1, 0.5, 1 / 3], atol=1e-15)
     assert np.array_equal(prefix_products(np.zeros(3)), [1, 1, 1, 1])
+    assert np.array_equal(prefix_products(np.zeros(0)), [1])
+
+
+def test_prefix_products_of_rows_are_those_of_each_row():
+    q = np.random.default_rng(3).random((4, 300))
+    u = prefix_products(q)
+    assert u.shape == (4, 301)
+    for row, want in zip(u, q):
+        assert np.array_equal(row, prefix_products(want))
 
 
 def test_prefix_products_monotone_in_unit_interval():
