@@ -167,6 +167,10 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
     """
     _check_size(n, "n", low=2)
     _check_int(K, "K", 1)  # not capped: z >= 2 needs K >= 2^(n-1)
+    # the last prefix count is float(K), stored as int64; 2^63 - 1 rounds up to 2^63,
+    # and the integer test first keeps float() off a K too large for a float
+    if K >= 2**63 or float(K) >= 2**63:
+        raise ValidationError(f"K = {K} puts the prefix counts past int64 (float(K) must be < 2^63)")
     th = _frozen(thetas)
     if th.ndim != 1 or th.size != n + 1:
         raise ValidationError(f"thetas must hold n+1 = {n + 1} grid points")

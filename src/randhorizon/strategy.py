@@ -47,6 +47,7 @@ class Strategy:
 
     def extended(self, n: int) -> np.ndarray:
         """Acceptance vector of length n, padding with 1 beyond the stored length."""
+        n = _check_size(n, "length", low=0)
         if n <= self.m:
             return self.q[:n]
         return np.concatenate([self.q, np.ones(n - self.m)])

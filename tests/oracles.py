@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from randhorizon import (HorizonDistribution, ValidationError, backward_induction, lambda_sequence,
-                         make_strategy, sample_size_bound, success_probability)
+                         make_strategy, sample_size_bound, single_threshold, success_probability)
 from randhorizon.learn import _blocked, _endpoints_until
+from randhorizon.strategy import point_mass_values
 
 
 def permutation_tables(n: int):
@@ -224,3 +225,17 @@ def union_event_rate_matrix(grid, trials: int, seed) -> tuple[int, float, float]
     successes = int(np.all(prefix == np.arange(1, k.size + 1), axis=1).sum())
     rate = successes / trials
     return successes, rate, math.sqrt(rate * (1.0 - rate) / trials)
+
+
+def average_case_one_block(n: int, epsilon: float, draws: int, seed) -> tuple[float, float]:
+    """``sim.average_case_experiment`` the way it ran before it streamed through one slab.
+
+    Draws one (draws, n) block of standard exponentials, divides each row by its
+    sum and takes the values of the threshold rule at ceil(n/e^2) as one
+    matrix-vector product; returns (fraction at or below epsilon, mean value).
+    """
+    coeff = point_mass_values(single_threshold(math.ceil(n / math.e**2), n).q)
+    sample = np.random.default_rng(seed).standard_exponential((draws, n))
+    sample /= sample.sum(axis=1, keepdims=True)
+    values = sample @ coeff
+    return float(np.mean(values <= epsilon)), float(values.mean())

@@ -101,3 +101,25 @@ def test_only_dist_words_the_integer_rule():
     dist_messages = _validation_messages(ast.parse((SRC / "dist.py").read_text(encoding="utf-8")))
     assert any("must be >= " in m for m in dist_messages)
     assert any("must be an integer" in m for m in dist_messages)
+
+
+def _blas_products(tree: ast.Module) -> set[tuple[int, str]]:
+    """(line, name) of every ``@`` and every call named dot, matmul or inner (np.dot, x.dot, ...)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in {"dot", "matmul", "inner"}:
+                found.add((node.lineno, name))
+    return found
+
+
+def test_sim_takes_no_blas_products():
+    # a BLAS product rounds each row by how the rows were split into calls and threads,
+    # so the Monte Carlo values would depend on the chunk sizes and on BLAS threading
+    assert _blas_products(ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))) == set()
+    probe = "a @ b\nc @= d\nnp.dot(a, b)\nx.dot(b)\nnp.matmul(a, b)\ninner(a, b)"
+    assert _blas_products(ast.parse(probe)) == {
+        (1, "@"), (2, "@"), (3, "dot"), (4, "dot"), (5, "matmul"), (6, "inner")}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from randhorizon import (
 )
 from randhorizon import sim
 
-from oracles import perm_adversary_rate
+from oracles import average_case_one_block, perm_adversary_rate
 
 
 def test_simulate_examples():
@@ -262,8 +263,31 @@ def test_average_case_experiment():
 
 
 def test_average_case_chunking_keeps_the_stream(monkeypatch):
-    whole = average_case_experiment(30, 0.27, 500, 13)
-    monkeypatch.setattr(sim, "_CHUNK_ELEMS", 7 * 30 + 11)  # 7 rows per chunk, last one short
-    chunked = average_case_experiment(30, 0.27, 500, 13)
-    assert abs(chunked.mean_value - whole.mean_value) <= 1e-12
-    assert chunked.fraction_below == whole.fraction_below > 0.0
+    # rows of n = 777 are no whole number of SIMD blocks, where a BLAS product per slab
+    # would round differently from one on all rows
+    whole = average_case_experiment(777, 0.27, 129, 13)
+    assert whole.fraction_below > 0.0
+    # the slab holds _CHUNK_ELEMS >> 6 elements: 1 row, 7 rows (the last slab short), one slab
+    for chunk_elems in (0, (7 * 777 + 11) << 6, (129 * 777) << 6):
+        monkeypatch.setattr(sim, "_CHUNK_ELEMS", chunk_elems)
+        assert average_case_experiment(777, 0.27, 129, 13) == whole, chunk_elems
+
+
+@pytest.mark.parametrize("n, epsilon, draws, seed",
+                         [(1, 0.2, 50, 0), (7, 0.1, 333, 1), (30, 0.27, 500, 13),
+                          (1000, 0.03, 300, 2), (70_000, 0.03, 3, 4)])
+def test_average_case_draws_the_stream_of_one_block(n, epsilon, draws, seed):
+    fraction, mean = average_case_one_block(n, epsilon, draws, seed)
+    res = average_case_experiment(n, epsilon, draws, seed)
+    assert res.fraction_below == fraction
+    assert abs(res.mean_value - mean) <= 1e-14
+
+
+def test_average_case_memory_is_the_values_plus_one_slab():
+    tracemalloc.start()
+    try:
+        average_case_experiment(1000, 0.03, 20000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # 160 KB of values and a 512 KB slab; one (draws, n) block is 160 MB

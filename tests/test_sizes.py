@@ -43,6 +43,7 @@ SIZES = {
     "classical_cutoff k": (solver.classical_cutoff, 1, "scale"),
     "minimax_mixture n_bar": (solver.minimax_mixture, 1, "n_bar"),
     "single_threshold m": (lambda m: strategy.single_threshold(1, m), 0, "length"),
+    "Strategy.extended n": (lambda n: strategy.Strategy(q=[1.0]).extended(n), 0, "length"),
 }
 
 # small enough that a site which allocated before checking would still stay cheap
@@ -124,7 +125,7 @@ def test_every_uncapped_integer_refuses_what_is_not_an_integer(name, value):
     assert str(exc.value) == f"{what} must be an integer, got {value!r}"
 
 
-# K sets the prefix counts k_i <= K, stored as int64, so it has no huge case
+# K sets the prefix counts k_i <= K, stored as int64, so a huge K is refused (below)
 @pytest.mark.parametrize("name", [n for n in INTEGERS if n != "prophet_block_distribution K"])
 def test_every_uncapped_integer_takes_a_huge_one(name):
     INTEGERS[name][0](10**40)
@@ -147,6 +148,21 @@ def test_the_grid_size_passes_its_floor_and_refuses_one_past_it_or_the_cap(monke
     with pytest.raises(ValidationError, match=f"^n {SMALL_CAP + 1} exceeds the cap of {SMALL_CAP}"):
         call(SMALL_CAP + 1)
     assert meta.prophet_block_distribution(2, 4, [0.0, 0.5, 1.0]).k.tolist() == [1, 4]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, K", [(64, 2**63 - 1), (64, 2**63), (70, 2**69)],
+                         ids=["2^63 - 1", "2^63", "2^69"])
+def test_a_grid_whose_prefix_counts_leave_int64_is_refused(n, K):
+    # 2^63 - 1 is below the int64 limit, but its float, the last prefix count, is 2^63
+    with pytest.raises(ValidationError, match=r"^K = \d+ puts the prefix counts past int64"):
+        meta.prophet_block_distribution(n, K, np.linspace(0.0, 1.0, n + 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_largest_grid_that_fits_int64_keeps_its_prefix_counts():
+    grid = meta.prophet_block_distribution(63, 2**62, np.linspace(0.0, 1.0, 64))
+    assert grid.k[-1] == 2**62 and np.all(np.diff(grid.k) > 0)
 
 
 def test_the_largest_sample_is_the_learned_length_and_passes_the_cap(monkeypatch):
