@@ -99,7 +99,7 @@ def cmd_minimax(args) -> dict:
     n_bar = mix.weights.size
     result = {
         "n_bar": n_bar,
-        "weights": list(map(float, mix.weights)),
+        "weights": mix.weights.tolist(),
         "bound": 1.0 / (1.0 + dist.harmonic(n_bar - 1)),
     }
     if args.dist is not None:
@@ -228,7 +228,7 @@ def cmd_meta(args) -> dict | list[dict]:
         "c0": args.c0,
         "n_lo": args.nlo,
         "n_hi": args.nhi,
-        "weights": list(map(float, mix.weights)),
+        "weights": mix.weights.tolist(),
         "guarantee": mix.guarantee,
         "log_bound": mix.log_bound,
         "flat_check": flat,

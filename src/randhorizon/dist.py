@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,13 @@ class HorizonDistribution:
     def n(self) -> int:
         return self.probs.size
 
+    @cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, int]:
+        """The cdf and the index of its last positive entry, summed once per distribution."""
+        cdf = np.cumsum(self.probs)
+        cdf.setflags(write=False)
+        return cdf, int(np.flatnonzero(self.probs)[-1])
+
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
         _check_size(m, "sample count")
@@ -118,9 +126,9 @@ class HorizonDistribution:
 
 def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
     """The horizon of each uniform in [0, 1) by inverse CDF, ascending for ascending uniforms."""
-    idx = np.searchsorted(np.cumsum(p.probs), u, side="right")
+    cdf, last_positive = p._inverse_cdf
+    idx = np.searchsorted(cdf, u, side="right")
     # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
-    last_positive = int(np.flatnonzero(p.probs)[-1])
     return np.minimum(idx, last_positive) + 1
 
 
@@ -180,14 +188,45 @@ def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
 
 
 def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
-    """Poisson(mu) weights on k = 1..n (k = 0 excluded: a horizon is >= 1)."""
+    """Poisson(mu) weights on k = 1..n (k = 0 excluded: a horizon is >= 1).
+
+    The weights are exp(f(k) - max f), f(k) = k log mu - lgamma(k + 1), computed
+    only on the window of k with f(k) >= f(k0) - 800, k0 = round(mu) clamped to
+    [1, n]; f is concave, so the window is one interval around k0, and bisection
+    finds its two ends.  Outside it f - max f < -800, where exp underflows to
+    exactly 0.0 (below about -745.13), so the weights equal the formula's on all
+    of 1..n bit for bit.  Cost: O(window + log n) lgamma calls and one length-n
+    zero vector; the window holds about 80 sqrt(mu) points once mu is in the
+    tens, and at most a few hundred below that.
+    """
     if not (mu > 0 and math.isfinite(mu)):
         raise ValidationError(f"poisson rate must be positive, got {mu}")
     _check_size(n, "n")
-    k = np.arange(1, n + 1, dtype=float)
-    log_fact = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), dtype=float, count=n)
-    logw = k * math.log(mu) - log_fact
-    return make_distribution(np.exp(logw - logw.max()))
+    log_mu = math.log(mu)
+
+    def f(k: int) -> float:
+        return k * log_mu - math.lgamma(k + 1.0)
+
+    k0 = min(max(round(mu), 1), n)
+    floor = f(k0) - 800.0
+
+    def edge(inside: int, outside: int) -> int:
+        """The last k from inside towards outside with f(k) >= floor (outside: below or off [n])."""
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if f(mid) >= floor:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    lo, hi = edge(k0, 0), edge(k0, n + 1)
+    k = np.arange(lo, hi + 1, dtype=float)
+    log_fact = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), dtype=float, count=k.size)
+    logw = k * log_mu - log_fact
+    w = np.zeros(n)
+    w[lo - 1:hi] = np.exp(logw - logw.max())
+    return make_distribution(w)
 
 
 def lambda_sequence(p: HorizonDistribution) -> np.ndarray:

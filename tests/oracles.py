@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from randhorizon import (HorizonDistribution, ValidationError, backward_induction, lambda_sequence,
-                         make_strategy, sample_size_bound, single_threshold, success_probability)
+                         make_distribution, make_strategy, sample_size_bound, single_threshold,
+                         success_probability)
 from randhorizon.learn import _blocked, _endpoints_until
 from randhorizon.strategy import point_mass_values
 
@@ -239,3 +240,10 @@ def average_case_one_block(n: int, epsilon: float, draws: int, seed) -> tuple[fl
     sample /= sample.sum(axis=1, keepdims=True)
     values = sample @ coeff
     return float(np.mean(values <= epsilon)), float(values.mean())
+
+
+def poisson_full_support(mu: float, n: int) -> HorizonDistribution:
+    """Truncated Poisson(mu) on k = 1..n with lgamma at every k of the support."""
+    k = np.arange(1, n + 1, dtype=float)
+    logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
+    return make_distribution(np.exp(logw - logw.max()))

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from oracles import poisson_full_support
 from randhorizon import (
     ValidationError,
     delta,
@@ -53,14 +55,47 @@ def test_parametric_families():
     assert np.allclose(uniform(4).probs, 0.25, atol=1e-15)
     assert np.allclose(geometric_truncated(0.5, 2).probs, [2 / 3, 1 / 3], atol=1e-15)
     assert np.allclose(poisson_truncated(1.0, 2).probs, [2 / 3, 1 / 3], atol=1e-14)
-    k = np.arange(1, 501, dtype=float)
-    logw = k * math.log(40.0) - np.array([math.lgamma(x + 1.0) for x in k])
-    want = make_distribution(np.exp(logw - logw.max())).probs
-    assert np.array_equal(poisson_truncated(40.0, 500).probs, want)
+    assert np.array_equal(poisson_truncated(40.0, 500).probs, poisson_full_support(40.0, 500).probs)
     for bad in (lambda: uniform(0), lambda: geometric_truncated(1.0, 5),
                 lambda: geometric_truncated(0.5, 0), lambda: poisson_truncated(0.0, 5)):
         with pytest.raises(ValidationError):
             bad()
+
+
+# integer, half-integer and subnormal-scale rates, rates far above every n, the largest float,
+# and log-uniform draws; n = 1 is a window of a single point
+POISSON_RATES = [1e-300, 1e-5, 0.3, 1.0, 2.0, 2.5, 7.0, 50.0, 1e4, 123456.7, 1e6, 1e12, 1e300,
+                 sys.float_info.max,
+                 *np.exp(np.random.default_rng(15).uniform(math.log(1e-6), math.log(1e9), 40))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 300_000, 2_000_000])
+def test_poisson_window_matches_the_full_support_formula(n):
+    # the full-support oracle costs n lgamma calls a rate: fewer rates at the largest n
+    rates = {300_000: POISSON_RATES[::3], 2_000_000: [0.3, 1e6, 1e12, sys.float_info.max]}
+    for mu in rates.get(n, POISSON_RATES):
+        got = poisson_truncated(float(mu), n).probs
+        assert got.tobytes() == poisson_full_support(float(mu), n).probs.tobytes(), (mu, n)
+
+
+def test_poisson_runs_lgamma_on_its_window_only(monkeypatch):
+    mu, n = 1000.0, 300_000
+    k = np.arange(1, n + 1, dtype=float)
+    f = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
+    window = int(np.count_nonzero(f >= f[round(mu) - 1] - 800.0))
+    # the window holds every nonzero weight (2374 of them) and a margin of zeros
+    assert np.count_nonzero(np.exp(f - f.max())) < window < 3000
+    calls = 0
+    lgamma = math.lgamma
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    poisson_truncated(mu, n)
+    assert calls <= window + 4 * math.ceil(math.log2(n)) + 8
 
 
 def test_lambda_sequence_examples():

@@ -1,12 +1,12 @@
 """Byte identity of the CLI's outputs against recorded hashes.
 
-Runs the README's CLI examples at small sizes, plus ``meta`` as CSV and on a
-table profile, ``learn --tail-bound``, ``learn`` at eps 0.02, ``learn`` on a
-distribution with zero entries whose trials differ in their largest sample,
-and the exit-3/4/5 paths, in-process.  Each case's exit code and the sha256 of its stdout and of
-every file it writes (``--out``, ``--summary``) must equal
-``tests/golden.json``.  A change meant to move an output records new hashes
-with
+Runs the README's CLI examples at small sizes, plus ``eval`` on a Poisson law
+at n = 300000, ``meta`` as CSV and on a table profile, ``learn --tail-bound``,
+``learn`` at eps 0.02, ``learn`` on a distribution with zero entries whose
+trials differ in their largest sample, and the exit-3/4/5 paths, in-process.
+Each case's exit code and the sha256 of its stdout and of every file it writes
+(``--out``, ``--summary``) must equal ``tests/golden.json``.  A change meant
+to move an output records new hashes with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -43,6 +43,7 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
     x = np.random.default_rng(2024).standard_exponential(30)
     p = put("p.json", {"probs": (x / x.sum()).tolist()})
     pstar3 = put("pstar3.json", {"kind": "pstar", "n": 3})
+    poisson = put("poisson.json", {"kind": "poisson", "n": 300000, "param": 1000.0})
     delta3 = put("delta3.json", {"kind": "delta", "n": 3})
     any2 = put("any2.json", {"probs": [0.3, 0.7]})
     # every third entry and the last 20 are zero; the largest sample varies between trials
@@ -59,6 +60,8 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
         ("solve_out", ["solve", "--dist", p, "--out", str(out)], [out]),
         ("eval", ["eval", "--dist", p, "--strategy", q], []),
         ("eval_threshold", ["eval", "--dist", p, "--threshold", "4"], []),
+        # the benchmark's Poisson op: 2374 of its 300000 weights are nonzero
+        ("eval_poisson", ["eval", "--dist", poisson, "--threshold", "1000"], []),
         ("minimax", ["minimax", "--nbar", "2", "--dist", any2], []),
         ("minimax_mubar", ["minimax", "--mubar", "10", "--dist", p], []),
         ("simulate", ["simulate", "--dist", delta3, "--threshold", "2", "--trials", "20000",

@@ -174,6 +174,19 @@ def test_draw_samples():
         draw_samples(delta(2), 0, 1)
 
 
+def test_draw_samples_sums_the_cdf_once_per_distribution(monkeypatch):
+    p = make_distribution([0.2, 0.0, 0.5, 0.3, 0.0])
+    first = draw_samples(p, 100, 1).samples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cdf was summed again")
+
+    monkeypatch.setattr(np, "cumsum", refuse)
+    assert np.array_equal(draw_samples(p, 100, 1).samples, first)
+    drawn = np.sort(p.sample(100, np.random.default_rng(2)))
+    assert np.array_equal(draw_samples(p, 100, 2).samples, drawn)
+
+
 def test_learn_strategy_degenerate_batch():
     out = learn_strategy(SampleBatch(samples=np.ones(7, dtype=int)), 0.5)
     assert out.G.size == 1
