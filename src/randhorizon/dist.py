@@ -139,7 +139,7 @@ def make_distribution(weights) -> HorizonDistribution:
     the tolerance are renormalized silently.  Support indices are preserved
     (no trimming of zero entries).
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float)  # the distribution's own copy, normalized in place
     _check_weights(w, "weights")
     with np.errstate(over="ignore"):
         total = float(w.sum())
@@ -148,8 +148,12 @@ def make_distribution(weights) -> HorizonDistribution:
     if total <= 0:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:
-        w = w / total
-    return HorizonDistribution(probs=w)
+        w /= total
+    w.setflags(write=False)
+    # checked and owned above: __post_init__ would copy and check it a second time
+    p = object.__new__(HorizonDistribution)
+    object.__setattr__(p, "probs", w)
+    return p
 
 
 def delta(n: int) -> HorizonDistribution:

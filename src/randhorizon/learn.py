@@ -11,11 +11,11 @@ strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
 
 The endpoints come from one cumulative product of rho (the multiplications
 of repeated ``power *= rho``, in order), snapped to integers.  One core
-learns from blocked sample counts with one column per trial: lambda is one
-reversed cumulative sum down the columns, and the backward induction one
-numpy step per index across them, with the float operations of
-``solver.backward_induction``.  :func:`learn_strategy` is one column;
-:func:`learning_trials` runs every trial of one epsilon through the core.
+learns from sample counts per block, one column per trial.  lambda_hat is
+constant on a block, so the block accepts a suffix of its indices, found by
+one search in the harmonic numbers: one numpy step per block across all
+trials.  :func:`learn_strategy` is one column; :func:`learning_trials` runs
+every trial of one epsilon through the core.
 """
 
 from __future__ import annotations
@@ -93,39 +93,37 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     return SampleBatch(samples=_horizons(p, u))
 
 
-def _backward_induction_columns(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``solver.backward_induction`` of every column of gains (width, rows), bit for bit.
+def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block lambda_hat (blocks, trials) and the learned 0/1 strategies (trials, length).
 
-    One numpy step per index across all columns, with the scalar loop's float operations.
+    Column r of counts holds trial r's m[r] samples counted per block of ends;
+    p_hat is that column over m[r].  On a block (lo, e] lambda_hat is a constant
+    L, so the gain i*L rises with i while C falls, and the block accepts a suffix
+    [s, e]: i accepts exactly when L (1 - (H_{e-1} - H_{i-1})) >= C_{e+1}/e, one
+    harmonic search per block for all trials, and C_s = (s-1) (L (H_{e-1} -
+    H_{s-2}) + C_{e+1}/e).  The strategies are ``solver.backward_induction``'s on
+    the per-index gains except where an acceptance margin is within rounding of 0.
     """
-    idx = np.arange(1, gains.shape[0] + 1)
-    scaled, keep = gains / idx[:, None], 1.0 - 1.0 / idx  # g_i/i and 1 - 1/i of every step
-    c = np.zeros((idx.size + 1, gains.shape[1]))
-    rejects = np.empty(gains.shape[1], dtype=bool)
-    for i in range(idx.size, 0, -1):
-        cont, nxt = c[i], c[i - 1]
-        # (1 - 1/i) C_{i+1} + g_i/i: IEEE products and sums commute exactly
-        np.multiply(cont, keep[i - 1], out=nxt)
-        nxt += scaled[i - 1]
-        np.less(gains[i - 1], cont, out=rejects)
-        np.copyto(nxt, cont, where=rejects)
-    return (gains >= c[1:]).astype(float), c
-
-
-def _learn_columns(blocked: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
-    """Gains G_i = i * lambda_i(p_hat) and the learned 0/1 strategies, one column per trial.
-
-    Column r of blocked (width, rows) holds trial r's m[r] samples counted onto
-    the right endpoint of their block; p_hat is that column over m[r].
-    """
-    p_hat = blocked / m
+    p_hat = counts / m
     sums = p_hat.sum(axis=0)
     if np.any(abs(sums - 1.0) > SUM_TOL):
         raise ValidationError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
                               f"got sums from {sums.min()!r} to {sums.max()!r}")
-    idx = np.arange(1, p_hat.shape[0] + 1)[:, None]
-    gains = idx * np.cumsum((p_hat / idx)[::-1], axis=0)[::-1]
-    return gains, _backward_induction_columns(gains)[0]
+    lam = np.cumsum((p_hat / ends[:, None])[::-1], axis=0)[::-1]
+    el, sampled = ends[:, None] * lam, lam > 0  # sampled: at or below the largest sample
+    h = np.concatenate([[0.0, 0.0], np.cumsum(1.0 / np.arange(1, ends[-1] + 1))])  # H_{j-1} at j
+    first = np.empty(counts.shape, dtype=np.int64)  # 0-based first accepting index per block
+    c = np.zeros(counts.shape[1])  # C_{e+1} of the block being solved
+    # past its largest sample L = C = 0 for a trial, a tie that accepts: -inf there, not 0/0
+    target = np.full(c.shape, -np.inf)
+    for b in range(ends.size - 1, -1, -1):
+        lo, e, L = int(ends[b - 1]) if b else 0, int(ends[b]), lam[b]
+        np.divide(c, el[b], out=target, where=sampled[b])  # once sampled, sampled further down
+        first[b] = j = lo + h[lo + 1 : e + 1].searchsorted(target + h[e] - 1.0)
+        c = np.where(j < e, j * (L * (h[e] - h[j]) + c / e), c)
+    # C order: the scorer's row sums round like lambda_form_value's 1-D sum only on C rows
+    first = np.repeat(first, np.diff(ends, prepend=0), axis=0)[:length].T
+    return lam, (np.arange(length) >= first).astype(float, order="C")
 
 
 def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
@@ -142,10 +140,11 @@ def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
     n_max = _check_size(int(batch.samples.max()), "largest sample")  # the strategy's length
     ends = _endpoints_until(1.0 + epsilon / 4.0, n_max)
-    gains, q = _learn_columns(_blocked(ends, batch.samples)[:, None], batch.samples.size)
-    g = gains[:, 0]
+    lam, q = _learn_blocks(_blocked(ends, batch.samples)[ends - 1, None], batch.samples.size,
+                           ends, int(ends[-1]))
+    g = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, 0], np.diff(ends, prepend=0))
     g.setflags(write=False)
-    return LearnOutput(q_hat=Strategy(q=q[:, 0]), G=g)
+    return LearnOutput(q_hat=Strategy(q=q[0]), G=g)
 
 
 def _check_budget(epsilon: float, delta: float) -> None:
@@ -212,9 +211,9 @@ def learning_trials(
     Trial r pre-estimates the tail bound T from SeedSequence([seeds[r], 0])
     unless T is given (which leaves the main phase the whole confidence budget
     instead of half), then draws its main samples from SeedSequence([seeds[r],
-    1]) and counts them per block with one search.  A column narrower than its
-    chunk has zero gains past its width, so it accepts there and C stays 0, as
-    padding its strategy with ones gives.  The optimum is the caller's to solve.
+    1]) and counts them per block with one search.  Each strategy is scored on
+    [p.n]; past a trial's largest sample its blocks have zero gains and accept,
+    as padding its strategy with ones gives.  The optimum is the caller's to solve.
     """
     _check_budget(epsilon, delta_conf)
     entropy = [_check_int(seed, "seed", 0) for seed in seeds]
@@ -234,19 +233,15 @@ def learning_trials(
     value_hat = np.empty(len(entropy))
     for lo in range(0, len(entropy), chunk):
         rows = entropy[lo : lo + chunk]
-        blocked = np.zeros((int(ends[-1]), len(rows)))
-        n_max = 1
+        counts = np.empty((ends.size, len(rows)))
         for col, e in enumerate(rows):
             if T is None:
                 tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
                 m_main = sample_size_bound(epsilon, delta_conf / 2.0, tail)
             h = draw_samples(p, m_main, np.random.SeedSequence([e, 1])).samples
-            m[lo + col], n_max = h.size, max(n_max, int(h[-1]))
-            blocked[ends - 1, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
-        width = int(ends[np.searchsorted(ends, n_max)])
-        _, q = _learn_columns(blocked[:width], m[lo : lo + len(rows)])
-        qx = np.ones((len(rows), p.n))  # each trial's strategy on [n], ones past its width
-        qx[:, : min(width, p.n)] = q[: p.n].T
+            m[lo + col] = h.size
+            counts[:, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
+        _, q = _learn_blocks(counts, m[lo : lo + len(rows)], ends, p.n)
         # one contiguous row per trial, so each sum is lambda_form_value's 1-D sum, bit for bit
-        value_hat[lo : lo + len(rows)] = np.sum(prefix_products(qx)[:, :-1] * qx * lam, axis=1)
+        value_hat[lo : lo + len(rows)] = np.sum(prefix_products(q)[:, :-1] * q * lam, axis=1)
     return m, value_hat

@@ -8,10 +8,7 @@ on the continuation values
 with gain g_i = i * lambda_i(p).  The objective is linear in each q_i once the
 later entries are fixed, so some 0/1 vector attains the optimum; ties are
 broken toward accepting.  :func:`backward_induction` steps through Python
-floats, one distribution at a time.  The sample-based learner runs the same
-recursion on its estimated gains with the same float operations, batched: one
-numpy step per index across all trials of one epsilon
-(``learn._backward_induction_columns``).
+floats, one distribution at a time.
 
 :func:`solve_optimal` is the one solve: from a single lambda pass it also
 reports theta = max_i g_i with its smallest index K*, and the value of the

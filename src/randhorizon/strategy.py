@@ -50,7 +50,9 @@ class Strategy:
         n = _check_size(n, "length", low=0)
         if n <= self.m:
             return self.q[:n]
-        return np.concatenate([self.q, np.ones(n - self.m)])
+        out = np.ones(n)  # one allocation, not the ones and their concatenation
+        out[: self.m] = self.q
+        return out
 
 
 @dataclass(frozen=True)
@@ -130,4 +132,5 @@ def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
 def mixture_success_probability(p: HorizonDistribution, mix: ThresholdMixture) -> float:
     """Success probability of drawing a threshold from the mixture, then playing it."""
     values = threshold_success_values(p, mix.weights.size)
-    return float(mix.weights @ values)
+    # numpy's pairwise sum, not a BLAS dot product, whose rounding depends on its thread count
+    return float(np.sum(mix.weights * values))

@@ -1,10 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import poisson_full_support
+from randhorizon import dist
 from randhorizon import (
     ValidationError,
     delta,
@@ -23,6 +25,26 @@ def test_make_distribution_examples():
     assert np.array_equal(make_distribution([0, 0, 1]).probs, [0.0, 0.0, 1.0])
     assert np.allclose(make_distribution([1, 1]).probs, [0.5, 0.5], atol=1e-15)
     assert np.allclose(make_distribution([1, 2]).probs, [1 / 3, 2 / 3], atol=1e-15)
+
+
+def test_make_distribution_copies_and_checks_once(monkeypatch):
+    checks = []
+    monkeypatch.setattr(dist, "_check_weights", lambda w, what: checks.append(what))
+    w = np.random.default_rng(31).random(10**6) * 3.0  # needs normalizing
+    tracemalloc.start()
+    try:
+        p = make_distribution(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak  # one 8 MB copy, not two
+    assert checks == ["weights"]
+    assert np.array_equal(p.probs, w / w.sum()) and not p.probs.flags.writeable
+    assert not np.shares_memory(p.probs, w)
+    unit = w / w.sum()
+    q = make_distribution(unit)  # already normalized: copied as it is
+    assert np.array_equal(q.probs, unit) and not np.shares_memory(q.probs, unit)
+    assert not q.probs.flags.writeable and unit.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], []])

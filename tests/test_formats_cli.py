@@ -180,6 +180,24 @@ def test_cli_huge_threshold_needs_no_memory(tmp_path):
         "trials,successes,rate,stderr,exact,gap,pass", "1000,0,0,0,0,0,1"]
 
 
+def test_cli_minimax_rate_does_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot product of over 10^4 terms is split between threads, which moves its rounding
+    probs = sample_dirichlet_uniform(12000, 7).probs.tolist()
+    dist_path = _write_dist(tmp_path, "d.json", {"probs": probs})
+    main = "import sys; from randhorizon import cli; sys.exit(cli.main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    stdouts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", main, "minimax", "--nbar", "12000",
+                              "--dist", dist_path], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        stdouts.append(run.stdout)
+    rates = [json.loads(out)["rate"] for out in stdouts]
+    assert rates[0] == rates[1]
+    assert stdouts[0] == stdouts[1], "the weights differ"  # 12000 of them: no diff printed
+
+
 def test_cli_learn_and_summary_deterministic(tmp_path):
     dist_path = _write_dist(tmp_path, "p.json", {"kind": "pstar", "n": 20})
     outs = []

@@ -116,10 +116,15 @@ def _blas_products(tree: ast.Module) -> set[tuple[int, str]]:
     return found
 
 
-def test_sim_takes_no_blas_products():
+def test_the_package_takes_no_blas_products():
     # a BLAS product rounds each row by how the rows were split into calls and threads,
-    # so the Monte Carlo values would depend on the chunk sizes and on BLAS threading
-    assert _blas_products(ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))) == set()
+    # so the values would depend on the chunk sizes and on BLAS threading
+    found = {
+        (path.name, *product)
+        for path in sorted(SRC.glob("*.py"))
+        for product in _blas_products(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
     probe = "a @ b\nc @= d\nnp.dot(a, b)\nx.dot(b)\nnp.matmul(a, b)\ninner(a, b)"
     assert _blas_products(ast.parse(probe)) == {
         (1, "@"), (2, "@"), (3, "dot"), (4, "dot"), (5, "matmul"), (6, "inner")}

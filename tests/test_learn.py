@@ -24,7 +24,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 from randhorizon import sim
-from randhorizon.learn import _backward_induction_columns, _endpoints_until
+from randhorizon.learn import _endpoints_until, _learn_blocks
 from randhorizon.solver import backward_induction
 from oracles import endpoints_loop, learning_trial_loop
 
@@ -342,35 +342,44 @@ def _zero_entries(n: int, seed: int):
 
 def test_learning_trials_match_the_per_trial_loop(monkeypatch):
     # 5 truths x 4 epsilons x (T given, T pre-estimated) x 25 trials = 1000 trials,
-    # in chunks of 1 or 7 columns, so that chunk boundaries fall inside a batch
+    # in chunks of 1 or 7 columns, so that chunk boundaries fall inside a batch,
+    # plus 2 x 3 trials on a flat Dirichlet draw over n = 10^5 at epsilon 0.2
     truths = [delta(1), make_distribution([0.3, 0.7]), sample_dirichlet_uniform(10, 5),
-              _zero_entries(1000, 6), delta(40)]
+              _zero_entries(1000, 6), delta(40), sample_dirichlet_uniform(10**5, 7)]
     rng = np.random.default_rng(29)
     case = 0
     for p in truths:
-        for eps in (0.02, 0.05, 0.2, 0.9):
+        for eps in (0.02, 0.05, 0.2, 0.9) if p.n < 10**5 else (0.2,):
             for T in (None, p.n):
                 width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
                 monkeypatch.setattr(sim, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
                 case += 1
-                seeds = rng.integers(2**32, size=25).tolist()
+                seeds = rng.integers(2**32, size=25 if p.n < 10**5 else 3).tolist()
                 m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
                 want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
                 assert m.tolist() == [w[0] for w in want], (p.n, eps, T)
                 assert value_hat.tolist() == [w[1] for w in want], (p.n, eps, T)
 
 
-def test_batched_backward_induction_matches_the_scalar_solve():
+def test_block_core_matches_the_scalar_solve():
     rng = np.random.default_rng(30)
-    for width, rows in ((1, 1), (2, 5), (50, 9), (400, 3)):
-        gains = rng.random((width, rows)) * rng.random(rows)
-        gains[rng.random((width, rows)) < 0.2] = 0.0  # zero gains, as past a narrow column
-        if width >= 3:  # a tie g_i = C_{i+1}, which accepts, at i = width - 1 of every column
-            gains[-2] = [backward_induction(gains[:, r])[1][-2] for r in range(rows)]
-        q, c = _backward_induction_columns(gains)
+    for rho, n, rows in ((2.0, 1, 1), (1.5, 2, 5), (1.05, 300, 9), (1.005, 3000, 4), (3.0, 5000, 3)):
+        ends = _endpoints_until(rho, n)
+        counts = rng.integers(0, 4, size=(ends.size, rows)).astype(float)
+        counts[rng.random(counts.shape) < 0.3] = 0.0
+        for r in range(rows):  # empty trailing blocks past each trial's largest sample
+            last = int(rng.integers(ends.size))
+            counts[last + 1 :, r] = 0.0
+            counts[last, r] += 1.0
+        length = max(1, int(ends[-1]) - int(rng.integers(3)))  # learning_trials cuts at p.n
+        lam, q = _learn_blocks(counts, counts.sum(axis=0).astype(np.int64), ends, length)
+        assert q.shape == (rows, length) and q.flags.c_contiguous
         for r in range(rows):
-            q1, c1 = backward_induction(gains[:, r])
-            assert np.array_equal(q[:, r], q1) and np.array_equal(c[:, r], c1), (width, r)
+            gains = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, r], np.diff(ends, prepend=0))
+            assert np.array_equal(q[r], backward_induction(gains)[0][:length]), (rho, n, r)
+    # samples all at 2: G = [1/2, 1] and C_2 = 1/2, so index 1 ties and accepts
+    out = learn_strategy(SampleBatch(samples=np.full(5, 2)), 0.5)
+    assert np.array_equal(out.G, [0.5, 1.0]) and np.array_equal(out.q_hat.q, [1.0, 1.0])
 
 
 def test_an_oversized_sample_count_is_reported_before_the_endpoints():
