@@ -4,7 +4,10 @@ One binary, subcommand dispatch.  All randomness flows from --seed: trial t
 of stream s uses numpy's SeedSequence([seed, s, t]) so results are
 bit-reproducible for identical (config, seed).  Each ``cmd_*`` returns its
 document, a dict for JSON or a list of rows for CSV, and :func:`main` writes
-it to --out; only ``learn --summary`` writes a second document itself.
+it to --out; only ``learn --summary`` writes a second document itself.  A JSON
+document holds its output vectors as numpy arrays, which
+:func:`formats.json_text` writes in chunks, spelling a run of equal entries
+once, with the bytes of ``json.dumps`` on the listed vectors.
 Outputs are JSON (sorted keys) or CSV (header row, UTF-8, LF endings) and
 carry no timestamps.
 
@@ -83,7 +86,7 @@ def cmd_solve(args) -> dict:
     p = _load_distribution(args.dist)
     s = solver.solve_optimal(p)
     return {
-        "q_opt": s.q.tolist(),
+        "q_opt": s.q,
         "value": s.value,
         "theta": s.theta,
         "k_star": s.k_star,
@@ -99,7 +102,7 @@ def cmd_minimax(args) -> dict:
     n_bar = mix.weights.size
     result = {
         "n_bar": n_bar,
-        "weights": mix.weights.tolist(),
+        "weights": mix.weights,
         "bound": 1.0 / (1.0 + dist.harmonic(n_bar - 1)),
     }
     if args.dist is not None:
@@ -228,7 +231,7 @@ def cmd_meta(args) -> dict | list[dict]:
         "c0": args.c0,
         "n_lo": args.nlo,
         "n_hi": args.nhi,
-        "weights": mix.weights.tolist(),
+        "weights": mix.weights,
         "guarantee": mix.guarantee,
         "log_bound": mix.log_bound,
         "flat_check": flat,

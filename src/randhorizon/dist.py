@@ -89,9 +89,8 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be non-negative")
 
 
-def _probability_vector(values, what: str) -> np.ndarray:
-    """A read-only copy of values, checked to be a weight vector that sums to 1."""
-    v = _frozen(values)
+def _probability_vector(v: np.ndarray, what: str) -> np.ndarray:
+    """v, checked to be a weight vector that sums to 1."""
     _check_weights(v, what)
     if abs(v.sum() - 1.0) > SUM_TOL:
         raise ValidationError(f"{what} must sum to 1 within {SUM_TOL}, got {float(v.sum())!r}")
@@ -105,7 +104,7 @@ class HorizonDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _probability_vector(self.probs, "probs"))
+        object.__setattr__(self, "probs", _probability_vector(_frozen(self.probs), "probs"))
 
     @property
     def n(self) -> int:
@@ -149,11 +148,25 @@ def make_distribution(weights) -> HorizonDistribution:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:
         w /= total
-    w.setflags(write=False)
-    # checked and owned above: __post_init__ would copy and check it a second time
+    return _holding(w)
+
+
+def _holding(probs: np.ndarray) -> HorizonDistribution:
+    """The distribution that holds probs itself, read-only from now on.
+
+    For a float vector that the library has just built and checked and that no
+    caller keeps: ``HorizonDistribution(probs=...)`` would copy and check it a
+    second time.
+    """
+    probs.setflags(write=False)
     p = object.__new__(HorizonDistribution)
-    object.__setattr__(p, "probs", w)
+    object.__setattr__(p, "probs", probs)
     return p
+
+
+def _built(probs: np.ndarray) -> HorizonDistribution:
+    """The distribution of a probability vector just built here: checked, not copied."""
+    return _holding(_probability_vector(probs, "probs"))
 
 
 def delta(n: int) -> HorizonDistribution:
@@ -161,13 +174,13 @@ def delta(n: int) -> HorizonDistribution:
     _check_size(n, "n")
     p = np.zeros(n)
     p[-1] = 1.0
-    return HorizonDistribution(probs=p)
+    return _built(p)
 
 
 def uniform(n: int) -> HorizonDistribution:
     """Uniform distribution over horizons 1..n."""
     _check_size(n, "n")
-    return HorizonDistribution(probs=np.full(n, 1.0 / n))
+    return _built(np.full(n, 1.0 / n))
 
 
 def worst_case_pstar(n: int) -> HorizonDistribution:
@@ -180,7 +193,7 @@ def worst_case_pstar(n: int) -> HorizonDistribution:
     h = harmonic(n)
     p = (1.0 / h) / (np.arange(1, n + 1) + 1.0)
     p[-1] = 1.0 / h
-    return HorizonDistribution(probs=p)
+    return _built(p)
 
 
 def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
@@ -250,4 +263,4 @@ def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:
     _check_size(n, "n")
     rng = np.random.default_rng(seed)
     x = rng.standard_exponential(n)
-    return HorizonDistribution(probs=x / x.sum())
+    return _built(x / x.sum())

@@ -15,7 +15,8 @@ file (``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
 beyond the float range is out of range (``ValidationError``), and so is a
 named family's ``n`` below 1 or above ``dist.MAX_ELEMS``, which the family's
 constructor in ``dist`` refuses before it allocates.
-Outputs are written by :func:`json_text`, the one JSON encoding of the CLI.
+Outputs are written by :func:`json_text`, the one JSON encoding of the CLI; it
+takes output vectors as numpy arrays and writes long ones a chunk at a time.
 """
 
 from __future__ import annotations
@@ -129,9 +130,63 @@ def profile_table_from_json(obj) -> dict[int, float]:
     return table
 
 
-def json_text(obj) -> str:
-    """One line of JSON with sorted keys, ending in a newline."""
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n"
+# entries per json.dumps call when json_text writes a long array: only one
+# chunk's Python floats and repr strings are alive at a time
+_CHUNK = 4096
+
+
+def json_text(doc: dict) -> str:
+    """One line of JSON with sorted keys, ending in a newline.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, separators=(", ",
+    ": ")) + "\\n"`` with each numpy vector among the values of ``doc`` (an
+    output vector such as ``q_opt``) read as its ``tolist()``.  A document with
+    no vector longer than _CHUNK entries is that one ``json.dumps`` call.  In
+    any other, each key and value is encoded on its own and each vector by
+    :func:`_array_pieces`: a chunk of entries per ``json.dumps`` call, or each
+    run of equal entries with its value spelled once.  The pieces are joined
+    once at the end; only one chunk's Python floats are alive at a time.
+    """
+    if not any(isinstance(v, np.ndarray) and v.size > _CHUNK for v in doc.values()):
+        doc = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+        return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    pieces = []
+    for key in sorted(doc):
+        value = doc[key]
+        pieces += [", " if pieces else "{", json.dumps(key), ": "]
+        if isinstance(value, np.ndarray):
+            pieces += _array_pieces(value)
+        else:
+            pieces.append(json.dumps(value, sort_keys=True, separators=(", ", ": ")))
+    pieces.append("}\n")
+    return "".join(pieces)
+
+
+def _array_pieces(a: np.ndarray) -> list[str]:
+    """Texts that join into ``json.dumps(a.tolist())``, for a 1-D vector of 8-byte entries.
+
+    The entries are encoded a chunk at a time.  When their runs of bit-equal
+    entries average 4 entries or more (an optimal strategy has a handful), each
+    run's value is spelled once by ``json.dumps`` and that text repeated: a run
+    costs about as much as 3 entries of a 0/1 vector encoded in chunks.  Equal
+    means equal bits, so -0.0 and 0.0 are separate runs.
+    """
+    bits = a.view(np.uint64)
+    changes = bits[1:] != bits[:-1]
+    pieces = []  # a separator before each chunk or run; the first one becomes "["
+    if 4 * (np.count_nonzero(changes) + 1) > a.size:
+        for i in range(0, a.size, _CHUNK):
+            pieces += [", ", json.dumps(a[i:i + _CHUNK].tolist())[1:-1]]
+    else:
+        starts = np.flatnonzero(np.concatenate([[True], changes]))
+        lengths = np.diff(starts, append=a.size)
+        for i in range(0, starts.size, _CHUNK):
+            spelled = json.dumps(a[starts[i:i + _CHUNK]].tolist())[1:-1].split(", ")
+            for s, k in zip(spelled, lengths[i:i + _CHUNK].tolist()):
+                pieces += [", ", s, (", " + s) * (k - 1)]
+    pieces[:1] = ["["]
+    pieces.append("]")
+    return pieces
 
 
 def load_json(path: str | Path):

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sim
-from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_int, _check_size,
-                   _frozen, _horizons, delta, lambda_sequence)
+from .dist import (SUM_TOL, HorizonDistribution, _built, _ceil_size, _ceil_snapped, _check_int,
+                   _check_size, _frozen, _horizons, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import Strategy, prefix_products
@@ -78,7 +78,7 @@ def _blocked(ends: np.ndarray, horizons: np.ndarray, weights=None) -> np.ndarray
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
     """Move the mass of every block (prev endpoint, endpoint] onto its right endpoint."""
     ends = _endpoints_until(rho, p.n)
-    return HorizonDistribution(probs=_blocked(ends, np.arange(1, p.n + 1), p.probs))
+    return _built(_blocked(ends, np.arange(1, p.n + 1), p.probs))
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
@@ -196,7 +196,7 @@ def _two_point(n: int, s: float) -> HorizonDistribution:
     probs = np.zeros(n)
     probs[0] = s
     probs[-1] = 1.0 - s
-    return HorizonDistribution(probs=probs)
+    return _built(probs)
 
 
 def learning_trials(

@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_snapped, _check_int, _check_size, _frozen
+from .dist import HorizonDistribution, _built, _ceil_snapped, _check_int, _check_size, _frozen
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -151,7 +151,7 @@ def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
     ratios = av[:-1] / av[1:]
     c = 1.0 / (n - ratios.sum())
     probs = np.concatenate([c * (1.0 - ratios), [c]])
-    return HorizonDistribution(probs=probs), float(c)
+    return _built(probs), float(c)
 
 
 def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:

@@ -62,7 +62,7 @@ class ThresholdMixture:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _probability_vector(self.weights, "weights"))
+        object.__setattr__(self, "weights", _probability_vector(_frozen(self.weights), "weights"))
 
 
 def make_strategy(values) -> Strategy:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import poisson_full_support
-from randhorizon import dist
+from randhorizon import dist, learn, meta
 from randhorizon import (
     ValidationError,
     delta,
@@ -45,6 +45,41 @@ def test_make_distribution_copies_and_checks_once(monkeypatch):
     q = make_distribution(unit)  # already normalized: copied as it is
     assert np.array_equal(q.probs, unit) and not np.shares_memory(q.probs, unit)
     assert not q.probs.flags.writeable and unit.flags.writeable
+
+
+# each library-built distribution of the size of p = delta(10^6), and the traced peak (MB)
+# it may reach when it keeps the vector it built: one 8 MB vector, or None where its own
+# work needs more
+BUILT = {
+    "delta": (lambda p: delta(p.n), 10),
+    "uniform": (lambda p: uniform(p.n), 10),
+    "two_point": (lambda p: learn._two_point(p.n, 0.3), 10),
+    "dirichlet": (lambda p: sample_dirichlet_uniform(p.n, 31), 18),  # the draws and their quotient
+    "pstar": (lambda p: worst_case_pstar(p.n), None),  # H_n takes a 16 MB cumulative sum
+    "block": (lambda p: learn.block_distribution(p, 1.5), None),
+    "non_iid": (lambda p: meta.non_iid_hard_instance(np.ones(p.n))[0], None),
+}
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_library_built_distributions_are_checked_once_and_not_copied(name, monkeypatch):
+    build, peak_mb = BUILT[name]
+    base = delta(10**6)
+    want = build(base).probs
+    checks, copies = [], []
+    monkeypatch.setattr(dist, "_check_weights", lambda w, what: checks.append(what))
+    frozen = dist._frozen
+    monkeypatch.setattr(dist, "_frozen", lambda *a: copies.append(a) or frozen(*a))
+    tracemalloc.start()
+    try:
+        p = build(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks == ["probs"] and copies == []
+    assert np.array_equal(p.probs, want) and not p.probs.flags.writeable
+    if peak_mb is not None:
+        assert peak < peak_mb * 2**20, peak
 
 
 @pytest.mark.parametrize("bad", [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], []])

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -425,7 +428,27 @@ def test_cli_solve_matches_the_library(tmp_path, capsys):
                 "k_star": k + 1,
                 "threshold_value": success_probability(p, rule),
             }
-            assert capsys.readouterr().out == formats.json_text(want), (name, n)
+            # the contract written out, not formats.json_text: that is the code under test
+            text = json.dumps(want, sort_keys=True, separators=(", ", ": ")) + "\n"
+            assert capsys.readouterr().out == text, (name, n)
+
+
+def test_cli_minimax_encodes_its_weights_a_chunk_at_a_time():
+    # 10^5 weights: 0.8 MB of float64 and 2.2 MB of text; 10^5 Python floats and
+    # their repr strings alive at once would take the traced peak to 9.4 MB
+    argv = ["minimax", "--nbar", "100000"]
+    outs = [io.StringIO(), io.StringIO()]
+    with contextlib.redirect_stdout(outs[0]):
+        assert cli.main(argv) == 0  # warm: the parser and lazy imports are built once
+    with contextlib.redirect_stdout(outs[1]):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert outs[0].getvalue() == outs[1].getvalue()
+    assert peak < 7 * 2**20, peak
 
 
 def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):

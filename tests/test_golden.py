@@ -1,7 +1,9 @@
 """Byte identity of the CLI's outputs against recorded hashes.
 
 Runs the README's CLI examples at small sizes, plus ``eval`` on a Poisson law
-at n = 300000, ``meta`` as CSV and on a table profile, ``learn --tail-bound``,
+at n = 300000, ``solve``, ``minimax`` and ``meta`` with output vectors of
+10^4 to 3 * 10^5 entries (long enough to be written in chunks, with runs of
+equal entries and without), ``meta`` as CSV and on a table profile, ``learn --tail-bound``,
 ``learn`` at eps 0.02, ``learn`` on a distribution with zero entries whose
 trials differ in their largest sample, and the exit-3/4/5 paths, in-process.
 Each case's exit code and the sha256 of its stdout and of every file it writes
@@ -50,6 +52,10 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
     w = 0.8 ** np.arange(40)
     w[2::3] = 0.0
     ragged = put("ragged.json", {"probs": (np.concatenate([w, np.zeros(20)]) / w.sum()).tolist()})
+    # point masses at 300, 3000 and 30000 of 60000: q_opt has 6 runs
+    w = np.zeros(60000)
+    w[[299, 2999, 29999]] = 1.0 / 3.0
+    masses = put("masses.json", {"probs": w.tolist()})
     q = put("q.json", {"q": [0.0, 0.5, 1.0, 0.25]})
     table = put("table.json", {"2": 1.0, "3": 1.5, "4": 2.5, "5": 2.6})
     out, summary = Path("out"), Path("summary.csv")
@@ -58,12 +64,16 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
     return [
         ("solve", ["solve", "--dist", pstar3], []),
         ("solve_out", ["solve", "--dist", p, "--out", str(out)], [out]),
+        ("solve_uniform_large", ["solve", "--dist", put("uniform.json", {"kind": "uniform",
+                                                                         "n": 300000})], []),
+        ("solve_runs_large", ["solve", "--dist", masses], []),
         ("eval", ["eval", "--dist", p, "--strategy", q], []),
         ("eval_threshold", ["eval", "--dist", p, "--threshold", "4"], []),
         # the benchmark's Poisson op: 2374 of its 300000 weights are nonzero
         ("eval_poisson", ["eval", "--dist", poisson, "--threshold", "1000"], []),
         ("minimax", ["minimax", "--nbar", "2", "--dist", any2], []),
         ("minimax_mubar", ["minimax", "--mubar", "10", "--dist", p], []),
+        ("minimax_large", ["minimax", "--nbar", "100000"], []),
         ("simulate", ["simulate", "--dist", delta3, "--threshold", "2", "--trials", "20000",
                       "--seed", "7"], []),
         ("simulate_strategy", ["simulate", "--dist", p, "--strategy", q, "--trials", "5000",
@@ -87,6 +97,8 @@ def _cases() -> list[tuple[str, list[str], list[Path]]]:
                      "--seed", "0"], []),
         ("meta", meta, []),
         ("meta_csv", [*meta, "--format", "csv"], []),
+        ("meta_large", ["meta", "--profile", "identity", "--nlo", "1", "--nhi", "10000",
+                        "--format", "json"], []),
         ("meta_table", ["meta", "--profile", f"table:{table}", "--c0", "0.5", "--nlo", "2",
                         "--nhi", "5"], []),
         ("lowerbound", ["lowerbound", "--n", "200", "--epsilon", "0.02"], []),

@@ -7,13 +7,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from randhorizon import cli  # noqa: E402
+from randhorizon import cli, formats  # noqa: E402
 from randhorizon.dist import MAX_ELEMS  # noqa: E402
 from randhorizon import (  # noqa: E402
     ValidationError,
@@ -229,3 +230,85 @@ def test_cli_keeps_its_exit_code_contract_on_sizes_across_floor_and_cap(data):
         # every size but eval's threshold, which costs no memory, is capped
         if argv[0] != "eval" and any(a.isdigit() and int(a) > MAX_ELEMS for a in argv):
             assert code == 4, argv
+
+
+# formats.json_text against its contract: json.dumps of the document with each vector as a list
+CHUNK = formats._CHUNK
+
+
+def _contract(doc: dict) -> str:
+    listed = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    return json.dumps(listed, sort_keys=True, separators=(", ", ": ")) + "\n"
+
+
+run_values = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+                       st.floats())
+
+
+@PROPERTY
+@given(runs=st.lists(st.tuples(run_values, st.integers(1, 2 * CHUNK)), max_size=10),
+       distinct=st.integers(0, 2 * CHUNK), step=st.sampled_from([1, 2, 3]),
+       extra=st.dictionaries(st.text(max_size=5), json_values, max_size=3))
+def test_json_text_writes_vectors_of_runs_as_json_dumps_does(runs, distinct, step, extra):
+    values = np.array([v for v, _ in runs], dtype=float)
+    a = np.repeat(values, [k for _, k in runs])
+    a = np.concatenate([a, np.random.default_rng(distinct).random(distinct)])[::step]
+    doc = {**extra, "vector": a, "head": a[:3]}
+    assert formats.json_text(doc) == _contract(doc)
+
+
+def _runs(count: int, n: int) -> np.ndarray:
+    """n entries in count runs of near-equal lengths, each run a new value."""
+    lengths = np.diff(np.linspace(0, n, count + 1).astype(int))
+    return np.repeat(np.arange(count, dtype=float), lengths)
+
+
+_RNG = np.random.default_rng(17)
+_READ_ONLY = np.repeat([0.0, 1.0, 0.0], CHUNK)
+_READ_ONLY.setflags(write=False)
+EDGE_VECTORS = {
+    "empty": np.zeros(0),
+    "one entry": np.array([-0.0]),
+    "chunk - 1": _RNG.random(CHUNK - 1),
+    "chunk": _RNG.random(CHUNK),
+    "chunk + 1": _RNG.random(CHUNK + 1),
+    "4 entries a run": _runs(1200, 4 * 1200),  # the shortest mean run spelled once a run
+    "under 4 entries a run": _runs(1201, 4 * 1200),
+    "alternating zeros of both signs": np.array([0.0, -0.0] * CHUNK),
+    "runs of zeros of both signs": np.repeat([-0.0, 0.0, -0.0], CHUNK),
+    "nan and infinities": np.repeat([math.nan, math.inf, -math.inf, math.nan, 1.0], CHUNK),
+    "strided": np.repeat([1.0, 0.5, 0.0], 2 * CHUNK)[::3],
+    "read-only": _READ_ONLY,
+    "broadcast": np.broadcast_to(0.5, (3 * CHUNK,)),
+    # w_1 = w_2, then distinct values: minimax's weights
+    "minimax weights": minimax_mixture(3 * CHUNK).weights,
+    "pair then distinct": np.concatenate([[0.25, 0.25], _RNG.random(2 * CHUNK)]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_VECTORS)
+def test_json_text_writes_edge_vectors_as_json_dumps_does(name):
+    a = EDGE_VECTORS[name]
+    nested = {"flat_check": [{"n": 1, "expected_performance": "0.5"}], "profile": "identity",
+              "tree": {"b": [1, None, True], "a": {"x": -0.0}}}
+    for doc in ({"vector": a}, {**nested, "weights": a, "n_bar": a.size, "bound": math.nan},
+                {"q": a, "p": EDGE_VECTORS["chunk + 1"], "r": a[:2]}):
+        assert formats.json_text(doc) == _contract(doc), name
+
+
+def test_json_text_calls_json_dumps_once_per_short_document_chunk_or_run_chunk(monkeypatch):
+    docs = [{"q_opt": np.zeros(CHUNK), "value": 0.5},
+            {"q_opt": np.repeat([0.0, 1.0], 50 * CHUNK), "value": 0.5},
+            {"weights": _RNG.random(3 * CHUNK + 1), "value": 0.5}]
+    want = [_contract(doc) for doc in docs]
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    found = []
+    for doc in docs:
+        calls.clear()
+        assert formats.json_text(doc) == want[len(found)]
+        found.append(len(calls))
+    # a long document: one call per key and per non-vector value, then per chunk of
+    # entries, or per chunk of runs when their mean length is 4 or more
+    assert found == [1, 2 + 1 + 1, 2 + 1 + 4]
