@@ -8,6 +8,11 @@ learners) consumes a distribution only through the derived sequence
 
 the marginal probability that the i-th arrival is both the best seen so far
 and the eventual overall best.
+
+A caller's vector enters the library one way: :func:`_floats` converts it
+once, refusing an integer beyond the float range.  ``HorizonDistribution`` and
+``ThresholdMixture`` refuse a sum off 1 by more than SUM_TOL; make_distribution
+and every builder end in :func:`_distribution`, which renormalizes it.
 """
 
 from __future__ import annotations
@@ -72,9 +77,17 @@ def _ceil_size(size: float, what: str) -> int:
     return math.ceil(size)
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    """A read-only copy of values: the one way a caller's array becomes part of a library value."""
-    out = np.array(values, dtype=dtype)
+def _floats(values, copy: bool | None = True) -> np.ndarray:
+    """values as a float64 array (a copy unless copy is None and they are one); no OverflowError."""
+    try:
+        return np.array(values, dtype=float, copy=copy)
+    except OverflowError:
+        raise ValidationError("a vector entry is an integer beyond the float range") from None
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of values: how a caller's vector becomes part of a library value."""
+    out = _floats(values)
     out.setflags(write=False)
     return out
 
@@ -132,13 +145,18 @@ def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def make_distribution(weights) -> HorizonDistribution:
-    """Normalize a non-negative weight vector into a horizon distribution.
+    """A copy of a non-negative weight vector as a horizon distribution, renormalized if need be.
 
-    The one sanctioned entry point for fuzzy data: weights off by more than
-    the tolerance are renormalized silently.  Support indices are preserved
-    (no trimming of zero entries).
+    Support indices are preserved (no trimming of zero entries).
     """
-    w = np.array(weights, dtype=float)  # the distribution's own copy, normalized in place
+    return _distribution(_floats(weights))
+
+
+def _distribution(w: np.ndarray) -> HorizonDistribution:
+    """The distribution holding w, a float vector no caller keeps, read-only from now on.
+
+    Checked once; divided by its sum in place only when that is off 1 by more than SUM_TOL.
+    """
     _check_weights(w, "weights")
     with np.errstate(over="ignore"):
         total = float(w.sum())
@@ -148,25 +166,10 @@ def make_distribution(weights) -> HorizonDistribution:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:
         w /= total
-    return _holding(w)
-
-
-def _holding(probs: np.ndarray) -> HorizonDistribution:
-    """The distribution that holds probs itself, read-only from now on.
-
-    For a float vector that the library has just built and checked and that no
-    caller keeps: ``HorizonDistribution(probs=...)`` would copy and check it a
-    second time.
-    """
-    probs.setflags(write=False)
+    w.setflags(write=False)
     p = object.__new__(HorizonDistribution)
-    object.__setattr__(p, "probs", probs)
+    object.__setattr__(p, "probs", w)
     return p
-
-
-def _built(probs: np.ndarray) -> HorizonDistribution:
-    """The distribution of a probability vector just built here: checked, not copied."""
-    return _holding(_probability_vector(probs, "probs"))
 
 
 def delta(n: int) -> HorizonDistribution:
@@ -174,13 +177,13 @@ def delta(n: int) -> HorizonDistribution:
     _check_size(n, "n")
     p = np.zeros(n)
     p[-1] = 1.0
-    return _built(p)
+    return _distribution(p)
 
 
 def uniform(n: int) -> HorizonDistribution:
     """Uniform distribution over horizons 1..n."""
     _check_size(n, "n")
-    return _built(np.full(n, 1.0 / n))
+    return _distribution(np.full(n, 1.0 / n))
 
 
 def worst_case_pstar(n: int) -> HorizonDistribution:
@@ -193,7 +196,7 @@ def worst_case_pstar(n: int) -> HorizonDistribution:
     h = harmonic(n)
     p = (1.0 / h) / (np.arange(1, n + 1) + 1.0)
     p[-1] = 1.0 / h
-    return _built(p)
+    return _distribution(p)
 
 
 def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
@@ -201,7 +204,7 @@ def geometric_truncated(rho: float, n: int) -> HorizonDistribution:
     if not (0.0 < rho < 1.0):
         raise ValidationError(f"geometric ratio must be in (0,1), got {rho}")
     _check_size(n, "n")
-    return make_distribution(rho ** np.arange(n, dtype=float))
+    return _distribution(rho ** np.arange(n, dtype=float))
 
 
 def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
@@ -243,7 +246,7 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     logw = k * log_mu - log_fact
     w = np.zeros(n)
     w[lo - 1:hi] = np.exp(logw - logw.max())
-    return make_distribution(w)
+    return _distribution(w)
 
 
 def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
@@ -263,4 +266,4 @@ def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:
     _check_size(n, "n")
     rng = np.random.default_rng(seed)
     x = rng.standard_exponential(n)
-    return _built(x / x.sum())
+    return _distribution(x / x.sum())

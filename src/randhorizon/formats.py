@@ -11,10 +11,11 @@ conversion limit, a top-level value that is not a JSON object, a ``kind``
 that is not a string, a vector entry, table value or ``param`` that is not a
 JSON number, an ``n`` or ``l`` that is not a JSON integer, or a table key that
 is not the canonical decimal spelling of a non-negative integer is a malformed
-file (``InputFileError``); ``true`` and ``false`` are not numbers.  An integer
-beyond the float range is out of range (``ValidationError``), and so is a
-named family's ``n`` below 1 or above ``dist.MAX_ELEMS``, which the family's
-constructor in ``dist`` refuses before it allocates.
+file (``InputFileError``); ``true`` and ``false`` are not numbers.  Vectors
+are handed to ``dist`` as parsed lists, converted to floats there once; an
+integer beyond the float range there or in a scalar is out of range
+(``ValidationError``), and so is a named family's ``n`` below 1 or above
+``dist.MAX_ELEMS``, which the family's constructor refuses before it allocates.
 Outputs are written by :func:`json_text`, the one JSON encoding of the CLI; it
 takes output vectors as numpy arrays and writes long ones a chunk at a time.
 """
@@ -70,15 +71,12 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} overflows a float") from None
 
 
-def _numbers(obj: dict, key: str) -> np.ndarray:
-    """obj[key], which must be a JSON array of numbers, as a float vector."""
+def _numbers(obj: dict, key: str) -> list:
+    """obj[key], which must be a JSON array of numbers; ``dist`` converts it to floats once."""
     vals = obj[key]
     if not isinstance(vals, list) or not set(map(type, vals)) <= {int, float}:
         raise InputFileError(f"'{key}' must be an array of numbers")
-    try:
-        return np.array(vals, dtype=float)
-    except OverflowError:
-        raise ValidationError(f"'{key}' holds an integer beyond the float range") from None
+    return vals
 
 
 def distribution_from_json(obj) -> dist.HorizonDistribution:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sim
-from .dist import (SUM_TOL, HorizonDistribution, _built, _ceil_size, _ceil_snapped, _check_int,
-                   _check_size, _frozen, _horizons, delta, lambda_sequence)
+from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_int,
+                   _check_size, _distribution, _horizons, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import Strategy, prefix_products
@@ -45,7 +45,8 @@ class SampleBatch:
         if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
             raise ValidationError(
                 f"samples must be a non-empty 1-D integer vector, got {s.shape} {s.dtype}")
-        s = _frozen(s, np.int64)
+        s = s.astype(np.int64)  # the batch's own copy
+        s.setflags(write=False)
         if np.any(s < 1):
             raise ValidationError("samples must be positive integers")
         object.__setattr__(self, "samples", s)
@@ -78,7 +79,7 @@ def _blocked(ends: np.ndarray, horizons: np.ndarray, weights=None) -> np.ndarray
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
     """Move the mass of every block (prev endpoint, endpoint] onto its right endpoint."""
     ends = _endpoints_until(rho, p.n)
-    return _built(_blocked(ends, np.arange(1, p.n + 1), p.probs))
+    return _distribution(_blocked(ends, np.arange(1, p.n + 1), p.probs))
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
@@ -194,9 +195,8 @@ def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, Horiz
 
 def _two_point(n: int, s: float) -> HorizonDistribution:
     probs = np.zeros(n)
-    probs[0] = s
-    probs[-1] = 1.0 - s
-    return _built(probs)
+    probs[[0, -1]] = s, 1.0 - s
+    return _distribution(probs)
 
 
 def learning_trials(

@@ -24,7 +24,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _built, _ceil_snapped, _check_int, _check_size, _frozen
+from .dist import (HorizonDistribution, _ceil_snapped, _check_int, _check_size, _distribution,
+                   _floats, _frozen)
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -67,10 +68,9 @@ class PerformanceProfile:
             raise ValidationError(f"f is defined on positive integers, got {i}")
         if self.table is not None:
             try:
-                out = np.array([self.table[k] for k in idx.ravel().tolist()], dtype=float)
+                out = _floats([self.table[k] for k in idx.ravel().tolist()]).reshape(idx.shape)
             except KeyError as exc:
                 raise ValidationError(f"profile table has no value at {exc.args[0]}") from None
-            out = out.reshape(idx.shape)
         elif self.family == "identity":
             out = idx.astype(float)
         elif self.family == "uniform-max":
@@ -140,7 +140,7 @@ def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
     sum_{j>=i} (a_i/a_j) p_j = c for every start index i, so every stopping
     rule earns exactly c of the running best.
     """
-    av = np.asarray(a, dtype=float)
+    av = _floats(a, copy=None)
     if av.ndim != 1 or av.size == 0:
         raise ValidationError("value sequence must be a non-empty 1-D vector")
     if np.any(av <= 0) or not np.all(np.isfinite(av)):
@@ -151,7 +151,7 @@ def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
     ratios = av[:-1] / av[1:]
     c = 1.0 / (n - ratios.sum())
     probs = np.concatenate([c * (1.0 - ratios), [c]])
-    return _built(probs), float(c)
+    return _distribution(probs), float(c)
 
 
 def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_size, _check_size, harmonic, lambda_sequence
+from .dist import HorizonDistribution, _ceil_size, _check_size, _floats, harmonic, lambda_sequence
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
@@ -57,7 +57,7 @@ def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the 0/1 maximizer and the continuation values C_1..C_{n+1}.
     Accept (q_i = 1) exactly when g_i >= C_{i+1}; the optimum value is C_1.
     """
-    g = np.asarray(gains, dtype=float)
+    g = _floats(gains, copy=None)
     n = g.size
     c = np.empty(n + 1)
     c[n] = cont = 0.0

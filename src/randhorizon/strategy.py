@@ -35,9 +35,7 @@ class Strategy:
         q = _frozen(self.q)
         if q.ndim != 1:
             raise ValidationError("q must be a 1-D vector")
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("q must be finite")
-        if np.any(q < 0) or np.any(q > 1):
+        if not (np.all(q >= 0) and np.all(q <= 1)):  # NaN and inf too
             raise ValidationError("q entries must lie in [0, 1]")
         object.__setattr__(self, "q", q)
 

@@ -5,9 +5,12 @@ Each criterion runs at its stated tolerance and prints one pass/fail line
 budgets are enforced with wall-clock assertions.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -306,3 +309,15 @@ def test_criterion_12_prophet_constructions():
         f"(<= 0.005) of 1/(1+ln 10); grid slack bounds hold; union event rate "
         f"{r.rate:.4f} >= 1 - {mc_grid.xi:.4f} - 4se",
     )
+
+
+def test_readme_library_example_runs_verbatim():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library example"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[: code.index("```")]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    gap = float(printed.getvalue())
+    assert -TOL <= gap <= 0.1, gap

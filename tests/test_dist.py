@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from oracles import poisson_full_support
-from randhorizon import dist, learn, meta
+from randhorizon import dist, learn, meta, solver
 from randhorizon import (
+    HorizonDistribution,
+    PerformanceProfile,
+    ThresholdMixture,
     ValidationError,
+    backward_induction,
     delta,
     geometric_truncated,
     harmonic,
     lambda_sequence,
     make_distribution,
+    make_strategy,
     poisson_truncated,
+    prophet_block_distribution,
     sample_dirichlet_uniform,
     uniform,
     worst_case_pstar,
@@ -55,6 +61,8 @@ BUILT = {
     "uniform": (lambda p: uniform(p.n), 10),
     "two_point": (lambda p: learn._two_point(p.n, 0.3), 10),
     "dirichlet": (lambda p: sample_dirichlet_uniform(p.n, 31), 18),  # the draws and their quotient
+    "geometric": (lambda p: geometric_truncated(0.5, p.n), 18),  # the exponents and the powers
+    "poisson": (lambda p: poisson_truncated(4.0, p.n), 10),
     "pstar": (lambda p: worst_case_pstar(p.n), None),  # H_n takes a 16 MB cumulative sum
     "block": (lambda p: learn.block_distribution(p, 1.5), None),
     "non_iid": (lambda p: meta.non_iid_hard_instance(np.ones(p.n))[0], None),
@@ -68,18 +76,71 @@ def test_library_built_distributions_are_checked_once_and_not_copied(name, monke
     want = build(base).probs
     checks, copies = [], []
     monkeypatch.setattr(dist, "_check_weights", lambda w, what: checks.append(what))
-    frozen = dist._frozen
-    monkeypatch.setattr(dist, "_frozen", lambda *a: copies.append(a) or frozen(*a))
+    floats = dist._floats  # every conversion or copy of a vector into a library value
+    monkeypatch.setattr(dist, "_floats", lambda *a, **k: copies.append(a) or floats(*a, **k))
     tracemalloc.start()
     try:
         p = build(base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert checks == ["probs"] and copies == []
+    assert checks == ["weights"] and copies == []
     assert np.array_equal(p.probs, want) and not p.probs.flags.writeable
     if peak_mb is not None:
         assert peak < peak_mb * 2**20, peak
+
+
+def test_built_distributions_renormalize_the_rounding_of_a_long_sum():
+    # np.bincount adds each block's weights one by one: the sum is 1 - 1.3e-12
+    blocked = learn.block_distribution(uniform(10**6), 1.5)
+    # the law's n terms c (1 - a_l / a_(l+1)) sum to 1 - 6.9e-12
+    ladder = np.cumsum(np.random.default_rng(0).random(10**6))
+    pinned, _ = meta.non_iid_hard_instance(ladder)
+    for p in (blocked, pinned):
+        assert abs(p.probs.sum() - 1.0) <= dist.SUM_TOL and not p.probs.flags.writeable
+
+
+def test_only_the_constructors_stay_strict_about_the_sum():
+    with pytest.raises(ValidationError, match="must sum to 1"):
+        HorizonDistribution(probs=[0.5, 0.6])
+    with pytest.raises(ValidationError, match="must sum to 1"):
+        ThresholdMixture(weights=[0.5, 0.6])
+    assert np.array_equal(make_distribution([0.5, 0.6]).probs, np.array([0.5, 0.6]) / 1.1)
+    # within SUM_TOL nothing is renormalized: the bytes stay the caller's
+    assert np.array_equal(make_distribution([0.5, 0.5 + 1e-13]).probs, [0.5, 0.5 + 1e-13])
+
+
+HUGE = 10**400  # an integer beyond the float range
+
+ENTRY_POINTS = {
+    "make_distribution": lambda: make_distribution([HUGE, 1]),
+    "HorizonDistribution": lambda: HorizonDistribution(probs=[HUGE, 1]),
+    "make_strategy": lambda: make_strategy([0, HUGE]),
+    "ThresholdMixture": lambda: ThresholdMixture(weights=[HUGE, 1]),
+    "non_iid_hard_instance": lambda: meta.non_iid_hard_instance([1, HUGE]),
+    "backward_induction": lambda: backward_induction([1, HUGE]),
+    "prophet_block_distribution": lambda: prophet_block_distribution(3, 4, [0, 1, 2, HUGE]),
+    "profile_table": lambda: PerformanceProfile(c0=1.0, table={1: 1.0, 2: HUGE}).f(2),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_an_integer_beyond_the_float_range_is_a_validation_error(name):
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        ENTRY_POINTS[name]()
+
+
+def test_a_float_gain_vector_is_not_copied(monkeypatch):
+    gains = np.linspace(1.0, 0.0, 5)
+    seen = []
+
+    def spy(values, **kwargs):
+        seen.append(dist._floats(values, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "_floats", spy)
+    backward_induction(gains)
+    assert len(seen) == 1 and seen[0] is gains
 
 
 @pytest.mark.parametrize("bad", [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], []])

@@ -128,3 +128,37 @@ def test_the_package_takes_no_blas_products():
     probe = "a @ b\nc @= d\nnp.dot(a, b)\nx.dot(b)\nnp.matmul(a, b)\ninner(a, b)"
     assert _blas_products(ast.parse(probe)) == {
         (1, "@"), (2, "@"), (3, "dot"), (4, "dot"), (5, "matmul"), (6, "inner")}
+
+
+def _boundary_calls(tree: ast.Module) -> set[tuple[int, str]]:
+    """(line, name) of every ``np.array``/``np.asarray`` call with a float dtype and ``object.__new__``."""
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, name = getattr(node.func.value, "id", None), node.func.attr
+        if (owner, name) == ("object", "__new__"):
+            found.add((node.lineno, "object.__new__"))
+        elif owner in {"np", "numpy"} and name in {"array", "asarray"}:
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            spelled = {getattr(d, "id", getattr(d, "attr", getattr(d, "value", None))) for d in dtypes}
+            if spelled & {"float", "float64"}:
+                found.add((node.lineno, f"np.{name}"))
+    return found
+
+
+def test_only_dist_turns_a_vector_into_a_library_value():
+    # dist._floats is the one float conversion of a caller's vector, and dist._distribution the
+    # one ending that holds a vector without the constructor's copy; a second one elsewhere would
+    # fork the boundary's overflow and sum rules again
+    found = {
+        (path.name, *call)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dist.py"
+        for call in _boundary_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
+    probe = ("np.array(v, dtype=float)\nnp.asarray(v, float)\nnumpy.asarray(v, dtype=np.float64)\n"
+             "object.__new__(C)\nnp.array(v)\nnp.asarray(v, dtype=np.int64)\nnp.zeros(3, dtype=float)")
+    assert _boundary_calls(ast.parse(probe)) == {
+        (1, "np.array"), (2, "np.asarray"), (3, "np.asarray"), (4, "object.__new__")}
