@@ -336,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="known T with P[N > T] <= eps/12; omit to pre-estimate from fresh samples",
     )
-    sp.add_argument("--summary", help="also write (epsilon, m, pass_rate) CSV (m: last trial's sample count)")
+    sp.add_argument("--summary", default=None,
+                    help="also write (epsilon, m, pass_rate) CSV; m is the last trial's sample count")
     common(sp)
 
     sp = sub.add_parser("meta", help="horizon-randomization mixture for black boxes")

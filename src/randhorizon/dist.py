@@ -77,19 +77,12 @@ def _ceil_size(size: float, what: str) -> int:
     return math.ceil(size)
 
 
-def _floats(values, copy: bool | None = True) -> np.ndarray:
-    """values as a float64 array (a copy unless copy is None and they are one); no OverflowError."""
+def _floats(values, what: str, copy: bool = True) -> np.ndarray:
+    """A caller's vector as a float64 copy, or with copy=False itself if already float64."""
     try:
-        return np.array(values, dtype=float, copy=copy)
+        return (np.array if copy else np.asarray)(values, dtype=float)
     except OverflowError:
-        raise ValidationError("a vector entry is an integer beyond the float range") from None
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy of values: how a caller's vector becomes part of a library value."""
-    out = _floats(values)
-    out.setflags(write=False)
-    return out
+        raise ValidationError(f"{what} holds an integer beyond the float range") from None
 
 
 def _check_weights(w: np.ndarray, what: str) -> None:
@@ -102,11 +95,13 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be non-negative")
 
 
-def _probability_vector(v: np.ndarray, what: str) -> np.ndarray:
-    """v, checked to be a weight vector that sums to 1."""
+def _probability_vector(values, what: str) -> np.ndarray:
+    """A read-only float copy of values, refused unless it is a weight vector that sums to 1."""
+    v = _floats(values, what)
     _check_weights(v, what)
     if abs(v.sum() - 1.0) > SUM_TOL:
         raise ValidationError(f"{what} must sum to 1 within {SUM_TOL}, got {float(v.sum())!r}")
+    v.setflags(write=False)
     return v
 
 
@@ -117,7 +112,7 @@ class HorizonDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _probability_vector(_frozen(self.probs), "probs"))
+        object.__setattr__(self, "probs", _probability_vector(self.probs, "probs"))
 
     @property
     def n(self) -> int:
@@ -145,11 +140,8 @@ def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def make_distribution(weights) -> HorizonDistribution:
-    """A copy of a non-negative weight vector as a horizon distribution, renormalized if need be.
-
-    Support indices are preserved (no trimming of zero entries).
-    """
-    return _distribution(_floats(weights))
+    """A copy of a non-negative weight vector as a horizon distribution, renormalized, zeros kept."""
+    return _distribution(_floats(weights, "weights"))
 
 
 def _distribution(w: np.ndarray) -> HorizonDistribution:

@@ -195,7 +195,8 @@ def hard_instance_lb(n: int, epsilon: float) -> tuple[HorizonDistribution, Horiz
 
 def _two_point(n: int, s: float) -> HorizonDistribution:
     probs = np.zeros(n)
-    probs[[0, -1]] = s, 1.0 - s
+    probs[0] = s
+    probs[-1] = 1.0 - s
     return _distribution(probs)
 
 

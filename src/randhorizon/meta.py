@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dist import (HorizonDistribution, _ceil_snapped, _check_int, _check_size, _distribution,
-                   _floats, _frozen)
+                   _floats)
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -68,9 +68,10 @@ class PerformanceProfile:
             raise ValidationError(f"f is defined on positive integers, got {i}")
         if self.table is not None:
             try:
-                out = _floats([self.table[k] for k in idx.ravel().tolist()]).reshape(idx.shape)
+                out = _floats([self.table[k] for k in idx.ravel().tolist()], "profile table")
             except KeyError as exc:
                 raise ValidationError(f"profile table has no value at {exc.args[0]}") from None
+            out = out.reshape(idx.shape)
         elif self.family == "identity":
             out = idx.astype(float)
         elif self.family == "uniform-max":
@@ -140,18 +141,18 @@ def non_iid_hard_instance(a) -> tuple[HorizonDistribution, float]:
     sum_{j>=i} (a_i/a_j) p_j = c for every start index i, so every stopping
     rule earns exactly c of the running best.
     """
-    av = _floats(a, copy=None)
+    av = _floats(a, "value sequence", copy=False)
     if av.ndim != 1 or av.size == 0:
         raise ValidationError("value sequence must be a non-empty 1-D vector")
     if np.any(av <= 0) or not np.all(np.isfinite(av)):
         raise ValidationError("values must be positive and finite")
     if np.any(np.diff(av) < 0):
         raise ValidationError("values must be nondecreasing")
-    n = av.size
     ratios = av[:-1] / av[1:]
-    c = 1.0 / (n - ratios.sum())
-    probs = np.concatenate([c * (1.0 - ratios), [c]])
-    return _distribution(probs), float(c)
+    c = 1.0 / (av.size - ratios.sum())
+    # c as the law holds it: renormalizing the rounding of a long sum may move it by an ulp
+    p = _distribution(np.concatenate([c * (1.0 - ratios), [c]]))
+    return p, float(p.probs[-1])
 
 
 def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
@@ -171,7 +172,7 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
     # and the integer test first keeps float() off a K too large for a float
     if K >= 2**63 or float(K) >= 2**63:
         raise ValidationError(f"K = {K} puts the prefix counts past int64 (float(K) must be < 2^63)")
-    th = _frozen(thetas)
+    th = _floats(thetas, "thetas")
     if th.ndim != 1 or th.size != n + 1:
         raise ValidationError(f"thetas must hold n+1 = {n + 1} grid points")
     if np.any(np.diff(th) < 0):
@@ -194,8 +195,8 @@ def prophet_block_distribution(n: int, K: int, thetas) -> ProphetGrid:
     bound = (n - 1) * (1.0 + hbar)
     if xi > bound + 1e-9:
         raise AssertionError(f"union slack {xi} exceeds its bound {bound}")
-    k.setflags(write=False)
-    values.setflags(write=False)
+    for a in (th, values, k):
+        a.setflags(write=False)
     return ProphetGrid(th, values, k, xi)
 
 

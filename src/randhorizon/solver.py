@@ -57,7 +57,7 @@ def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the 0/1 maximizer and the continuation values C_1..C_{n+1}.
     Accept (q_i = 1) exactly when g_i >= C_{i+1}; the optimum value is C_1.
     """
-    g = _floats(gains, copy=None)
+    g = _floats(gains, "gains", copy=False)
     n = g.size
     c = np.empty(n + 1)
     c[n] = cont = 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (HorizonDistribution, _check_int, _check_size, _frozen, _probability_vector,
+from .dist import (HorizonDistribution, _check_int, _check_size, _floats, _probability_vector,
                    lambda_sequence)
 from .errors import ValidationError
 
@@ -32,11 +32,14 @@ class Strategy:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _frozen(self.q)
+        q = _floats(self.q, "q")
         if q.ndim != 1:
             raise ValidationError("q must be a 1-D vector")
-        if not (np.all(q >= 0) and np.all(q <= 1)):  # NaN and inf too
+        if not np.all(np.isfinite(q)):
+            raise ValidationError("q must be finite")
+        if np.any(q < 0) or np.any(q > 1):
             raise ValidationError("q entries must lie in [0, 1]")
+        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     @property
@@ -60,7 +63,7 @@ class ThresholdMixture:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _probability_vector(_frozen(self.weights), "weights"))
+        object.__setattr__(self, "weights", _probability_vector(self.weights, "weights"))
 
 
 def make_strategy(values) -> Strategy:

@@ -95,9 +95,10 @@ def test_built_distributions_renormalize_the_rounding_of_a_long_sum():
     blocked = learn.block_distribution(uniform(10**6), 1.5)
     # the law's n terms c (1 - a_l / a_(l+1)) sum to 1 - 6.9e-12
     ladder = np.cumsum(np.random.default_rng(0).random(10**6))
-    pinned, _ = meta.non_iid_hard_instance(ladder)
+    pinned, c = meta.non_iid_hard_instance(ladder)
     for p in (blocked, pinned):
         assert abs(p.probs.sum() - 1.0) <= dist.SUM_TOL and not p.probs.flags.writeable
+    assert c == pinned.probs[-1]  # the ratio every stopping rule earns is the law's own
 
 
 def test_only_the_constructors_stay_strict_about_the_sum():
@@ -134,8 +135,8 @@ def test_a_float_gain_vector_is_not_copied(monkeypatch):
     gains = np.linspace(1.0, 0.0, 5)
     seen = []
 
-    def spy(values, **kwargs):
-        seen.append(dist._floats(values, **kwargs))
+    def spy(*args, **kwargs):
+        seen.append(dist._floats(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(solver, "_floats", spy)

@@ -538,14 +538,15 @@ def test_cli_non_numeric_input_is_a_bad_file(tmp_path, capsys):
     huge_table = _write_dist(tmp_path, "huge_table.json", {"1": 1.0, "2": 10**400})
     huge_param = _write_dist(tmp_path, "huge_param.json", {"kind": "poisson", "n": 4, "param": 10**400})
     huge_q = _write_dist(tmp_path, "huge_q.json", {"q": [0, 10**400]})
-    for argv in (
-        ["solve", "--dist", huge_probs],
-        ["eval", "--dist", dist_path, "--strategy", huge_q],
-        [*meta_argv, "table:" + huge_table],
-        ["solve", "--dist", huge_param],
+    for argv, named in (
+        (["solve", "--dist", huge_probs], "'probs' holds"),
+        (["eval", "--dist", dist_path, "--strategy", huge_q], "q holds"),
+        ([*meta_argv, "table:" + huge_table], "value at '2' overflows"),
+        (["solve", "--dist", huge_param], "'param' overflows"),
     ):
         assert cli.main(argv) == 4, argv
-        assert "Traceback" not in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err, argv
 
 
 def test_cli_sizes_over_the_cap_and_overflowing_weights_are_range_errors(tmp_path, capsys):
