@@ -9,10 +9,9 @@ learners) consumes a distribution only through the derived sequence
 the marginal probability that the i-th arrival is both the best seen so far
 and the eventual overall best.
 
-A caller's vector enters the library one way: :func:`_floats` converts it
-once, refusing an integer beyond the float range.  ``HorizonDistribution`` and
-``ThresholdMixture`` refuse a sum off 1 by more than SUM_TOL; make_distribution
-and every builder end in :func:`_distribution`, which renormalizes it.
+A caller's vector becomes floats once, in :func:`_floats`, which refuses an
+integer beyond the float range.  ``HorizonDistribution(probs=)`` refuses a sum
+off 1 by more than SUM_TOL; make_distribution and every builder renormalize it.
 """
 
 from __future__ import annotations
@@ -140,7 +139,10 @@ def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def make_distribution(weights) -> HorizonDistribution:
-    """A copy of a non-negative weight vector as a horizon distribution, renormalized, zeros kept."""
+    """A copy of a non-negative weight vector as a horizon distribution, renormalized if need be.
+
+    Support indices are preserved (no trimming of zero entries).
+    """
     return _distribution(_floats(weights, "weights"))
 
 

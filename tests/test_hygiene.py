@@ -162,3 +162,17 @@ def test_only_dist_turns_a_vector_into_a_library_value():
              "object.__new__(C)\nnp.array(v)\nnp.asarray(v, dtype=np.int64)\nnp.zeros(3, dtype=float)")
     assert _boundary_calls(ast.parse(probe)) == {
         (1, "np.array"), (2, "np.asarray"), (3, "np.asarray"), (4, "object.__new__")}
+
+
+def test_no_numpy_copy_keyword_whose_meaning_changed_in_numpy_2():
+    # pyproject allows numpy >= 1.24: there np.array(copy=None) is refused and copy=False copies
+    # when it must, while 2.x raises instead; "no copy" is spelled np.asarray on every version
+    found = {
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"array", "asarray"}
+        and getattr(node.func.value, "id", None) in {"np", "numpy"}
+        and any(k.arg == "copy" for k in node.keywords)
+    }
+    assert found == set()
