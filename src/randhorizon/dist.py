@@ -9,9 +9,10 @@ learners) consumes a distribution only through the derived sequence
 the marginal probability that the i-th arrival is both the best seen so far
 and the eventual overall best.
 
-A caller's vector becomes floats once, in :func:`_floats`, which refuses an
-integer beyond the float range.  ``HorizonDistribution(probs=)`` refuses a sum
-off 1 by more than SUM_TOL; make_distribution and every builder renormalize it.
+A caller's vector becomes floats once, in :func:`_floats`, and a real scalar
+in :func:`_float`; both refuse an integer beyond the float range.
+``HorizonDistribution(probs=)`` refuses a sum off 1 by more than SUM_TOL;
+make_distribution and every builder renormalize it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _ceil_size(size: float, what: str) -> int:
     return math.ceil(size)
 
 
+def _float(value, what: str) -> float:
+    """A caller's real scalar as a float, refused when it is an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is an integer beyond the float range") from None
+
+
 def _floats(values, what: str, copy: bool = True) -> np.ndarray:
     """A caller's vector as a float64 copy, or with copy=False itself if already float64."""
     try:
@@ -136,6 +145,18 @@ def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cdf, u, side="right")
     # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
     return np.minimum(idx, last_positive) + 1
+
+
+def _horizon_edges(p: HorizonDistribution, ends: np.ndarray) -> np.ndarray:
+    """Per endpoint e, the edge below which a uniform's :func:`_horizons` horizon is <= e.
+
+    That is u < cdf[e - 1] while e - 1 is below the last positive entry, and
+    every uniform (+inf) from it on, where :func:`_horizons` clamps; ascending
+    for ascending ends, so the uniforms per block (prev, e] of sorted u are
+    ``np.diff(u.searchsorted(edges), prepend=0)``.
+    """
+    cdf, last_positive = p._inverse_cdf
+    return np.append(cdf[:last_positive], np.inf)[np.minimum(ends - 1, last_positive)]
 
 
 def make_distribution(weights) -> HorizonDistribution:
@@ -213,6 +234,7 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     zero vector; the window holds about 80 sqrt(mu) points once mu is in the
     tens, and at most a few hundred below that.
     """
+    mu = _float(mu, "poisson rate")
     if not (mu > 0 and math.isfinite(mu)):
         raise ValidationError(f"poisson rate must be positive, got {mu}")
     _check_size(n, "n")

@@ -15,7 +15,11 @@ learns from sample counts per block, one column per trial.  lambda_hat is
 constant on a block, so the block accepts a suffix of its indices, found by
 one search in the harmonic numbers: one numpy step per block across all
 trials.  :func:`learn_strategy` is one column; :func:`learning_trials` runs
-every trial of one epsilon through the core.
+every trial of one epsilon through the core.  It counts each trial's main
+samples per block straight from the sorted uniforms, by one search of the
+endpoints' cdf values (``dist._horizon_edges``), and draws no horizons for
+them; :func:`draw_samples` serves the tail pre-estimate and
+:func:`learn_strategy`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import sim
 from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_int,
-                   _check_size, _distribution, _horizons, delta, lambda_sequence)
+                   _check_size, _distribution, _horizon_edges, _horizons, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import Strategy, prefix_products
@@ -211,10 +215,12 @@ def learning_trials(
 
     Trial r pre-estimates the tail bound T from SeedSequence([seeds[r], 0])
     unless T is given (which leaves the main phase the whole confidence budget
-    instead of half), then draws its main samples from SeedSequence([seeds[r],
-    1]) and counts them per block with one search.  Each strategy is scored on
-    [p.n]; past a trial's largest sample its blocks have zero gains and accept,
-    as padding its strategy with ones gives.  The optimum is the caller's to solve.
+    instead of half).  It then counts per block the main samples that
+    ``draw_samples(p, m, SeedSequence([seeds[r], 1]))`` would return, straight
+    from that stream's sorted uniforms by one search of the block edges,
+    without mapping any uniform to a horizon.  Each strategy is scored on [p.n];
+    past a trial's largest sample its blocks have zero gains and accept, as
+    padding its strategy with ones gives.  The optimum is the caller's to solve.
     """
     _check_budget(epsilon, delta_conf)
     entropy = [_check_int(seed, "seed", 0) for seed in seeds]
@@ -228,6 +234,7 @@ def learning_trials(
     # before the endpoints, so that an oversized sample count is the error reported
     _check_size(m_pre if T is None else m_main, "sample count")
     ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
+    edges = _horizon_edges(p, ends)
     chunk = max(1, sim._CHUNK_ELEMS // int(ends[-1]))
     lam = lambda_sequence(p)
     m = np.empty(len(entropy), dtype=np.int64)
@@ -238,10 +245,12 @@ def learning_trials(
         for col, e in enumerate(rows):
             if T is None:
                 tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
-                m_main = sample_size_bound(epsilon, delta_conf / 2.0, tail)
-            h = draw_samples(p, m_main, np.random.SeedSequence([e, 1])).samples
-            m[lo + col] = h.size
-            counts[:, col] = np.diff(np.searchsorted(h, ends, side="right"), prepend=0)
+                m_main = _check_size(sample_size_bound(epsilon, delta_conf / 2.0, tail),
+                                     "sample count")
+            u = np.random.default_rng(np.random.SeedSequence([e, 1])).random(m_main)
+            u.sort()
+            m[lo + col] = m_main
+            counts[:, col] = np.diff(u.searchsorted(edges), prepend=0)
         _, q = _learn_blocks(counts, m[lo : lo + len(rows)], ends, p.n)
         # one contiguous row per trial, so each sum is lambda_form_value's 1-D sum, bit for bit
         value_hat[lo : lo + len(rows)] = np.sum(prefix_products(q)[:, :-1] * q * lam, axis=1)

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dist import (HorizonDistribution, _ceil_snapped, _check_int, _check_size, _distribution,
-                   _floats)
+                   _float, _floats)
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -48,6 +48,7 @@ class PerformanceProfile:
     table: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "c0", _float(self.c0, "c0"))
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise ValidationError(f"c0 must be positive, got {self.c0}")
         if self.table is None:

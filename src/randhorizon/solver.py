@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _ceil_size, _check_size, _floats, harmonic, lambda_sequence
+from .dist import (HorizonDistribution, _ceil_size, _check_size, _float, _floats, harmonic,
+                   lambda_sequence)
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
@@ -141,6 +142,7 @@ def minimax_mixture(n_bar: int) -> ThresholdMixture:
 
 def minimax_mixture_expected_bound(mu_bar: float) -> ThresholdMixture:
     """Threshold randomization for a known bound on E[N]: mix over [ceil(mu*log(mu))]."""
+    mu_bar = _float(mu_bar, "mean bound")
     if not (mu_bar > 1.0 and math.isfinite(mu_bar)):
         raise ValidationError(f"mean bound must be > 1, got {mu_bar}")
     return minimax_mixture(_ceil_size(mu_bar * math.log(mu_bar), "mixture size ceil(mu log mu)"))

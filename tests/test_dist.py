@@ -122,6 +122,9 @@ ENTRY_POINTS = {
     "backward_induction": lambda: backward_induction([1, HUGE]),
     "prophet_block_distribution": lambda: prophet_block_distribution(3, 4, [0, 1, 2, HUGE]),
     "profile_table": lambda: PerformanceProfile(c0=1.0, table={1: 1.0, 2: HUGE}).f(2),
+    "PerformanceProfile": lambda: PerformanceProfile(c0=HUGE),
+    "poisson_truncated": lambda: poisson_truncated(HUGE, 4),
+    "minimax_mixture_expected_bound": lambda: solver.minimax_mixture_expected_bound(HUGE),
 }
 
 
@@ -148,6 +151,27 @@ def test_a_float_gain_vector_is_not_copied(monkeypatch):
 def test_make_distribution_rejects(bad):
     with pytest.raises(ValidationError):
         make_distribution(bad)
+
+
+def test_horizon_edges_count_the_uniforms_as_the_horizons_do():
+    # cdf tops below 1 (ten tenths; a sum within SUM_TOL, kept as given), zero entries
+    # inside and at the end, point masses
+    truths = [make_distribution([0.1] * 10), make_distribution([0.5, 0.5 - 1e-13, 0.0]),
+              make_distribution([0.2, 0.0, 0.5, 0.3, 0.0, 0.0]), delta(1), delta(4),
+              make_distribution([0.0, 1.0, 0.0]), uniform(7), sample_dirichlet_uniform(30, 3)]
+    above_top = 0
+    for p in truths:
+        cdf = np.cumsum(p.probs)
+        ends = np.arange(1, p.n + 4)  # every endpoint, and three past n
+        # each cdf value, one ulp either side of it, and a grid; uniforms lie in [0, 1)
+        u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                            np.linspace(0.0, 1.0, 101)])
+        u = np.sort(u[u < 1.0])
+        above_top += np.count_nonzero(u >= cdf[np.flatnonzero(p.probs)[-1]])
+        want = np.diff(np.searchsorted(dist._horizons(p, u), ends, side="right"), prepend=0)
+        got = np.diff(u.searchsorted(dist._horizon_edges(p, ends)), prepend=0)
+        assert np.array_equal(got, want), p.probs
+    assert above_top > 0  # where the last_positive clamp decides
 
 
 def test_delta():

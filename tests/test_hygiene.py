@@ -176,3 +176,28 @@ def test_no_numpy_copy_keyword_whose_meaning_changed_in_numpy_2():
         and any(k.arg == "copy" for k in node.keywords)
     }
     assert found == set()
+
+
+def _inverse_cdf_reads(tree: ast.Module) -> set[int]:
+    """Lines that read ``_inverse_cdf``, as an attribute or as a string (getattr)."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_inverse_cdf")
+        or (isinstance(node, ast.Constant) and node.value == "_inverse_cdf")
+    }
+
+
+def test_only_dist_reads_the_inverse_cdf():
+    # dist._horizons and dist._horizon_edges hold the inverse-CDF rule and its last_positive
+    # clamp; a module reading the cdf itself would keep a second copy of that clamp
+    found = {
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dist.py"
+        for line in _inverse_cdf_reads(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
+    probe = ("cdf, top = p._inverse_cdf\nedges = np.append(cdf[:top], np.inf)\n"
+             "cdf = getattr(p, '_inverse_cdf')[0]\nedges = _horizon_edges(p, ends)")
+    assert _inverse_cdf_reads(ast.parse(probe)) == {1, 3}

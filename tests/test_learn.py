@@ -361,6 +361,34 @@ def test_learning_trials_match_the_per_trial_loop(monkeypatch):
                 assert value_hat.tolist() == [w[1] for w in want], (p.n, eps, T)
 
 
+def _small_truth(rng: np.random.Generator):
+    """A random law on n <= 50: a point mass, or weights with zero entries and a zero tail."""
+    n = int(rng.integers(1, 51))
+    if rng.random() < 0.25:
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0  # delta(n), or a point mass before a zero tail
+        return make_distribution(w)
+    w = rng.standard_exponential(n)
+    w[rng.random(n) < 0.3] = 0.0
+    w[n - int(rng.integers(0, n // 2 + 1)) :] = 0.0
+    w[rng.integers(n)] += 1e-3  # at least one positive weight
+    return make_distribution(w)
+
+
+def test_learning_trials_match_the_per_trial_loop_on_random_small_truths():
+    # 200 laws x 50 trials = 10^4 trials; T pre-estimated, 1, n and above n in turn
+    rng = np.random.default_rng(31)
+    truths = [delta(1)] + [_small_truth(rng) for _ in range(199)]
+    for case, p in enumerate(truths):
+        eps = (0.3, 0.5, 0.9)[case % 3]
+        T = (None, 1, p.n, p.n + int(rng.integers(1, 10**6)))[case % 4]
+        seeds = rng.integers(2**32, size=50).tolist()
+        m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
+        want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
+        assert m.tolist() == [w[0] for w in want], (p.probs, eps, T)
+        assert value_hat.tolist() == [w[1] for w in want], (p.probs, eps, T)
+
+
 def test_block_core_matches_the_scalar_solve():
     rng = np.random.default_rng(30)
     for rho, n, rows in ((2.0, 1, 1), (1.5, 2, 5), (1.05, 300, 9), (1.005, 3000, 4), (3.0, 5000, 3)):
