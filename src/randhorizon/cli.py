@@ -3,25 +3,23 @@
 One binary, subcommand dispatch.  All randomness flows from --seed: trial t
 of stream s uses numpy's SeedSequence([seed, s, t]) so results are
 bit-reproducible for identical (config, seed).  Each ``cmd_*`` returns its
-document, a dict for JSON or a list of rows for CSV, and :func:`main` writes
-it to --out; only ``learn --summary`` writes a second document itself.  A JSON
-document holds its output vectors as numpy arrays, which
-:func:`formats.json_text` writes in chunks, spelling a run of equal entries
-once, with the bytes of ``json.dumps`` on the listed vectors.
-Outputs are JSON (sorted keys) or CSV (header row, UTF-8, LF endings) and
-carry no timestamps.
+document, a dict for JSON or a list of rows for CSV (``learn`` also returns
+its --summary document).  :func:`main` writes --out, then --summary, through
+:func:`_write`, the one writer of files and stdout, in the bytes ``formats``
+spells: JSON with sorted keys or CSV with a header row, UTF-8, LF endings and
+no timestamps.
 
-Exit codes: 0 success, 2 usage error, 3 missing or malformed input file,
-4 parameter out of range, 5 unwritable output.
+Exit codes: 0 success, 2 usage error, 3 missing, unreadable or malformed input
+file, 4 parameter out of range, 5 unwritable output, stdout included.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
-import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,31 +33,28 @@ EXIT_BAD_RANGE = 4
 EXIT_BAD_OUTPUT = 5
 
 
-class _OutputError(Exception):
-    pass
-
-
 def _subseed(seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([dist._check_int(seed, "seed", 0), *path])
 
 
 def _write(doc: dict | list[dict], out: str | None) -> None:
-    """Write a dict as one line of JSON, or rows as tidy CSV, to a path or stdout."""
-    if isinstance(doc, dict):
-        text = formats.json_text(doc)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(doc[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(doc)
-        text = buf.getvalue()
-    if out is None or out == "-":
-        sys.stdout.write(text)
+    """Write a dict as one line of JSON, or rows as CSV, to a path or, for None or "-", stdout."""
+    text = formats.json_text(doc) if isinstance(doc, dict) else formats.csv_text(doc)
+    if out not in (None, "-"):
+        Path(out).write_text(text, encoding="utf-8")
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _OutputError(str(exc)) from exc
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # point stdout's descriptor at os.devnull, so that the interpreter's flush at exit
+        # does not fail again; a stdout without one (io.UnsupportedOperation) is left alone
+        with contextlib.suppress(OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
 
 
 def _load_distribution(path: str) -> dist.HorizonDistribution:
@@ -186,7 +181,7 @@ def cmd_avgcase(args) -> list[dict]:
     return rows
 
 
-def cmd_learn(args) -> list[dict]:
+def cmd_learn(args) -> tuple[list[dict], list[dict]]:
     p = _load_distribution(args.dist)
     dist._check_size(args.trials, "trials")
     value_opt = solver.solve_optimal(p).value
@@ -211,9 +206,7 @@ def cmd_learn(args) -> list[dict]:
             )
         summary.append({"epsilon": eps, "m": int(m[-1]),
                         "pass_rate": f"{int(ok.sum()) / args.trials:.10g}"})
-    if args.summary is not None:
-        _write(summary, args.summary)
-    return rows
+    return rows, summary
 
 
 def cmd_meta(args) -> dict | list[dict]:
@@ -362,25 +355,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # looked up on each call, not bound into the cached parser, so that a rebound
-    # cmd_* (bench/tracer.py wraps them) is the one that runs
-    command = {
-        "eval": cmd_eval, "solve": cmd_solve, "minimax": cmd_minimax,
-        "simulate": cmd_simulate, "adversary": cmd_adversary, "avgcase": cmd_avgcase,
-        "learn": cmd_learn, "meta": cmd_meta, "lowerbound": cmd_lowerbound,
-    }[args.command]
     try:
-        _write(command(args), args.out)
-        return 0
-    except _OutputError as exc:
-        print(f"randhorizon: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_BAD_OUTPUT
+        # looked up per call, so that a rebound cmd_* (bench/tracer.py wraps them) is the one run
+        doc = globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"randhorizon: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE
-    except (InputFileError, OSError) as exc:
+    except InputFileError as exc:
         print(f"randhorizon: bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
+    doc, summary = doc if args.command == "learn" else (doc, None)
+    try:
+        _write(doc, args.out)
+        if summary is not None and args.summary is not None:
+            _write(summary, args.summary)
+    except OSError as exc:
+        print(f"randhorizon: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_OUTPUT
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ SUM_TOL = 1e-12
 
 # the largest count or length a caller may set (a vector of it is 800 MB of float64)
 MAX_ELEMS = 10**8
+_CHUNK_ELEMS = 1 << 22  # elements one vectorized batch of sim or learn touches, to bound memory
 
 
 def harmonic(n: int) -> float:

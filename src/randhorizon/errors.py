@@ -10,4 +10,4 @@ class HarnessError(RuntimeError):
 
 
 class InputFileError(ValueError):
-    """Raised when an input file parses but does not hold the documented format."""
+    """Raised when an input file cannot be read or parsed, or breaks the documented format."""

@@ -1,27 +1,27 @@
-"""JSON wire formats for distributions, strategies, and profile tables.
+"""Wire formats: the JSON input files, and the JSON and CSV bytes of every output.
 
 Distribution files are either an explicit vector {"probs": [..]} or a named
 family {"kind": "delta"|"uniform"|"pstar"|"geometric"|"poisson", "n": int,
-"param": number} (param is the geometric ratio or the Poisson rate; other
-kinds ignore it).  Strategy files are {"q": [..]} or
-{"kind": "threshold", "l": int}; performance profile tables are
-{"index": value, ..}.  A file that is not UTF-8 text or not JSON, that nests
-too deeply to parse or holds an integer literal beyond Python's 4300-digit
-conversion limit, a top-level value that is not a JSON object, a ``kind``
-that is not a string, a vector entry, table value or ``param`` that is not a
-JSON number, an ``n`` or ``l`` that is not a JSON integer, or a table key that
-is not the canonical decimal spelling of a non-negative integer is a malformed
-file (``InputFileError``); ``true`` and ``false`` are not numbers.  Vectors
-are handed to ``dist`` as parsed lists, converted to floats there once; an
-integer beyond the float range there or in a scalar is out of range
+"param": number} (param is the geometric ratio or the Poisson rate; other kinds
+ignore it).  Strategy files are {"q": [..]} or {"kind": "threshold", "l": int};
+performance profile tables are {"index": value, ..}, each read by
+:func:`load_json`.  A file that cannot be read, is not UTF-8 text or not JSON,
+that nests too deeply to parse or holds an integer literal beyond Python's
+4300-digit conversion limit, a top-level value that is not a JSON object, a
+``kind`` that is not a string, a vector entry, table value or ``param`` that is
+not a JSON number, an ``n`` or ``l`` that is not a JSON integer, or a table key
+that is not the canonical decimal spelling of a non-negative integer is a
+malformed file (``InputFileError``); ``true`` and ``false`` are not numbers.
+Vectors are handed to ``dist`` as parsed lists, converted to floats there once;
+an integer beyond the float range there or in a scalar is out of range
 (``ValidationError``), and so is a named family's ``n`` below 1 or above
 ``dist.MAX_ELEMS``, which the family's constructor refuses before it allocates.
-Outputs are written by :func:`json_text`, the one JSON encoding of the CLI; it
-takes output vectors as numpy arrays and writes long ones a chunk at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -187,6 +187,15 @@ def _array_pieces(a: np.ndarray) -> list[str]:
     return pieces
 
 
+def csv_text(rows: list[dict]) -> str:
+    """Rows as CSV: a header of the first row's keys, then a line per row, LF endings."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def load_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -194,5 +203,5 @@ def load_json(path: str | Path):
         raise InputFileError(f"{path} is not UTF-8 text") from None
     except RecursionError:
         raise InputFileError(f"{path} nests too deeply to parse") from None
-    except ValueError as exc:  # bad JSON, or an integer beyond Python's digit limit
+    except (ValueError, OSError) as exc:  # bad JSON, a digit-limit integer, an unreadable file
         raise InputFileError(str(exc)) from None

@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sim
-from .dist import (SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped, _check_int,
-                   _check_size, _distribution, _horizon_edges, _horizons, delta, lambda_sequence)
+from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped,
+                   _check_int, _check_size, _distribution, _horizon_edges, _horizons, delta,
+                   lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import Strategy, prefix_products
@@ -235,7 +235,7 @@ def learning_trials(
     _check_size(m_pre if T is None else m_main, "sample count")
     ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
     edges = _horizon_edges(p, ends)
-    chunk = max(1, sim._CHUNK_ELEMS // int(ends[-1]))
+    chunk = max(1, _CHUNK_ELEMS // int(ends[-1]))
     lam = lambda_sequence(p)
     m = np.empty(len(entropy), dtype=np.int64)
     value_hat = np.empty(len(entropy))

@@ -37,14 +37,11 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import HorizonDistribution, _check_int, _check_size
+from .dist import _CHUNK_ELEMS, HorizonDistribution, _check_int, _check_size
 from .errors import HarnessError, ValidationError
 from .strategy import Strategy, point_mass_values, single_threshold
 
 Policy = Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
-
-# cap on elements touched per vectorized batch, to bound memory
-_CHUNK_ELEMS = 1 << 22
 
 
 class SimResult(NamedTuple):

@@ -219,7 +219,7 @@ def test_cli_minimax_rate_does_not_depend_on_blas_threads(tmp_path):
     assert stdouts[0] == stdouts[1], "the weights differ"  # 12000 of them: no diff printed
 
 
-def test_cli_learn_and_summary_deterministic(tmp_path):
+def test_cli_learn_and_summary_deterministic(tmp_path, capsys):
     dist_path = _write_dist(tmp_path, "p.json", {"kind": "pstar", "n": 20})
     outs = []
     for run in range(2):
@@ -235,6 +235,11 @@ def test_cli_learn_and_summary_deterministic(tmp_path):
     header = outs[0][0].decode().split("\n")[0]
     assert header == "trial,m,value_hat,value_opt,gap,pass,epsilon"
     assert outs[0][1].decode().split("\n")[0] == "epsilon,m,pass_rate"
+    # both on stdout: the rows, then the summary
+    capsys.readouterr()
+    assert cli.main(["learn", "--dist", dist_path, "--epsilon", "0.3", "--delta", "0.3",
+                     "--trials", "4", "--seed", "11", "--summary", "-"]) == 0
+    assert capsys.readouterr().out.encode() == outs[0][0] + outs[0][1]
 
 
 def test_cli_learn_repeats_its_bytes_after_another_truth(tmp_path, capsys):
@@ -396,6 +401,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["minimax", "--nbar", "0"]) == 4
     dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 3})
     assert cli.main(["solve", "--dist", dist_path, "--out", str(tmp_path / "no" / "x.json")]) == 5
+    assert cli.main(["solve", "--dist", str(tmp_path)]) == 3  # a directory is no input file
     for policy in ("sqrt", "classical"):
         capsys.readouterr()
         assert cli.main(["adversary", "--policy", policy, "--n", "-5", "--trials", "10"]) == 4
@@ -422,6 +428,50 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _unbuffered_stdout_into(stdout, argv):
+    """(exit code, stderr) of the CLI in a child writing stdout into ``stdout``.
+
+    PYTHONUNBUFFERED is removed: with it, stdout is written at once and the
+    failed flush at interpreter exit does not show.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    main = "import sys; from randhorizon import cli; sys.exit(cli.main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", main, *argv], stdout=stdout,
+                         stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    return run.returncode, run.stderr
+
+
+def test_cli_a_failed_stdout_write_exits_5_with_one_line(tmp_path):
+    dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": 50})
+    small, large = ["solve", "--dist", dist_path], ["minimax", "--nbar", "2000"]  # 40 kB of weights
+    runs = []
+    for argv in (small, large):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            runs.append(_unbuffered_stdout_into(write, argv))
+        finally:
+            os.close(write)
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                runs.append(_unbuffered_stdout_into(full, argv))
+    for code, err in runs:
+        assert code == 5, err
+        assert len(err.splitlines()) == 1 and err.startswith("randhorizon: cannot write output:"), err
+
+
+def test_cli_learn_writes_no_summary_when_out_fails(tmp_path, capsys):
+    dist_path = _write_dist(tmp_path, "p.json", {"kind": "pstar", "n": 20})
+    (tmp_path / "file").write_text("")
+    summary = tmp_path / "summary.csv"
+    argv = ["learn", "--dist", dist_path, "--epsilon", "0.3", "--trials", "2",
+            "--out", str(tmp_path / "file" / "rows.csv"), "--summary", str(summary)]
+    assert cli.main(argv) == 5
+    assert not summary.exists()
+    assert capsys.readouterr().err.startswith("randhorizon: cannot write output:")
 
 
 def test_cli_solve_matches_the_library(tmp_path, capsys):

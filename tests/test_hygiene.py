@@ -46,13 +46,22 @@ def _public_definitions(tree: ast.Module) -> set[str]:
 
 
 def _reads(tree: ast.Module, modules: set[str]) -> set[str]:
-    """Names loaded in a module, plus ``module.name`` attributes of package modules."""
+    """Names loaded in a module, plus ``module.name`` attributes of package modules.
+
+    A lookup ``globals()[f"cmd_{...}"]`` reads every definition of the module
+    whose name begins with the f-string's leading text (cli's dispatch).
+    """
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
             read.add(node.attr)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.JoinedStr)
+              and getattr(getattr(node.value, "func", None), "id", None) == "globals"
+              and isinstance(node.slice.values[0], ast.Constant)):
+            prefix = node.slice.values[0].value
+            read |= {name for name in _public_definitions(tree) if name.startswith(prefix)}
     return read
 
 
@@ -73,6 +82,8 @@ def test_every_public_definition_is_exported_or_read():
         for definition in _public_definitions(tree) - exported - read
     }
     assert unread == ALLOWED_UNREAD
+    probe = 'def cmd_a(): pass\ndef cmd_b(): pass\ndef other(): pass\nglobals()[f"cmd_{name}"]()'
+    assert _reads(ast.parse(probe), set()) & {"cmd_a", "cmd_b", "other"} == {"cmd_a", "cmd_b"}
 
 
 def _validation_messages(tree: ast.Module) -> list[str]:
@@ -201,3 +212,57 @@ def test_only_dist_reads_the_inverse_cdf():
     probe = ("cdf, top = p._inverse_cdf\nedges = np.append(cdf[:top], np.inf)\n"
              "cdf = getattr(p, '_inverse_cdf')[0]\nedges = _horizon_edges(p, ends)")
     assert _inverse_cdf_reads(ast.parse(probe)) == {1, 3}
+
+
+_FILE_READS = {"read_text", "read_bytes", "open"}
+_WRITES = {"write_text", "write_bytes", "sys.stdout.write"}
+_PATH_IO = {"read_text", "read_bytes", "write_text", "write_bytes"}  # methods of any object
+
+
+def _io_calls(tree: ast.Module) -> set[tuple[str, int, str]]:
+    """(top-level definition, line, name) of every call that reads a file or writes output.
+
+    The reads are ``read_text``, ``read_bytes`` and the builtin ``open``; the
+    writes are ``write_text``, ``write_bytes`` and ``sys.stdout.write``.  The
+    definition is "" for a call at module level.
+    """
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.add((owner, node.lineno, "open"))
+            elif isinstance(func, ast.Attribute) and func.attr in _PATH_IO:
+                found.add((owner, node.lineno, func.attr))
+            elif (isinstance(func, ast.Attribute) and func.attr == "write"
+                  and ast.unparse(func.value) == "sys.stdout"):
+                found.add((owner, node.lineno, "sys.stdout.write"))
+    return found
+
+
+def test_one_reader_of_input_files_and_one_writer_of_output():
+    # formats.load_json turns every failed read into a bad input file (exit 3), and cli._write
+    # is where a failed write of --out, --summary or stdout becomes exit 5; a read or a write
+    # elsewhere would have its own error rule again
+    calls = {
+        (path.name, owner, name)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, _line, name in _io_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    found = {
+        call for call in calls
+        if not (call[0] == "formats.py" and call[2] in _FILE_READS)
+        and not (call[:2] == ("cli.py", "_write") and call[2] in _WRITES)
+    }
+    assert found == set()
+    assert ("formats.py", "load_json", "read_text") in calls
+    assert {("cli.py", "_write", "write_text"), ("cli.py", "_write", "sys.stdout.write")} <= calls
+    probe = ("x = open(p)\ndef f(p):\n    return p.read_text() + p.read_bytes()\n"
+             "class C:\n    def g(self, p, t):\n        p.write_text(t)\n        p.write_bytes(t)\n"
+             "        sys.stdout.write(t)\n        sys.stderr.write(t)\n        os.open(p, 0)\n")
+    assert _io_calls(ast.parse(probe)) == {
+        ("", 1, "open"), ("f", 3, "read_text"), ("f", 3, "read_bytes"),
+        ("C", 6, "write_text"), ("C", 7, "write_bytes"), ("C", 8, "sys.stdout.write")}

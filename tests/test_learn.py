@@ -23,7 +23,7 @@ from randhorizon import (
     uniform,
     worst_case_pstar,
 )
-from randhorizon import sim
+from randhorizon import learn
 from randhorizon.learn import _endpoints_until, _learn_blocks
 from randhorizon.solver import backward_induction
 from oracles import endpoints_loop, learning_trial_loop
@@ -352,7 +352,7 @@ def test_learning_trials_match_the_per_trial_loop(monkeypatch):
         for eps in (0.02, 0.05, 0.2, 0.9) if p.n < 10**5 else (0.2,):
             for T in (None, p.n):
                 width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
-                monkeypatch.setattr(sim, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
+                monkeypatch.setattr(learn, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
                 case += 1
                 seeds = rng.integers(2**32, size=25 if p.n < 10**5 else 3).tolist()
                 m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
