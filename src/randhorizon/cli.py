@@ -323,22 +323,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, nargs="+", required=True)
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument(
-        "--tail-bound",
-        type=int,
-        default=None,
-        help="known T with P[N > T] <= eps/12; omit to pre-estimate from fresh samples",
-    )
+    sp.add_argument("--tail-bound", type=int, default=None,
+                    help="known T with P[N > T] <= eps/12; omit to pre-estimate from fresh samples")
     sp.add_argument("--summary", default=None,
                     help="also write (epsilon, m, pass_rate) CSV; m is the last trial's sample count")
     common(sp)
 
     sp = sub.add_parser("meta", help="horizon-randomization mixture for black boxes")
-    sp.add_argument(
-        "--profile",
-        default="identity",
-        help="identity | uniform-max | exp-max | table:FILE",
-    )
+    sp.add_argument("--profile", default="identity",
+                    help="identity | uniform-max | exp-max | table:FILE")
     sp.add_argument("--c0", type=float, default=1.0)
     sp.add_argument("--nlo", type=int, required=True)
     sp.add_argument("--nhi", type=int, required=True)
@@ -355,9 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up on each call, not bound into the cached parser, so that a rebound
+    # cmd_* (bench/tracer.py wraps them) is the one that runs
+    command = {
+        "eval": cmd_eval, "solve": cmd_solve, "minimax": cmd_minimax,
+        "simulate": cmd_simulate, "adversary": cmd_adversary, "avgcase": cmd_avgcase,
+        "learn": cmd_learn, "meta": cmd_meta, "lowerbound": cmd_lowerbound,
+    }[args.command]
     try:
-        # looked up per call, so that a rebound cmd_* (bench/tracer.py wraps them) is the one run
-        doc = globals()[f"cmd_{args.command}"](args)
+        doc = command(args)
     except ValidationError as exc:
         print(f"randhorizon: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE

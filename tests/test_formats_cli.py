@@ -430,7 +430,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def _unbuffered_stdout_into(stdout, argv):
+def _buffered_stdout_into(stdout, argv):
     """(exit code, stderr) of the CLI in a child writing stdout into ``stdout``.
 
     PYTHONUNBUFFERED is removed: with it, stdout is written at once and the
@@ -452,12 +452,12 @@ def test_cli_a_failed_stdout_write_exits_5_with_one_line(tmp_path):
         read, write = os.pipe()
         os.close(read)
         try:
-            runs.append(_unbuffered_stdout_into(write, argv))
+            runs.append(_buffered_stdout_into(write, argv))
         finally:
             os.close(write)
         if os.path.exists("/dev/full"):
             with open("/dev/full", "w") as full:
-                runs.append(_unbuffered_stdout_into(full, argv))
+                runs.append(_buffered_stdout_into(full, argv))
     for code, err in runs:
         assert code == 5, err
         assert len(err.splitlines()) == 1 and err.startswith("randhorizon: cannot write output:"), err

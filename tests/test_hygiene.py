@@ -46,22 +46,13 @@ def _public_definitions(tree: ast.Module) -> set[str]:
 
 
 def _reads(tree: ast.Module, modules: set[str]) -> set[str]:
-    """Names loaded in a module, plus ``module.name`` attributes of package modules.
-
-    A lookup ``globals()[f"cmd_{...}"]`` reads every definition of the module
-    whose name begins with the f-string's leading text (cli's dispatch).
-    """
+    """Names loaded in a module, plus ``module.name`` attributes of package modules."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
             read.add(node.attr)
-        elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.JoinedStr)
-              and getattr(getattr(node.value, "func", None), "id", None) == "globals"
-              and isinstance(node.slice.values[0], ast.Constant)):
-            prefix = node.slice.values[0].value
-            read |= {name for name in _public_definitions(tree) if name.startswith(prefix)}
     return read
 
 
@@ -82,8 +73,6 @@ def test_every_public_definition_is_exported_or_read():
         for definition in _public_definitions(tree) - exported - read
     }
     assert unread == ALLOWED_UNREAD
-    probe = 'def cmd_a(): pass\ndef cmd_b(): pass\ndef other(): pass\nglobals()[f"cmd_{name}"]()'
-    assert _reads(ast.parse(probe), set()) & {"cmd_a", "cmd_b", "other"} == {"cmd_a", "cmd_b"}
 
 
 def _validation_messages(tree: ast.Module) -> list[str]:
