@@ -20,7 +20,6 @@ from .dist import (
 )
 from .errors import HarnessError, ValidationError
 from .learn import (
-    SampleBatch,
     block_distribution,
     draw_samples,
     hard_instance_lb,
@@ -53,7 +52,6 @@ from .solver import (
     solve_optimal,
 )
 from .strategy import (
-    ThresholdMixture,
     make_strategy,
     mixture_success_probability,
     prefix_products,

@@ -91,18 +91,18 @@ def cmd_solve(args) -> dict:
 
 def cmd_minimax(args) -> dict:
     if args.mubar is not None:
-        mix = solver.minimax_mixture_expected_bound(args.mubar)
+        weights = solver.minimax_mixture_expected_bound(args.mubar)
     else:
-        mix = solver.minimax_mixture(args.nbar)
-    n_bar = mix.weights.size
+        weights = solver.minimax_mixture(args.nbar)
+    n_bar = weights.size
     result = {
         "n_bar": n_bar,
-        "weights": mix.weights,
+        "weights": weights,
         "bound": 1.0 / (1.0 + dist.harmonic(n_bar - 1)),
     }
     if args.dist is not None:
         p = _load_distribution(args.dist)
-        result["rate"] = strategy.mixture_success_probability(p, mix)
+        result["rate"] = strategy.mixture_success_probability(p, weights)
     return result
 
 

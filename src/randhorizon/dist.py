@@ -94,6 +94,21 @@ def _floats(values, what: str, copy: bool = True) -> np.ndarray:
         raise ValidationError(f"{what} holds an integer beyond the float range") from None
 
 
+def _positive_ints(values, what: str) -> np.ndarray:
+    """A caller's non-empty 1-D vector of integer dtype as int64, every entry >= 1.
+
+    A float or bool vector is refused, not truncated; int64 input is not copied.
+    """
+    v = np.asarray(values)
+    if v.ndim != 1 or v.size == 0 or v.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{what} must be a non-empty 1-D integer vector, got {v.shape} {v.dtype}")
+    v = v.astype(np.int64, copy=False)  # a uint64 past the int64 range wraps below 1
+    if np.any(v < 1):
+        raise ValidationError(f"{what} must be positive integers")
+    return v
+
+
 def _check_weights(w: np.ndarray, what: str) -> None:
     """Reject a weight vector that is empty, not 1-D, not finite or negative somewhere."""
     if w.ndim != 1 or w.size == 0:
@@ -104,13 +119,12 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be non-negative")
 
 
-def _probability_vector(values, what: str) -> np.ndarray:
-    """A read-only float copy of values, refused unless it is a weight vector that sums to 1."""
-    v = _floats(values, what)
+def _probability_vector(values, what: str, copy: bool = True) -> np.ndarray:
+    """values as :func:`_floats` gives them, refused unless a weight vector that sums to 1."""
+    v = _floats(values, what, copy)
     _check_weights(v, what)
     if abs(v.sum() - 1.0) > SUM_TOL:
         raise ValidationError(f"{what} must sum to 1 within {SUM_TOL}, got {float(v.sum())!r}")
-    v.setflags(write=False)
     return v
 
 
@@ -121,7 +135,9 @@ class HorizonDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _probability_vector(self.probs, "probs"))
+        probs = _probability_vector(self.probs, "probs")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n(self) -> int:

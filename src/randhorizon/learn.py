@@ -18,42 +18,23 @@ trials.  :func:`learn_strategy` is one column; :func:`learning_trials` runs
 every trial of one epsilon through the core.  It counts each trial's main
 samples per block straight from the sorted uniforms, by one search of the
 endpoints' cdf values (``dist._horizon_edges``), and draws no horizons for
-them; :func:`draw_samples` serves the tail pre-estimate and
-:func:`learn_strategy`.
+them.  :func:`draw_samples` returns a read-only int64 array of horizons for
+the tail pre-estimate; :func:`learn_strategy` takes any integer vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped,
-                   _check_int, _check_size, _distribution, _horizon_edges, _horizons, delta,
-                   lambda_sequence)
+                   _check_int, _check_size, _distribution, _horizon_edges, _horizons,
+                   _positive_ints, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import Strategy, prefix_products
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """iid horizon samples."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples)  # a float or bool vector is refused, not truncated
-        if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
-            raise ValidationError(
-                f"samples must be a non-empty 1-D integer vector, got {s.shape} {s.dtype}")
-        s = s.astype(np.int64)  # the batch's own copy
-        s.setflags(write=False)
-        if np.any(s < 1):
-            raise ValidationError("samples must be positive integers")
-        object.__setattr__(self, "samples", s)
 
 
 class LearnOutput(NamedTuple):
@@ -86,8 +67,8 @@ def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistributio
     return _distribution(_blocked(ends, np.arange(1, p.n + 1), p.probs))
 
 
-def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
-    """m iid horizon draws via inverse-CDF, in ascending order; deterministic given the seed.
+def draw_samples(p: HorizonDistribution, m: int, seed) -> np.ndarray:
+    """m iid horizon draws via inverse-CDF, ascending, as a read-only int64 array.
 
     Consumes exactly ``default_rng(seed).random(m)`` and sorts those uniforms,
     so the horizons are those ``p.sample`` draws from the same seed, sorted.
@@ -95,7 +76,9 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> SampleBatch:
     _check_size(m, "sample count")
     u = np.random.default_rng(seed).random(m)
     u.sort()
-    return SampleBatch(samples=_horizons(p, u))
+    samples = _horizons(p, u)
+    samples.setflags(write=False)
+    return samples
 
 
 def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,22 +114,24 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
     return lam, (np.arange(length) >= first).astype(float, order="C")
 
 
-def learn_strategy(batch: SampleBatch, epsilon: float) -> LearnOutput:
+def learn_strategy(samples, epsilon: float) -> LearnOutput:
     """Blocked-estimate learner: samples -> near-optimal acceptance vector.
 
-    Steps: block ratio rho = 1 + epsilon/4; endpoints up to the largest
-    sample; empirical blocked distribution p_hat (block counts over m);
-    gain sequence G_i = i * lambda_i(p_hat) (block-constant after rescaling
-    by i); exact maximization of the surrogate objective by backward
-    induction.  Beyond N_max = G.size the returned strategy accepts (the
-    stored vector ends there and evaluation extends it with ones).
+    samples is a non-empty 1-D vector of integer dtype, every entry >= 1; it
+    is only read.  Steps: block ratio rho = 1 + epsilon/4; endpoints up to
+    the largest sample; empirical blocked distribution p_hat (block counts
+    over m); gain sequence G_i = i * lambda_i(p_hat) (block-constant after
+    rescaling by i); exact maximization of the surrogate objective by
+    backward induction.  Beyond N_max = G.size the returned strategy accepts
+    (the stored vector ends there and evaluation extends it with ones).
     """
+    samples = _positive_ints(samples, "samples")
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
-    n_max = _check_size(int(batch.samples.max()), "largest sample")  # the strategy's length
+    n_max = _check_size(int(samples.max()), "largest sample")  # the strategy's length
     ends = _endpoints_until(1.0 + epsilon / 4.0, n_max)
-    lam, q = _learn_blocks(_blocked(ends, batch.samples)[ends - 1, None], batch.samples.size,
-                           ends, int(ends[-1]))
+    lam, q = _learn_blocks(_blocked(ends, samples)[ends - 1, None], samples.size, ends,
+                           int(ends[-1]))
     g = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, 0], np.diff(ends, prepend=0))
     g.setflags(write=False)
     return LearnOutput(q_hat=Strategy(q=q[0]), G=g)
@@ -244,7 +229,7 @@ def learning_trials(
         counts = np.empty((ends.size, len(rows)))
         for col, e in enumerate(rows):
             if T is None:
-                tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0])).samples[-1])
+                tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0]))[-1])
                 m_main = _check_size(sample_size_bound(epsilon, delta_conf / 2.0, tail),
                                      "sample count")
             u = np.random.default_rng(np.random.SeedSequence([e, 1])).random(m_main)

@@ -110,10 +110,11 @@ class ProphetGrid(NamedTuple):
 def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixture:
     """The horizon-guess distribution whose expected floor is flat over [n_lo, n_hi].
 
-    weights(n_lo) = 1/Z, weights(s) = (1 - f(s-1)/f(s))/Z for s > n_lo, with
-    Z = n_hi - n_lo + 1 - sum_{i=n_lo}^{n_hi-1} f(i)/f(i+1); the flat value is
-    c0/Z >= c0 / (1 + log(f(n_hi)/f(n_lo))).  The one call of f over the range
-    also gives the expected-floor curve, by one cumulative sum, and that bound.
+    weights(n_lo) = 1/Z, weights(s) = (1 - f(s-1)/f(s))/Z for s > n_lo, with Z
+    the sum of those numerators (summed as they are, not as n_hi - n_lo + 1 -
+    sum f(i)/f(i+1), which cancels); the flat value is c0/Z >= c0 / (1 +
+    log(f(n_hi)/f(n_lo))).  The one call of f over the range also gives the
+    expected-floor curve, by one cumulative sum, and that bound.
     """
     _check_size(n_lo, "n_lo")
     _check_size(n_hi, "n_hi")
@@ -124,9 +125,9 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
         raise ValidationError("f must be positive on [n_lo, n_hi]")
     if np.any(np.diff(fv) < 0):
         raise ValidationError("f must be nondecreasing on [n_lo, n_hi]")
-    ratios = fv[:-1] / fv[1:]
-    z = (n_hi - n_lo + 1) - ratios.sum()
-    weights = np.concatenate([[1.0], 1.0 - ratios]) / z
+    weights = np.concatenate([[1.0], 1.0 - fv[:-1] / fv[1:]])
+    z = weights.sum()
+    weights /= z
     expected = profile.c0 * np.cumsum(weights * fv) / fv
     weights.setflags(write=False)
     expected.setflags(write=False)

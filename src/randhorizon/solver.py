@@ -28,7 +28,6 @@ from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
 from .strategy import (  # noqa: F401
-    ThresholdMixture,
     lambda_form_value,
     single_threshold,
     success_probability,
@@ -124,24 +123,25 @@ def best_single_threshold(p: HorizonDistribution) -> tuple[int, float]:
     return l + 1, float(values[l])
 
 
-def minimax_mixture(n_bar: int) -> ThresholdMixture:
-    """Threshold randomization achieving exactly 1/(1 + H_{n_bar - 1}) on [n_bar].
+def minimax_mixture(n_bar: int) -> np.ndarray:
+    """Read-only threshold weights that earn exactly 1/(1 + H_{n_bar - 1}) on [n_bar].
 
-    weights_1 = 1/(1+H_{n_bar-1}) and weights_l = weights_1/(l-1) for l >= 2;
-    the success probability equals the constant for every horizon distribution
-    supported on [n_bar].
+    weights_1 = 1/(1+H_{n_bar-1}) and weights_l = weights_1/(l-1) for l >= 2
+    (entry l - 1 weighs threshold l); the success probability equals the
+    constant for every horizon distribution supported on [n_bar].
     """
     _check_size(n_bar, "n_bar")
     top = 1.0 / (1.0 + harmonic(n_bar - 1))
     w = np.empty(n_bar)
     w[0] = top
-    if n_bar > 1:
-        w[1:] = top / np.arange(1, n_bar)
-    return ThresholdMixture(weights=w / w.sum())
+    np.divide(top, np.arange(1, n_bar), out=w[1:])
+    w /= w.sum()
+    w.setflags(write=False)
+    return w
 
 
-def minimax_mixture_expected_bound(mu_bar: float) -> ThresholdMixture:
-    """Threshold randomization for a known bound on E[N]: mix over [ceil(mu*log(mu))]."""
+def minimax_mixture_expected_bound(mu_bar: float) -> np.ndarray:
+    """Read-only threshold weights for a known bound on E[N]: mix over [ceil(mu*log(mu))]."""
     mu_bar = _float(mu_bar, "mean bound")
     if not (mu_bar > 1.0 and math.isfinite(mu_bar)):
         raise ValidationError(f"mean bound must be > 1, got {mu_bar}")

@@ -56,16 +56,6 @@ class Strategy:
         return out
 
 
-@dataclass(frozen=True)
-class ThresholdMixture:
-    """Probability weights over single-threshold strategies with l = 1..len(weights)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _probability_vector(self.weights, "weights"))
-
-
 def make_strategy(values) -> Strategy:
     return Strategy(q=values)
 
@@ -130,8 +120,12 @@ def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
     return lam[:l_max] + np.arange(l_max) * ratio_tail[:l_max]
 
 
-def mixture_success_probability(p: HorizonDistribution, mix: ThresholdMixture) -> float:
-    """Success probability of drawing a threshold from the mixture, then playing it."""
-    values = threshold_success_values(p, mix.weights.size)
+def mixture_success_probability(p: HorizonDistribution, weights) -> float:
+    """Success probability of drawing threshold l with probability weights[l-1], then playing it.
+
+    weights is a probability vector over l = 1..len(weights); a float64 one is not copied.
+    """
+    w = _probability_vector(weights, "weights", copy=False)
+    values = threshold_success_values(p, w.size)
     # numpy's pairwise sum, not a BLAS dot product, whose rounding depends on its thread count
-    return float(np.sum(mix.weights * values))
+    return float(np.sum(w * values))

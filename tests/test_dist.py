@@ -10,7 +10,6 @@ from randhorizon import dist, learn, meta, solver
 from randhorizon import (
     HorizonDistribution,
     PerformanceProfile,
-    ThresholdMixture,
     ValidationError,
     backward_induction,
     delta,
@@ -19,6 +18,7 @@ from randhorizon import (
     lambda_sequence,
     make_distribution,
     make_strategy,
+    mixture_success_probability,
     poisson_truncated,
     prophet_block_distribution,
     sample_dirichlet_uniform,
@@ -105,7 +105,7 @@ def test_only_the_constructors_stay_strict_about_the_sum():
     with pytest.raises(ValidationError, match="must sum to 1"):
         HorizonDistribution(probs=[0.5, 0.6])
     with pytest.raises(ValidationError, match="must sum to 1"):
-        ThresholdMixture(weights=[0.5, 0.6])
+        mixture_success_probability(delta(2), [0.5, 0.6])
     assert np.array_equal(make_distribution([0.5, 0.6]).probs, np.array([0.5, 0.6]) / 1.1)
     # within SUM_TOL nothing is renormalized: the bytes stay the caller's
     assert np.array_equal(make_distribution([0.5, 0.5 + 1e-13]).probs, [0.5, 0.5 + 1e-13])
@@ -117,7 +117,7 @@ ENTRY_POINTS = {
     "make_distribution": lambda: make_distribution([HUGE, 1]),
     "HorizonDistribution": lambda: HorizonDistribution(probs=[HUGE, 1]),
     "make_strategy": lambda: make_strategy([0, HUGE]),
-    "ThresholdMixture": lambda: ThresholdMixture(weights=[HUGE, 1]),
+    "mixture_weights": lambda: mixture_success_probability(delta(2), [HUGE, 1]),
     "non_iid_hard_instance": lambda: meta.non_iid_hard_instance([1, HUGE]),
     "backward_induction": lambda: backward_induction([1, HUGE]),
     "prophet_block_distribution": lambda: prophet_block_distribution(3, 4, [0, 1, 2, HUGE]),
@@ -145,6 +145,19 @@ def test_a_float_gain_vector_is_not_copied(monkeypatch):
     monkeypatch.setattr(solver, "_floats", spy)
     backward_induction(gains)
     assert len(seen) == 1 and seen[0] is gains
+
+
+def test_a_float_weight_vector_is_only_read(monkeypatch):
+    weights = np.full(4, 0.25)
+    floats, seen = dist._floats, []
+
+    def spy(*args, **kwargs):
+        seen.append(floats(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(dist, "_floats", spy)
+    assert mixture_success_probability(uniform(4), weights) > 0
+    assert len(seen) == 1 and seen[0] is weights and weights.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], []])

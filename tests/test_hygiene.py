@@ -255,3 +255,35 @@ def test_one_reader_of_input_files_and_one_writer_of_output():
     assert _io_calls(ast.parse(probe)) == {
         ("", 1, "open"), ("f", 3, "read_text"), ("f", 3, "read_bytes"),
         ("C", 6, "write_text"), ("C", 7, "write_bytes"), ("C", 8, "sys.stdout.write")}
+
+
+def _bare_dataclasses(tree: ast.Module) -> set[str]:
+    """Public dataclasses of one field that define no method or property but __post_init__."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = {ast.unparse(getattr(d, "func", d)) for d in node.decorator_list}
+        fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+        methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+        if decorators & {"dataclass", "dataclasses.dataclass"} and len(fields) == 1 \
+                and not methods - {"__post_init__"}:
+            found.add(node.name)
+    return found
+
+
+def test_no_public_dataclass_only_wraps_one_field():
+    # a one-field value with nothing but a check is a vector its readers unpack at once;
+    # the check belongs in the function that reads the vector
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _bare_dataclasses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
+    probe = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    def __post_init__(self): pass\n"
+             "@dataclass\nclass B:\n    x: int\n    @property\n    def n(self): return 1\n"
+             "@dataclasses.dataclass\nclass C:\n    x: int\n    y: int\n"
+             "class D:\n    x: int\n"
+             "@dataclass\nclass _E:\n    x: int\n")
+    assert _bare_dataclasses(ast.parse(probe)) == {"A"}

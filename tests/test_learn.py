@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from randhorizon import (
-    SampleBatch,
     ValidationError,
     block_distribution,
     delta,
@@ -158,17 +157,16 @@ def test_surrogate_objective_accuracy():
 
 
 def test_draw_samples():
-    assert np.all(draw_samples(delta(5), 10, 0).samples == 5)
+    assert np.all(draw_samples(delta(5), 10, 0) == 5)
     # the horizons p.sample draws from the same uniforms, in ascending order
     p = make_distribution([0.2, 0.0, 0.5, 0.3, 0.0])
-    h = draw_samples(p, 1000, 4).samples
+    h = draw_samples(p, 1000, 4)
     assert np.array_equal(h, np.sort(p.sample(1000, np.random.default_rng(4))))
     assert h.max() == 4
-    batch = draw_samples(make_distribution([0.5, 0.5]), 100_000, 3)
-    freq = np.mean(batch.samples == 1)
+    freq = np.mean(draw_samples(make_distribution([0.5, 0.5]), 100_000, 3) == 1)
     assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / 100_000)
-    a = draw_samples(uniform(9), 50, 11).samples
-    b = draw_samples(uniform(9), 50, 11).samples
+    a = draw_samples(uniform(9), 50, 11)
+    b = draw_samples(uniform(9), 50, 11)
     assert np.array_equal(a, b)
     with pytest.raises(ValidationError):
         draw_samples(delta(2), 0, 1)
@@ -176,19 +174,19 @@ def test_draw_samples():
 
 def test_draw_samples_sums_the_cdf_once_per_distribution(monkeypatch):
     p = make_distribution([0.2, 0.0, 0.5, 0.3, 0.0])
-    first = draw_samples(p, 100, 1).samples
+    first = draw_samples(p, 100, 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the cdf was summed again")
 
     monkeypatch.setattr(np, "cumsum", refuse)
-    assert np.array_equal(draw_samples(p, 100, 1).samples, first)
+    assert np.array_equal(draw_samples(p, 100, 1), first)
     drawn = np.sort(p.sample(100, np.random.default_rng(2)))
-    assert np.array_equal(draw_samples(p, 100, 2).samples, drawn)
+    assert np.array_equal(draw_samples(p, 100, 2), drawn)
 
 
 def test_learn_strategy_degenerate_batch():
-    out = learn_strategy(SampleBatch(samples=np.ones(7, dtype=int)), 0.5)
+    out = learn_strategy(np.ones(7, dtype=int), 0.5)
     assert out.G.size == 1
     assert np.array_equal(out.G, [1.0])
     assert np.array_equal(out.q_hat.q, [1.0])
@@ -197,18 +195,18 @@ def test_learn_strategy_degenerate_batch():
 
 def test_learn_strategy_validation():
     with pytest.raises(ValidationError):
-        learn_strategy(SampleBatch(samples=np.array([1, 2])), 0.0)
+        learn_strategy(np.array([1, 2]), 0.0)
     with pytest.raises(ValidationError):
-        learn_strategy(SampleBatch(samples=np.array([1, 2])), 1.5)
+        learn_strategy(np.array([1, 2]), 1.5)
     with pytest.raises(ValidationError):
-        SampleBatch(samples=np.array([], dtype=int))
+        learn_strategy(np.array([], dtype=int), 0.5)
 
 
 def test_learn_output_block_structure():
     # gains are linear in i within each block: G_i = (i / end) * G_end
-    batch = draw_samples(uniform(60), 500, 5)
-    out = learn_strategy(batch, 0.3)
-    ends = _endpoints_until(1.0 + 0.3 / 4.0, int(batch.samples.max()))
+    samples = draw_samples(uniform(60), 500, 5)
+    out = learn_strategy(samples, 0.3)
+    ends = _endpoints_until(1.0 + 0.3 / 4.0, int(samples.max()))
     prev = 0
     for e in ends:
         e = int(e)
@@ -231,8 +229,7 @@ def test_gain_estimates_unbiased():
     m, reps = 150, 400
     sums = np.zeros(ends.size)
     for r in range(reps):
-        batch = draw_samples(p, m, rng)
-        out = learn_strategy(batch, eps)
+        out = learn_strategy(draw_samples(p, m, rng), eps)
         for j, e in enumerate(ends):
             e = int(e)
             sums[j] += out.G[e - 1] if e <= out.G.size else 0.0
@@ -406,7 +403,7 @@ def test_block_core_matches_the_scalar_solve():
             gains = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, r], np.diff(ends, prepend=0))
             assert np.array_equal(q[r], backward_induction(gains)[0][:length]), (rho, n, r)
     # samples all at 2: G = [1/2, 1] and C_2 = 1/2, so index 1 ties and accepts
-    out = learn_strategy(SampleBatch(samples=np.full(5, 2)), 0.5)
+    out = learn_strategy(np.full(5, 2), 0.5)
     assert np.array_equal(out.G, [0.5, 1.0]) and np.array_equal(out.q_hat.q, [1.0, 1.0])
 
 

@@ -88,6 +88,14 @@ def test_meta_curve_matches_the_per_n_oracle():
         assert np.max(np.abs(curve - want)) <= 1e-12, prof.family
 
 
+def test_meta_guarantee_sums_its_weight_numerators_without_cancellation():
+    # identity profile on [1, n]: Z = H_n; n - sum i/(i+1) loses about 2000 ulps at 10^6
+    n = 10**6
+    guarantee = meta_mixture(PerformanceProfile(c0=1.0), 1, n).guarantee
+    exact = 1.0 / math.fsum(1.0 / i for i in range(1, n + 1))
+    assert abs(guarantee - exact) <= 64 * math.ulp(exact)
+
+
 def test_meta_mixture_flat_and_bounded():
     rng = np.random.default_rng(41)
     for trial in range(20):

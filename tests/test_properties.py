@@ -281,7 +281,7 @@ EDGE_VECTORS = {
     "read-only": _READ_ONLY,
     "broadcast": np.broadcast_to(0.5, (3 * CHUNK,)),
     # w_1 = w_2, then distinct values: minimax's weights
-    "minimax weights": minimax_mixture(3 * CHUNK).weights,
+    "minimax weights": minimax_mixture(3 * CHUNK),
     "pair then distinct": np.concatenate([[0.25, 0.25], _RNG.random(2 * CHUNK)]),
 }
 

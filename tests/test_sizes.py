@@ -166,31 +166,33 @@ def test_the_largest_grid_that_fits_int64_keeps_its_prefix_counts():
 
 
 def test_the_largest_sample_is_the_learned_length_and_passes_the_cap(monkeypatch):
-    # SampleBatch refuses a sample below 1, so the floor is its; the cap is learn_strategy's
+    # a sample below 1 is refused by the sample rule, so the cap is all this size adds
     with pytest.raises(ValidationError) as exc:
-        learn.learn_strategy(learn.SampleBatch(samples=[1, 10**12]), 0.5)
+        learn.learn_strategy([1, 10**12], 0.5)
     assert str(exc.value) == f"largest sample {10**12} exceeds the cap of {dist.MAX_ELEMS} elements"
     monkeypatch.setattr(dist, "MAX_ELEMS", SMALL_CAP)
     with pytest.raises(ValidationError, match=f"^largest sample {SMALL_CAP + 1} exceeds the cap"):
-        learn.learn_strategy(learn.SampleBatch(samples=[SMALL_CAP + 1]), 0.5)
-    assert learn.learn_strategy(learn.SampleBatch(samples=[SMALL_CAP]), 0.5).G.size >= SMALL_CAP
+        learn.learn_strategy([SMALL_CAP + 1], 0.5)
+    assert learn.learn_strategy([SMALL_CAP], 0.5).G.size >= SMALL_CAP
 
 
 @pytest.mark.parametrize("samples", [[2.7, 3.9], [True, True], [float("nan"), 2], [1e30], [10**30],
                                      [], [[1, 2]]],
                          ids=["floats", "bools", "nan", "1e30", "10**30", "empty", "2-D"])
 def test_sample_batch_refuses_what_is_no_integer_vector(samples):
+    # the batch of samples learn_strategy takes
     with pytest.raises(ValidationError, match="^samples must be a non-empty 1-D integer vector"):
-        learn.SampleBatch(samples=samples)
+        learn.learn_strategy(samples, 0.5)
 
 
 def test_sample_batch_takes_integer_vectors_of_any_width_and_refuses_one_below_1():
+    want = learn.learn_strategy(np.array([2, 3], dtype=np.int64), 0.5)
     for samples in ([2, 3], np.array([2, 3], dtype=np.uint8), np.array([2, 3], dtype=np.int32)):
-        batch = learn.SampleBatch(samples=samples)
-        assert batch.samples.dtype == np.int64 and batch.samples.tolist() == [2, 3]
+        got = learn.learn_strategy(samples, 0.5)
+        assert np.array_equal(got.G, want.G) and np.array_equal(got.q_hat.q, want.q_hat.q)
     for samples in ([0, 2], np.array([2**64 - 1], dtype=np.uint64)):
         with pytest.raises(ValidationError, match="^samples must be positive integers$"):
-            learn.SampleBatch(samples=samples)
+            learn.learn_strategy(samples, 0.5)
 
 
 def test_check_int_returns_a_python_int_and_has_no_cap():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,11 +128,23 @@ def test_best_single_threshold_is_argmax():
 
 
 def test_minimax_mixture_examples():
-    assert np.allclose(minimax_mixture(2).weights, [0.5, 0.5], atol=1e-15)
-    assert np.allclose(minimax_mixture(3).weights, [0.4, 0.4, 0.2], atol=1e-15)
-    assert np.array_equal(minimax_mixture(1).weights, [1.0])
+    assert np.allclose(minimax_mixture(2), [0.5, 0.5], atol=1e-15)
+    assert np.allclose(minimax_mixture(3), [0.4, 0.4, 0.2], atol=1e-15)
+    assert np.array_equal(minimax_mixture(1), [1.0])
     with pytest.raises(ValidationError):
         minimax_mixture(0)
+
+
+def test_minimax_mixture_builds_its_weights_in_one_vector():
+    tracemalloc.start()
+    try:
+        w = minimax_mixture(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB weights and the 8 MB divisor range, not also a quotient and a normalized copy
+    assert peak <= 17e6, peak
+    assert not w.flags.writeable and abs(w.sum() - 1.0) <= 1e-12
 
 
 def test_minimax_exact_equality():
@@ -145,8 +158,8 @@ def test_minimax_exact_equality():
 
 
 def test_minimax_expected_bound():
-    assert np.allclose(minimax_mixture_expected_bound(math.e).weights, [0.4, 0.4, 0.2], atol=1e-15)
-    assert minimax_mixture_expected_bound(10.0).weights.size == 24
+    assert np.allclose(minimax_mixture_expected_bound(math.e), [0.4, 0.4, 0.2], atol=1e-15)
+    assert minimax_mixture_expected_bound(10.0).size == 24
     with pytest.raises(ValidationError):
         minimax_mixture_expected_bound(1.0)
     # pre-asymptotic guarantee at a point mass with mean floor(mu)

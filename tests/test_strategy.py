@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from randhorizon import (
-    ThresholdMixture,
     ValidationError,
     delta,
     lambda_sequence,
@@ -137,9 +136,8 @@ def test_mixture_point_mass_degenerates():
     for l in (1, 4, 12):
         w = np.zeros(12)
         w[l - 1] = 1.0
-        mix = ThresholdMixture(weights=w)
         direct = success_probability(p, single_threshold(l, 12))
-        assert abs(mixture_success_probability(p, mix) - direct) <= 1e-12
+        assert abs(mixture_success_probability(p, w) - direct) <= 1e-12
 
 
 def test_mixture_examples():
@@ -157,12 +155,12 @@ def test_mixture_matches_naive_sum():
         l_max = int(rng.integers(1, n + 15))
         p = sample_dirichlet_uniform(n, rng)
         w = rng.random(l_max) + 1e-12
-        mix = ThresholdMixture(weights=w / w.sum())
+        w /= w.sum()
         naive = sum(
             wl * success_probability(p, single_threshold(l + 1, max(n, l + 1)))
-            for l, wl in enumerate(mix.weights)
+            for l, wl in enumerate(w)
         )
-        assert abs(mixture_success_probability(p, mix) - naive) <= 1e-12
+        assert abs(mixture_success_probability(p, w) - naive) <= 1e-12
         fast = threshold_success_values(p, l_max)
         for l in range(l_max):
             direct = success_probability(p, single_threshold(l + 1, max(n, l + 1)))
@@ -170,10 +168,16 @@ def test_mixture_matches_naive_sum():
 
 
 def test_mixture_weight_validation():
-    with pytest.raises(ValidationError):
-        ThresholdMixture(weights=np.array([0.5, 0.6]))
-    with pytest.raises(ValidationError):
-        ThresholdMixture(weights=np.array([-0.5, 1.5]))
+    p = delta(3)
+    with pytest.raises(ValidationError, match="^weights must sum to 1 within"):
+        mixture_success_probability(p, np.array([0.5, 0.6]))
+    with pytest.raises(ValidationError, match="^weights must be non-negative$"):
+        mixture_success_probability(p, np.array([-0.5, 1.5]))
+    for bad in ([], [[0.5, 0.5]]):
+        with pytest.raises(ValidationError, match="^weights must be a non-empty 1-D vector$"):
+            mixture_success_probability(p, bad)
+    with pytest.raises(ValidationError, match="^weights must be finite$"):
+        mixture_success_probability(p, [np.nan, 1.0])
 
 
 def test_fractional_never_beats_solver_optimum():

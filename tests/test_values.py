@@ -6,12 +6,12 @@ import pytest
 from randhorizon import (
     HorizonDistribution,
     PerformanceProfile,
-    SampleBatch,
-    ThresholdMixture,
+    draw_samples,
     learn_strategy,
     make_distribution,
     make_strategy,
     meta_mixture,
+    minimax_mixture,
     prophet_block_distribution,
     solve_optimal,
     uniform,
@@ -19,7 +19,9 @@ from randhorizon import (
 
 
 def _arrays(value, prefix=""):
-    """Every ndarray a value holds, by field path, looking into nested values."""
+    """Every ndarray a value holds, by field path, looking into nested values (an array: itself)."""
+    if isinstance(value, np.ndarray):
+        return {"array": value}
     fields = value._asdict() if hasattr(value, "_asdict") else vars(value)
     found = {}
     for name, field in fields.items():
@@ -36,7 +38,6 @@ def _built_values():
     unit_weights = np.array([0.5, 0.5])
     raw_weights = np.array([1.0, 3.0])
     q = np.array([0.0, 1.0, 0.5])
-    mixture = np.array([0.5, 0.25, 0.25])
     samples = np.array([1, 3, 2], dtype=np.int64)
     thetas = np.linspace(0.1, 1.0, 4)
     exp_max = PerformanceProfile(c0=0.5, family="exp-max")
@@ -45,10 +46,10 @@ def _built_values():
         "make_distribution": (make_distribution(unit_weights), [unit_weights]),
         "make_distribution-renormalized": (make_distribution(raw_weights), [raw_weights]),
         "make_strategy": (make_strategy(q), [q]),
-        "ThresholdMixture": (ThresholdMixture(weights=mixture), [mixture]),
-        "SampleBatch": (SampleBatch(samples=samples), [samples]),
+        "minimax_mixture": (minimax_mixture(3), []),
+        "draw_samples": (draw_samples(uniform(6), 5, 0), []),
         "solve_optimal": (solve_optimal(uniform(6)), []),
-        "learn_strategy": (learn_strategy(SampleBatch(samples=samples), 0.5), [samples]),
+        "learn_strategy": (learn_strategy(samples, 0.5), [samples]),
         "meta_mixture": (meta_mixture(exp_max, 2, 9), []),
         "prophet_block_distribution": (prophet_block_distribution(3, 4, thetas), [thetas]),
     }
