@@ -5,7 +5,7 @@ coordinate.  Instead it coarsens time into geometrically growing blocks
 (right endpoints ceil(rho^l)), estimates the blocked distribution from the
 samples, converts it into a gain sequence G_i = i * lambda_i of the blocked
 empirical distribution, and maximizes the resulting surrogate objective
-exactly with the same backward recursion used by the full-information solver.
+exactly with the closed form of the full-information solver's accept runs.
 Coarsening costs at most rho - 1 in success probability, uniformly over
 strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
 
@@ -89,8 +89,10 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
     L, so the gain i*L rises with i while C falls, and the block accepts a suffix
     [s, e]: i accepts exactly when L (1 - (H_{e-1} - H_{i-1})) >= C_{e+1}/e, one
     harmonic search per block for all trials, and C_s = (s-1) (L (H_{e-1} -
-    H_{s-2}) + C_{e+1}/e).  The strategies are ``solver.backward_induction``'s on
-    the per-index gains except where an acceptance margin is within rounding of 0.
+    H_{s-2}) + C_{e+1}/e).  That is the accept-run closed form of
+    ``solver.backward_induction`` with g_j = jL, whose suffix-sum terms g_j/(j(j-1))
+    = L/(j-1) sum to harmonic differences.  The strategies are backward_induction's
+    on the per-index gains except where an acceptance margin is within rounding of 0.
     """
     p_hat = counts / m
     sums = p_hat.sum(axis=0)

@@ -7,8 +7,9 @@ on the continuation values
 
 with gain g_i = i * lambda_i(p).  The objective is linear in each q_i once the
 later entries are fixed, so some 0/1 vector attains the optimum; ties are
-broken toward accepting.  :func:`backward_induction` steps through Python
-floats, one distribution at a time.
+broken toward accepting.  The optimal q is a union of a few runs ("islands",
+Presman & Sonin 1972), and :func:`backward_induction` solves it run by run
+in closed form from one vector of suffix sums, with no per-index Python loop.
 
 :func:`solve_optimal` is the one solve: from a single lambda pass it also
 reports theta = max_i g_i with its smallest index K*, and the value of the
@@ -46,9 +47,23 @@ class SolveResult(NamedTuple):
     threshold_value: float  # value of that single-threshold rule
 
 
-# Backward induction steps through Python floats (several times faster than
-# numpy scalars) one block at a time, so the float list stays small.
-_BI_BLOCK = 1 << 14
+def _last_hit(hit, hi: int) -> int:
+    """Largest m <= hi whose entry of hit(lo, hi) is true, or 0 when none is.
+
+    hit(lo, hi) returns the booleans of m = lo..hi.  The windows double back
+    from hi, from 64 entries up to 8192, so a run of length r reads O(r)
+    entries in O(log r + r/8192) calls, and a window's temporaries stay
+    under 100 KB.
+    """
+    width = 64
+    while hi >= 1:
+        lo = max(hi - width + 1, 1)
+        mask = hit(lo, hi)
+        back = int(mask[::-1].argmax())
+        if mask[-1 - back]:
+            return hi - back
+        hi, width = lo - 1, min(2 * width, 8192)
+    return 0
 
 
 def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,22 +71,60 @@ def backward_induction(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the 0/1 maximizer and the continuation values C_1..C_{n+1}.
     Accept (q_i = 1) exactly when g_i >= C_{i+1}; the optimum value is C_1.
+    Every caller in the package passes g_i = i * lambda_i.
+
+    The optimal q is a union of runs, solved from the last index back.  On a
+    reject run C stays constant; the run ends at the last j with g_j >= C.
+    With S_i = sum_{j >= i} g_j/(j(j-1)), an accept run [a, b] has
+    C_m = (m-1) (S_m - S_{b+1} + C_{b+1}/b) at every m in it but m = 1, where
+    C_1 = max(g_1, C_2); it ends at the last m with g_m < C_{m+1}.  Each run's
+    end is searched in windows that double back from the run's end
+    (:func:`_last_hit`), so the cost is O(n) elements plus O(runs * log n +
+    n/8192) numpy calls.  Uniform, Poisson, delta and pstar laws and flat
+    Dirichlet draws have one or two runs; arbitrary gains can have many:
+    random ones at n = 3 * 10^5 have about 10^5 and take over ten times as
+    long as a scalar loop would.  S is built in place in the vector that
+    becomes q, so the call holds C, q and one window.
     """
     g = _floats(gains, "gains", copy=False)
+    if g.ndim != 1 or not np.isfinite(g).all():
+        raise ValidationError(f"gains must be a finite 1-D vector, got shape {g.shape}")
     n = g.size
-    c = np.empty(n + 1)
+    # s[m - 1] = S_{m+1} for m = 1..n.  Negative gains are always rejected, and
+    # dropping them from S keeps S_{b+1} within 2 C_{b+1}/b, so no difference cancels.
+    # c holds 1..n+1 until the runs overwrite it, so S needs no temporary.
+    c, s = np.arange(1.0, n + 2), np.empty(n)
+    t = s[:-1]
+    np.multiply(c[: n - 1], c[1:n], out=t)  # (j-1) j for j = 2..n
+    np.divide(g[1:], t, out=t)
+    np.maximum(t, 0.0, out=t)
+    s[-1:] = 0.0
+    np.add.accumulate(s[::-1], out=s[::-1])
     c[n] = cont = 0.0
-    for hi in range(n, 0, -_BI_BLOCK):
-        lo = max(hi - _BI_BLOCK, 0)
-        block = g[lo:hi].tolist()
-        for j in range(hi - lo - 1, -1, -1):
-            gj = block[j]
-            if gj >= cont:
-                i = lo + j + 1
-                cont = gj / i + (1.0 - 1.0 / i) * cont
-            block[j] = cont
-        c[lo:hi] = block
-    return (g >= c[1:]).astype(float), c
+
+    def accepts_back_to(lo: int, hi: int) -> np.ndarray:
+        # C_{m+1} = m (S_{m+1} - k) into c[m], k = S_{b+1} - C_{b+1}/b;
+        # m rejects when g_m < C_{m+1}
+        w = c[lo : hi + 1]
+        np.subtract(s[lo - 1 : hi], k, out=w)
+        w *= np.arange(lo, hi + 1)
+        return g[lo - 1 : hi] < w
+
+    i = n  # C_{i+1} = cont is known; index i is next
+    while i:
+        if g[i - 1] >= cont:  # an accept run ends at i
+            k = s[i - 1] - cont / i
+            i = _last_hit(accepts_back_to, i - 1)
+            if not i:
+                c[0] = g[0]
+                break
+            cont = c[i]
+        else:
+            j = _last_hit(lambda lo, hi: g[lo - 1 : hi] >= cont, i - 1)
+            c[j:i] = cont
+            i = j
+    q = np.greater_equal(g, c[1:], out=s)
+    return q, c
 
 
 def classical_cutoff(k: int) -> int:
@@ -103,11 +156,12 @@ def solve_optimal(p: HorizonDistribution) -> SolveResult:
     gains = np.arange(1, p.n + 1) * lam
     q, c = backward_induction(gains)
     q.setflags(write=False)
+    opt = float(c[0])
+    del c  # the threshold rule's temporaries below are the peak; C is not needed for them
     k = int(np.argmax(gains))
     theta = float(gains[k])
     cutoff = classical_cutoff(k + 1)
     value = lambda_form_value(lam, single_threshold(cutoff, p.n).q)
-    opt = float(c[0])
     tol = 1e-12
     if not (theta / math.e <= value + tol and value <= opt + tol):
         raise AssertionError(

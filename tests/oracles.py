@@ -7,6 +7,7 @@ under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,19 +115,18 @@ def perm_adversary_rate(n: int, l: int) -> float:
     return float(np.mean(wins))
 
 
-def bi_loop(gains):
-    """Backward induction one numpy element at a time: the reference for the blocked walk."""
-    g = np.asarray(gains, dtype=float)
-    n = g.size
+def bi_exact(gains):
+    """Backward induction in exact rational arithmetic on the float gains: (0/1 q, C_1..C_{n+1})."""
+    g = [Fraction(float(x)) for x in gains]
+    n = len(g)
     q = np.zeros(n)
-    c = np.zeros(n + 1)
+    c = [Fraction(0)] * (n + 1)
     for i in range(n, 0, -1):
-        cont = c[i]
-        if g[i - 1] >= cont:
+        if g[i - 1] >= c[i]:
             q[i - 1] = 1.0
-            c[i - 1] = g[i - 1] / i + (1.0 - 1.0 / i) * cont
+            c[i - 1] = g[i - 1] / i + (1 - Fraction(1, i)) * c[i]
         else:
-            c[i - 1] = cont
+            c[i - 1] = c[i]
     return q, c
 
 

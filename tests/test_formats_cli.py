@@ -393,6 +393,18 @@ def test_cli_lowerbound(tmp_path):
     assert abs(result["s_star"] - 1 / (1 + math.e)) <= 0.01
 
 
+def test_cli_solve_learn_and_lowerbound_succeed_at_a_million(tmp_path, capsys):
+    # each solves delta(10^6), whose optimum must clear solve_optimal's sandwich assertion
+    dist = _write_dist(tmp_path, "delta.json", {"kind": "delta", "n": 1000000})
+    assert cli.main(["solve", "--dist", dist]) == 0
+    assert json.loads(capsys.readouterr().out)["k_star"] == 1000000
+    assert cli.main(["learn", "--dist", dist, "--epsilon", "0.5", "--delta", "0.1", "--trials", "2",
+                     "--seed", "0", "--tail-bound", "1000000"]) == 0
+    assert capsys.readouterr().out.count(",1,0.5\n") == 2  # both trials pass
+    assert cli.main(["lowerbound", "--n", "1000000", "--epsilon", "0.02"]) == 0
+    assert json.loads(capsys.readouterr().out)["separated"] is True
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["solve", "--dist", str(tmp_path / "missing.json")]) == 3
     garbled = tmp_path / "garbled.json"

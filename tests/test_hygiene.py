@@ -287,3 +287,33 @@ def test_no_public_dataclass_only_wraps_one_field():
              "class D:\n    x: int\n"
              "@dataclass\nclass _E:\n    x: int\n")
     assert _bare_dataclasses(ast.parse(probe)) == {"A"}
+
+
+# Functions that NumPy 2.0 added; pyproject allows numpy >= 1.24, where they do not exist
+NUMPY2_ONLY = {"cumulative_sum", "cumulative_prod", "astype", "unique_values", "concat"}
+
+
+def _numpy2_names(tree: ast.Module) -> set[tuple[int, str]]:
+    """(line, name) of every NumPy-2-only function read as ``np.X``, ``numpy.X`` or imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY \
+                and getattr(node.value, "id", None) in {"np", "numpy"}:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found |= {(node.lineno, a.name) for a in node.names if a.name in NUMPY2_ONLY}
+    return found
+
+
+def test_no_numpy_2_only_function():
+    # the NumPy 1.24 CI job would fail on them at call time, and only on the lines a test reaches
+    found = {
+        (path.name, *name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _numpy2_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
+    probe = ("np.cumulative_sum(t, include_initial=True)\nnumpy.concat([a, b])\n"
+             "from numpy import unique_values\nx.astype(float)\nnp.cumsum(t)\nnp.astype(x, float)")
+    assert _numpy2_names(ast.parse(probe)) == {
+        (1, "cumulative_sum"), (2, "concat"), (3, "unique_values"), (6, "astype")}

@@ -25,9 +25,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon import solver
-
-from oracles import bi_loop, classical_cutoff_loop, exhaustive_value_optimum, perm_threshold_scan
+from oracles import bi_exact, classical_cutoff_loop, exhaustive_value_optimum, perm_threshold_scan
 
 
 def test_solve_optimal_examples():
@@ -188,35 +186,69 @@ def test_backward_induction_ties_accept():
     assert np.array_equal(q, np.ones(4)) and c[0] == 0.0
 
 
-def test_blocked_backward_induction_matches_the_loop(monkeypatch):
+# ulps of C_i by which backward_induction may miss exact arithmetic at n <= 80 (4 is the most seen)
+BI_ULPS = 16
+
+
+def test_backward_induction_by_runs_is_within_its_ulp_budget_of_exact_arithmetic():
     rng = np.random.default_rng(19)
 
     def tied(n):
-        # g_i = C_{i+1} at every i < n: each step is an exact tie, taken as accept
+        # g_i = C_{i+1} at every i < n in the scalar recursion's rounding: near-ties everywhere
         g, cont = np.empty(n), 0.0
         for i in range(n, 0, -1):
             g[i - 1] = cont if i < n else 1.0
             cont = g[i - 1] / i + (1.0 - 1.0 / i) * cont
         return g
 
-    def check(n):
-        p = sample_dirichlet_uniform(n, rng)
-        for gains in (
-            rng.random(n),
-            np.full(n, 0.3),
-            np.zeros(n),
-            tied(n),
-            np.arange(1, n + 1) * lambda_sequence(p),
-        ):
+    for n in [1, 2, 3, *rng.integers(4, 81, size=150)]:
+        n = int(n)
+        w = rng.random(n)
+        w[rng.random(n) < 0.4] = 0.0  # zero entries, the last ones too
+        w[int(rng.integers(n))] = 1.0
+        p = make_distribution(w / w.sum())
+        # large negative gains are always rejected and must not swamp the suffix sums
+        negative = np.where(rng.random(n) < 0.5, -1e6, 1.0) * rng.random(n)
+        for gains in (rng.random(n), tied(n), np.zeros(n), np.full(n, 0.3), negative,
+                      np.arange(1, n + 1) * lambda_sequence(p)):
             q, c = backward_induction(gains)
-            q_ref, c_ref = bi_loop(gains)
-            assert np.array_equal(q, q_ref) and np.array_equal(c, c_ref), n
+            q_exact, c_exact = bi_exact(gains)
+            budget = [BI_ULPS * math.ulp(float(x)) for x in c_exact]
+            assert all(abs(float(x) - e) <= b for x, e, b in zip(c, c_exact, budget)), (n, gains)
+            margin = [abs(gains[i] - c_exact[i + 1]) for i in range(n)]
+            assert all(q[i] == q_exact[i] for i in range(n) if margin[i] > budget[i + 1]), n
 
-    check(2 * solver._BI_BLOCK + 5)
-    block = 7
-    monkeypatch.setattr(solver, "_BI_BLOCK", block)
-    for n in (1, block - 1, block, block + 1, 2 * block + 1):
-        check(n)
+
+def test_backward_induction_refuses_gains_it_cannot_order():
+    for bad in ([0.5, math.nan], [math.inf, 0.0], np.ones((2, 2))):
+        with pytest.raises(ValidationError, match="gains must be a finite 1-D vector"):
+            backward_induction(bad)
+    q, c = backward_induction([])
+    assert q.size == 0 and np.array_equal(c, [0.0])
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**6])
+def test_the_optimum_on_a_point_mass_is_within_64_ulps_of_an_exact_sum(n):
+    # a per-index scalar recursion drifts 1.1e5 ulps low at n = 10^6, below the threshold value
+    r = solve_optimal(delta(n))
+    l = r.cutoff
+    assert np.array_equal(r.q, single_threshold(l, n).q)
+    want = (l - 1) / n * math.fsum(1.0 / np.arange(l - 1, n))
+    assert abs(r.value - want) <= 64 * math.ulp(want), (r.value, want)
+
+
+def test_solve_optimal_keeps_its_peak_memory():
+    p = uniform(3 * 10**5)
+    solve_optimal(p)  # warm
+    tracemalloc.start()
+    try:
+        solve_optimal(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.4 MB vectors: the suffix sums live in the vector that becomes q, and C is freed before
+    # the threshold rule's temporaries, where the peak is (14.5 MB; 16.9 MB with C held)
+    assert peak <= 15e6, peak
 
 
 def test_classical_cutoff_matches_the_loop():
