@@ -56,6 +56,7 @@ from .strategy import (
     mixture_success_probability,
     prefix_products,
     single_threshold,
+    success_probabilities,
     success_probability,
     success_probability_pform,
     threshold_success_values,

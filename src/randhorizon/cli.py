@@ -69,12 +69,8 @@ def _load_strategy(args, n: int) -> strategy.Strategy:
 
 def cmd_eval(args) -> dict:
     p = _load_distribution(args.dist)
-    q = _load_strategy(args, p.n)
-    return {
-        "value": strategy.success_probability(p, q),
-        "value_pform": strategy.success_probability_pform(p, q),
-        "n": p.n,
-    }
+    value, value_pform = strategy.success_probabilities(p, _load_strategy(args, p.n))
+    return {"value": value, "value_pform": value_pform, "n": p.n}
 
 
 def cmd_solve(args) -> dict:

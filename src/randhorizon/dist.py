@@ -284,8 +284,10 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
 
 def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
     """Read-only array lambda_1..lambda_n, lambda_i = sum_{l=i..n} p_l / l, by one backward pass."""
-    terms = p.probs / np.arange(1, p.n + 1)
-    values = np.cumsum(terms[::-1])[::-1]
+    values = np.arange(1.0, p.n + 1)  # exact integers: an int range's quotients
+    np.divide(p.probs, values, out=values)
+    backward = values[::-1]
+    np.cumsum(backward, out=backward)
     values.setflags(write=False)
     return values
 

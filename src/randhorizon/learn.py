@@ -34,7 +34,7 @@ from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil
                    _positive_ints, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
-from .strategy import Strategy, prefix_products
+from .strategy import Strategy, _acceptance_terms, _lambda_form
 
 
 class LearnOutput(NamedTuple):
@@ -111,7 +111,8 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
         np.divide(c, el[b], out=target, where=sampled[b])  # once sampled, sampled further down
         first[b] = j = lo + h[lo + 1 : e + 1].searchsorted(target + h[e] - 1.0)
         c = np.where(j < e, j * (L * (h[e] - h[j]) + c / e), c)
-    # C order: the scorer's row sums round like lambda_form_value's 1-D sum only on C rows
+    # C order, the layout of the scorer's buffer, so that its in-place passes read q row by row
+    # (its row sums, taken over that buffer, do not depend on q's layout)
     first = np.repeat(first, np.diff(ends, prepend=0), axis=0)[:length].T
     return lam, (np.arange(length) >= first).astype(float, order="C")
 
@@ -239,6 +240,8 @@ def learning_trials(
             m[lo + col] = m_main
             counts[:, col] = np.diff(u.searchsorted(edges), prepend=0)
         _, q = _learn_blocks(counts, m[lo : lo + len(rows)], ends, p.n)
-        # one contiguous row per trial, so each sum is lambda_form_value's 1-D sum, bit for bit
-        value_hat[lo : lo + len(rows)] = np.sum(prefix_products(q)[:, :-1] * q * lam, axis=1)
+        # the kernel's buffer has one contiguous row per trial, so each row sum is
+        # lambda_form_value's 1-D sum, bit for bit
+        a = _acceptance_terms(q)
+        value_hat[lo : lo + len(rows)] = _lambda_form(a, lam, out=a)
     return m, value_hat

@@ -8,10 +8,14 @@ Its exact success probability against a horizon distribution p is
     U_i(q)  = prod_{l<=i} (1 - q_l / l),
 
 with the equivalent per-horizon form sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l
-kept around as a cross-check oracle.  When a strategy is evaluated against a
-distribution whose support extends past the stored length, the missing entries
-are treated as 1 (accepting a best-so-far item when nothing else would be
-picked weakly dominates rejecting it).
+kept around as a cross-check.  Both forms read the same terms
+a_i = U_{i-1} q_i, which one kernel writes into one buffer; they differ where
+the formulas do: the lambda form weights a by the suffix sums lambda, the
+per-horizon form takes a prefix sum of a per horizon.  :func:`success_probabilities`
+evaluates both from one extension of q and one buffer.  When a strategy is
+evaluated against a distribution whose support extends past the stored length,
+the missing entries are treated as 1 (accepting a best-so-far item when nothing
+else would be picked weakly dominates rejecting it).
 """
 
 from __future__ import annotations
@@ -76,8 +80,36 @@ def single_threshold(l: int, m: int) -> Strategy:
 
 def prefix_products(q: np.ndarray) -> np.ndarray:
     """U_0..U_m along q's last axis, U_i = prod_{l<=i} (1 - q_l/l): no-pick-yet probabilities."""
-    u = np.cumprod(1.0 - q / np.arange(1, q.shape[-1] + 1), axis=-1)
-    return np.concatenate([np.ones(q.shape[:-1] + (1,)), u], axis=-1)
+    m = q.shape[-1]
+    u = np.empty(q.shape[:-1] + (m + 1,))
+    u[..., 0] = 1.0
+    tail = u[..., 1:]
+    np.divide(q, np.arange(1.0, m + 1), out=tail)  # exact integers: an int range's quotients
+    np.subtract(1.0, tail, out=tail)
+    np.cumprod(tail, axis=-1, out=tail)
+    return u
+
+
+def _acceptance_terms(q: np.ndarray) -> np.ndarray:
+    """a_i = U_{i-1} q_i along q's last axis, written over U_0..U_{m-1} of one prefix-product buffer."""
+    a = prefix_products(q)[..., :-1]
+    return np.multiply(a, q, out=a)
+
+
+def _lambda_form(a: np.ndarray, lam: np.ndarray, out=None):
+    """sum_i a_i lambda_i along the last axis, by a pairwise sum of each contiguous row of a*lam."""
+    return np.sum(np.multiply(a, lam, out=out), axis=-1)
+
+
+def _point_masses(a: np.ndarray) -> np.ndarray:
+    """Turn the 1-D terms a into (1/i) * sum_{l<=i} a_l, i = 1..len(a), in place."""
+    np.cumsum(a, out=a)
+    return np.divide(a, np.arange(1, a.size + 1), out=a)
+
+
+def _pform(probs: np.ndarray, values: np.ndarray) -> float:
+    """sum_i p_i * values_i, multiplying into the point-mass values."""
+    return float(np.sum(np.multiply(probs, values, out=values)))
 
 
 def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
@@ -87,21 +119,35 @@ def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
 
 def lambda_form_value(lam: np.ndarray, qx: np.ndarray) -> float:
     """sum_i U_{i-1}(q) q_i lambda_i for a lambda sequence and a same-length q."""
-    return float(np.sum(prefix_products(qx)[:-1] * qx * lam))
+    a = _acceptance_terms(qx)
+    return float(_lambda_form(a, lam, out=a))
 
 
 def point_mass_values(qx: np.ndarray) -> np.ndarray:
     """(1/i) * sum_{l<=i} U_{l-1} q_l for i = 1..len(qx): the value of q when N = i."""
-    return np.cumsum(prefix_products(qx)[:-1] * qx) / np.arange(1, qx.size + 1)
+    return _point_masses(_acceptance_terms(qx))
 
 
 def success_probability_pform(p: HorizonDistribution, strategy: Strategy) -> float:
     """Same value as :func:`success_probability`, via the per-horizon form.
 
-    sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l.  Kept as an independent
-    cross-check of the lambda-form evaluation.
+    sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l.  It shares q's extension and
+    U with the lambda form and is independent of it where the two differ: a
+    prefix sum per horizon here, the suffix sums lambda there.
     """
-    return float(np.sum(p.probs * point_mass_values(strategy.extended(p.n))))
+    return _pform(p.probs, point_mass_values(strategy.extended(p.n)))
+
+
+def success_probabilities(p: HorizonDistribution, strategy: Strategy) -> tuple[float, float]:
+    """(lambda form, per-horizon form) of A(p, q) from one extension of q and one buffer.
+
+    Each value has the bits of :func:`success_probability` and
+    :func:`success_probability_pform`: the lambda form reads the terms
+    a_i = U_{i-1} q_i, which then become the point-mass values in place.
+    """
+    a = _acceptance_terms(strategy.extended(p.n))
+    value = float(_lambda_form(a, lambda_sequence(p)))
+    return value, _pform(p.probs, _point_masses(a))
 
 
 def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything here evaluates strategies by enumerating permutations and
 simulating decisions position by position, never through the closed forms
-under test.
+under test.  The exceptions are the separate-pass forms of the exact
+evaluators at the end, which the one-buffer kernels must match bit for bit.
 """
 
 import itertools
@@ -247,3 +248,25 @@ def poisson_full_support(mu: float, n: int) -> HorizonDistribution:
     k = np.arange(1, n + 1, dtype=float)
     logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
     return make_distribution(np.exp(logw - logw.max()))
+
+
+def prefix_products_concat(q: np.ndarray) -> np.ndarray:
+    """U_0..U_m along q's last axis: a quotient, one minus it, a cumprod and a leading one."""
+    u = np.cumprod(1.0 - q / np.arange(1, q.shape[-1] + 1), axis=-1)
+    return np.concatenate([np.ones(q.shape[:-1] + (1,)), u], axis=-1)
+
+
+def lambda_sequence_copy(p: HorizonDistribution) -> np.ndarray:
+    """lambda_1..lambda_n from a fresh quotient and a reversed cumsum into a new vector."""
+    terms = p.probs / np.arange(1, p.n + 1)
+    return np.cumsum(terms[::-1])[::-1]
+
+
+def eval_two_pass(p: HorizonDistribution, strategy) -> tuple[float, float]:
+    """(lambda form, per-horizon form) of A(p, q), each from its own extension of q and own U."""
+    def terms() -> np.ndarray:
+        qx = strategy.extended(p.n)
+        return prefix_products_concat(qx)[:-1] * qx
+
+    value = float(np.sum(terms() * lambda_sequence_copy(p)))
+    return value, float(np.sum(p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randhorizon import cli, formats, learn, sim, solver
+from randhorizon import cli, formats, learn, sim, solver, strategy
 from randhorizon import (
     ValidationError,
     backward_induction,
@@ -154,6 +154,41 @@ def test_cli_eval_round_trip_strategy(tmp_path):
     result = json.loads(out.read_text())
     assert abs(result["value"] - success_probability(uniform(5), q)) < 1e-12
     assert abs(result["value"] - result["value_pform"]) < 1e-12
+
+
+def test_cli_eval_extends_q_once_and_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
+    # both forms of A(p, q) come from one extension of q and one U
+    calls = {"extended": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(strategy.Strategy, "extended", counted("extended", strategy.Strategy.extended))
+    monkeypatch.setattr(strategy, "_acceptance_terms", counted("kernel", strategy._acceptance_terms))
+    dist_path = _write_dist(tmp_path, "u50.json", {"kind": "uniform", "n": 50})
+    assert cli.main(["eval", "--dist", dist_path, "--threshold", "20"]) == 0
+    assert calls == {"extended": 1, "kernel": 1}
+    result = json.loads(capsys.readouterr().out)
+    assert (result["value"], result["value_pform"]) == strategy.success_probabilities(
+        uniform(50), single_threshold(20, 20))
+
+
+def test_cli_eval_keeps_its_peak_memory(tmp_path):
+    dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": 10**6})
+    argv = ["eval", "--dist", dist_path, "--threshold", "367880"]
+    assert cli.main(argv) == 0  # warm
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8 MB vectors: the law, the stored rule (0.37 of one) and three more, such as U's buffer,
+    # lambda and their product (34.9 MB; 43.0 MB with q extended and U built once per form)
+    assert peak <= 36e6, peak
 
 
 _CAPPED_MAIN = (

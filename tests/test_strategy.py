@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,17 @@ from randhorizon import (
     sample_dirichlet_uniform,
     single_threshold,
     solve_optimal,
+    success_probabilities,
     success_probability,
     success_probability_pform,
     threshold_success_values,
     worst_case_pstar,
 )
 
-from oracles import first_principles_success, perm_success_rate
+from randhorizon.strategy import _acceptance_terms, _lambda_form, lambda_form_value, point_mass_values
+
+from oracles import (eval_two_pass, first_principles_success, lambda_sequence_copy, perm_success_rate,
+                     prefix_products_concat)
 
 
 def test_single_threshold_examples():
@@ -58,6 +64,66 @@ def test_prefix_products_monotone_in_unit_interval():
         u = prefix_products(rng.random(int(rng.integers(1, 50))))
         assert np.all(u >= -1e-15) and np.all(u <= 1 + 1e-15)
         assert np.all(np.diff(u) <= 1e-15)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _random_law_and_strategy(rng: np.random.Generator, case: int):
+    """n = 1 or log-uniform up to 5000, zero entries; q 0/1 or fractional, shorter or longer than n."""
+    n = 1 if case % 20 == 0 else int(math.exp(rng.uniform(0.0, math.log(5000.0))))
+    w = rng.standard_exponential(n)
+    w[rng.random(n) < 0.3] = 0.0
+    w[n - int(rng.integers(0, n // 2 + 1)) :] = 0.0
+    w[rng.integers(n)] += 1e-3
+    q = rng.random(int(rng.integers(0, 2 * n + 2)))
+    if case % 2:
+        q = np.floor(q + rng.random())  # 0/1
+    return make_distribution(w), make_strategy(q)
+
+
+def test_prefix_products_match_the_concatenate_form_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = [np.zeros(0), np.zeros((3, 0)), np.ones(1), np.zeros(1)]
+    for _ in range(300):
+        m = int(rng.integers(0, 3000))
+        q = rng.random(m) if rng.random() < 0.5 else np.floor(rng.random(m) + rng.random())
+        cases += [q, rng.random((int(rng.integers(1, 6)), m))]
+    cases.append(np.asfortranarray(rng.random((7, 500))))
+    for q in cases:
+        assert _same_bits(prefix_products(q), prefix_products_concat(q)), q.shape
+
+
+def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for case in range(2000):
+        p, s = _random_law_and_strategy(rng, case)
+        assert _same_bits(lambda_sequence(p), lambda_sequence_copy(p)), p.n
+        want = eval_two_pass(p, s)
+        got = success_probabilities(p, s)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (p.n, s.m)
+        assert success_probability(p, s).hex() == want[0].hex()
+        assert success_probability_pform(p, s).hex() == want[1].hex()
+        qx = s.extended(p.n)
+        assert _same_bits(point_mass_values(qx),
+                          np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
+
+
+def test_row_scores_match_the_product_array_and_the_1d_sum_bit_for_bit():
+    # the learner scores (trials x n) 0/1 strategies by rows of the kernel's buffer
+    rng = np.random.default_rng(25)
+    for _ in range(500):
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 3000))
+        q = np.floor(rng.random((rows, n)) + rng.random((rows, 1)))
+        if rng.random() < 0.3:
+            q = rng.random((rows, n))
+        lam = lambda_sequence(make_distribution(rng.standard_exponential(n)))
+        a = _acceptance_terms(q)
+        got = _lambda_form(a, lam, out=a)
+        assert _same_bits(got, np.sum(prefix_products_concat(q)[:, :-1] * q * lam, axis=1))
+        assert got.tolist() == [lambda_form_value(lam, row) for row in q]
 
 
 def test_success_probability_examples():
