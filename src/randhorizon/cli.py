@@ -180,7 +180,8 @@ def cmd_avgcase(args) -> list[dict]:
 def cmd_learn(args) -> tuple[list[dict], list[dict]]:
     p = _load_distribution(args.dist)
     dist._check_size(args.trials, "trials")
-    value_opt = solver.solve_optimal(p).value
+    # the lambda form, as value_hat is scored, so that q_hat = q_opt has a gap of exactly 0
+    value_opt = strategy.lambda_form_value(dist.lambda_sequence(p), solver.solve_optimal(p).q)
     rows, summary = [], []
     for i, eps in enumerate(args.epsilon):
         seeds = [int(_subseed(args.seed, i, t).generate_state(1)[0]) for t in range(args.trials)]

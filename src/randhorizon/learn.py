@@ -12,14 +12,16 @@ strategies, so rho = 1 + epsilon/4 keeps the bias inside the error budget.
 The endpoints come from one cumulative product of rho (the multiplications
 of repeated ``power *= rho``, in order), snapped to integers.  One core
 learns from sample counts per block, one column per trial.  lambda_hat is
-constant on a block, so the block accepts a suffix of its indices, found by
-one search in the harmonic numbers: one numpy step per block across all
-trials.  :func:`learn_strategy` is one column; :func:`learning_trials` runs
-every trial of one epsilon through the core.  It counts each trial's main
-samples per block straight from the sorted uniforms, by one search of the
-endpoints' cdf values (``dist._horizon_edges``), and draws no horizons for
-them.  :func:`draw_samples` returns a read-only int64 array of horizons for
-the tail pre-estimate; :func:`learn_strategy` takes any integer vector.
+constant on a block, so the block accepts a suffix of its indices, and the
+learned strategy is a union of a few accept and reject runs of blocks.  The
+core advances every trial by one run per numpy step, so its numpy calls grow
+with runs * log(blocks), not with blocks.  :func:`learn_strategy` is one
+column; :func:`learning_trials` runs every trial of one epsilon through the
+core.  It counts each trial's main samples per block straight from the
+sorted uniforms, by one search of the endpoints' cdf values
+(``dist._horizon_edges``), and draws no horizons for them.
+:func:`draw_samples` returns a read-only int64 array of horizons for the
+tail pre-estimate; :func:`learn_strategy` takes any integer vector.
 """
 
 from __future__ import annotations
@@ -81,18 +83,49 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> np.ndarray:
     return samples
 
 
+_RUN_WINDOW = 16  # blocks in the first window of a run's search; it doubles while the run goes on
+
+
+def _window(b: np.ndarray, width: np.ndarray, spare: int):
+    """Rows d = 0..W-1+spare of a window below each column's block b.
+
+    Returns the blocks b - d (clipped at 0), the rows each column reads
+    (d < held) and held: W is the largest min(width, b + 1), and a column
+    reads min(W, b + 1) rows if its width is positive, else none.
+    """
+    held = np.minimum(width, b + 1)
+    d = np.arange(max(int(held.max()), 0) + spare)[:, None]
+    held = np.where(width > 0, np.minimum(d.size - spare, b + 1), 0)
+    return np.maximum(b - d, 0), d < held, held
+
+
 def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Block lambda_hat (blocks, trials) and the learned 0/1 strategies (trials, length).
 
     Column r of counts holds trial r's m[r] samples counted per block of ends;
     p_hat is that column over m[r].  On a block (lo, e] lambda_hat is a constant
     L, so the gain i*L rises with i while C falls, and the block accepts a suffix
-    [s, e]: i accepts exactly when L (1 - (H_{e-1} - H_{i-1})) >= C_{e+1}/e, one
-    harmonic search per block for all trials, and C_s = (s-1) (L (H_{e-1} -
-    H_{s-2}) + C_{e+1}/e).  That is the accept-run closed form of
-    ``solver.backward_induction`` with g_j = jL, whose suffix-sum terms g_j/(j(j-1))
-    = L/(j-1) sum to harmonic differences.  The strategies are backward_induction's
-    on the per-index gains except where an acceptance margin is within rounding of 0.
+    [s, e]: i accepts exactly when L (1 - (H_{e-1} - H_{i-1})) >= C_{e+1}/e, and
+    C_s = (s-1) (L (H_{e-1} - H_{s-2}) + C_{e+1}/e).  That is the accept-run closed
+    form of ``solver.backward_induction`` with g_j = jL, whose suffix-sum terms
+    g_j/(j(j-1)) = L/(j-1) sum to harmonic differences.
+
+    The blocks are solved run by run from the last one down, one run of every
+    live column per iteration.  On a reject run C stays constant; the run ends at
+    the highest block whose last index accepts.  On a run of fully accepted
+    blocks D_b = C_{lo+1}/lo = L_b (H_{e-1} - H_{lo-1}) + D_{b+1}, one cumulative
+    sum per window; the run ends at the first block whose first index rejects,
+    and that block's first accepting index is one search in H for all columns.
+    Each run's end is searched in a (window x columns) gather that looks back
+    from the column's current block; a column's window starts at _RUN_WINDOW
+    blocks and doubles while its run goes on, so the numpy calls grow with
+    runs * log(blocks), not with blocks.  Above a column's largest sample L = C
+    = 0 and every block accepts.
+
+    The strategies are backward_induction's on the per-index gains except where
+    an acceptance margin is within rounding of 0; the cumulative sum carries C
+    along an accept run with a rounding of its own, so a few ulps of C can
+    differ from a block-by-block recursion.
     """
     p_hat = counts / m
     sums = p_hat.sum(axis=0)
@@ -100,21 +133,79 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
         raise ValidationError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
                               f"got sums from {sums.min()!r} to {sums.max()!r}")
     lam = np.cumsum((p_hat / ends[:, None])[::-1], axis=0)[::-1]
-    el, sampled = ends[:, None] * lam, lam > 0  # sampled: at or below the largest sample
+    nb, nt = lam.shape
     h = np.concatenate([[0.0, 0.0], np.cumsum(1.0 / np.arange(1, ends[-1] + 1))])  # H_{j-1} at j
-    first = np.empty(counts.shape, dtype=np.int64)  # 0-based first accepting index per block
-    c = np.zeros(counts.shape[1])  # C_{e+1} of the block being solved
-    # past its largest sample L = C = 0 for a trial, a tie that accepts: -inf there, not 0/0
-    target = np.full(c.shape, -np.inf)
-    for b in range(ends.size - 1, -1, -1):
-        lo, e, L = int(ends[b - 1]) if b else 0, int(ends[b]), lam[b]
-        np.divide(c, el[b], out=target, where=sampled[b])  # once sampled, sampled further down
-        first[b] = j = lo + h[lo + 1 : e + 1].searchsorted(target + h[e] - 1.0)
-        c = np.where(j < e, j * (L * (h[e] - h[j]) + c / e), c)
+    los = np.concatenate([[0], ends[:-1]])
+    he, h_first = h[ends], h[los + 1]  # H_{e-1} and H_lo of each block
+    # flat (block, column) entries: e L, and L (H_{e-1} - H_{lo-1}), a full block's step of D
+    el, step = (ends[:, None] * lam).ravel(), (lam * (he - h[los])[:, None]).ravel()
+    # flat 0-based first accepting index (int32: the endpoints stay below 2^31); a block
+    # accepts unless the block that ends an accept run sets it or a reject run covers it.
+    # marks row k + 1 belongs to block k: a reject run adds 1 at its top block and -1 at the
+    # block below its bottom, so the sum from the top is positive on its blocks
+    first = np.repeat(los.astype(np.int32), nt)
+    marks = np.zeros((nb + 1) * nt, dtype=np.int8)
+    cols = np.arange(nt)  # the live columns, with per-column state below
+    b = np.count_nonzero(lam, axis=0) - 1  # next block: the largest sample's, at first
+    c = np.zeros(nt)  # C_{e+1} of block b
+    # the accept search is next: block b's last index accepts, or an accept run's window ran out
+    accepting = np.ones(nt, dtype=bool)
+    width = np.full(nt, _RUN_WINDOW)  # of the current run's next window
+    while (live := b >= 0).any():
+        if not live.all():
+            cols, b, c, accepting, width = (v[live] for v in (cols, b, c, accepting, width))
+        at = np.arange(cols.size)
+        if not accepting.all():
+            # reject run: C stays; it ends where the last index's target is <= H_{e-1}
+            k, held, run = _window(b, np.where(accepting, 0, width), 0)
+            kf, he_k = k * nt + cols, he[k]
+            x = c / el[kf]
+            x += he_k
+            x -= 1.0
+            hit = (x <= he_k) & held
+            end = hit.argmax(axis=0)
+            found = hit[end, at]
+            run[found] = end[found]
+            marks[(b + 1) * nt + cols] += 1
+            b = b - run
+            marks[(b + 1) * nt + cols] -= 1
+            width = np.where(found, _RUN_WINDOW, np.where(accepting, width, 2 * width))
+            accepting |= found
+        if accepting.any():
+            # accept run: C_{e+1} of the window's blocks, each as if every block above
+            # it in the window accepted fully
+            k, held, run = _window(b, np.where(accepting, width, 0), 1)
+            kf = k * nt + cols
+            c_in = np.empty(k.shape)
+            np.divide(c, ends[k[0]], out=c_in[0])
+            np.take(step, kf[:-1], out=c_in[1:])
+            np.cumsum(c_in, axis=0, out=c_in)
+            c_in *= ends[k]
+            c_in[0] = c
+            x = c_in / el[kf]
+            x += he[k]
+            x -= 1.0
+            stop = (x > h_first[k]) & held  # the block's first index rejects
+            end = stop.argmax(axis=0)
+            ended = stop[end, at]
+            run[ended] = end[ended]
+            ks, c, x = k[run, at], c_in[run, at], x[run, at]
+            lo, e = los[ks], ends[ks]
+            j = lo + np.clip(h.searchsorted(x) - lo - 1, 0, e - lo)
+            first[(ks * nt + cols)[ended]] = j[ended]
+            c = np.where(ended & (j < e), j * (lam[ks, cols] * (h[e] - h[j]) + c / e), c)
+            b = b - run - ended
+            width = np.where(ended, _RUN_WINDOW, np.where(accepting, 2 * width, width))
+            accepting &= ~ended
+    first = first.reshape(nb, nt)
+    rejected = np.cumsum(marks.reshape(nb + 1, nt)[::-1], axis=0)[-2::-1] > 0
+    np.copyto(first, ends[:, None], where=rejected)
     # C order, the layout of the scorer's buffer, so that its in-place passes read q row by row
     # (its row sums, taken over that buffer, do not depend on q's layout)
-    first = np.repeat(first, np.diff(ends, prepend=0), axis=0)[:length].T
-    return lam, (np.arange(length) >= first).astype(float, order="C")
+    first = np.repeat(first.T, np.diff(ends, prepend=0), axis=1)[:, :length]
+    q = np.empty((nt, length))
+    np.greater_equal(np.arange(length, dtype=np.int32), first, out=q)
+    return lam, q
 
 
 def learn_strategy(samples, epsilon: float) -> LearnOutput:
@@ -229,7 +320,7 @@ def learning_trials(
     value_hat = np.empty(len(entropy))
     for lo in range(0, len(entropy), chunk):
         rows = entropy[lo : lo + chunk]
-        counts = np.empty((ends.size, len(rows)))
+        below = np.empty((ends.size, len(rows)), dtype=np.int64)  # samples at or below each end
         for col, e in enumerate(rows):
             if T is None:
                 tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0]))[-1])
@@ -238,7 +329,8 @@ def learning_trials(
             u = np.random.default_rng(np.random.SeedSequence([e, 1])).random(m_main)
             u.sort()
             m[lo + col] = m_main
-            counts[:, col] = np.diff(u.searchsorted(edges), prepend=0)
+            below[:, col] = u.searchsorted(edges)
+        counts = np.diff(below, axis=0, prepend=0)
         _, q = _learn_blocks(counts, m[lo : lo + len(rows)], ends, p.n)
         # the kernel's buffer has one contiguous row per trial, so each row sum is
         # lambda_form_value's 1-D sum, bit for bit

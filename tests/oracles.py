@@ -270,3 +270,27 @@ def eval_two_pass(p: HorizonDistribution, strategy) -> tuple[float, float]:
 
     value = float(np.sum(terms() * lambda_sequence_copy(p)))
     return value, float(np.sum(p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))))
+
+
+def learn_blocks_loop(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """``learn._learn_blocks`` the way it ran before runs: one numpy step per block.
+
+    From the last block down, each block (lo, e] accepts the suffix of its indices
+    that starts at the first i with H_{i-1} >= C_{e+1}/(e L) + H_{e-1} - 1, found
+    by one harmonic search for all columns, and C_s = (s-1) (L (H_{e-1} - H_{s-2}) +
+    C_{e+1}/e) at that first accepting index s.
+    """
+    p_hat = counts / m
+    lam = np.cumsum((p_hat / ends[:, None])[::-1], axis=0)[::-1]
+    el, sampled = ends[:, None] * lam, lam > 0
+    h = np.concatenate([[0.0, 0.0], np.cumsum(1.0 / np.arange(1, ends[-1] + 1))])
+    first = np.empty(counts.shape, dtype=np.int64)
+    c = np.zeros(counts.shape[1])
+    target = np.full(c.shape, -np.inf)
+    for b in range(ends.size - 1, -1, -1):
+        lo, e, L = int(ends[b - 1]) if b else 0, int(ends[b]), lam[b]
+        np.divide(c, el[b], out=target, where=sampled[b])
+        first[b] = j = lo + h[lo + 1 : e + 1].searchsorted(target + h[e] - 1.0)
+        c = np.where(j < e, j * (L * (h[e] - h[j]) + c / e), c)
+    first = np.repeat(first, np.diff(ends, prepend=0), axis=0)[:length].T
+    return lam, (np.arange(length) >= first).astype(float, order="C")

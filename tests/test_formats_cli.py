@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -275,6 +276,19 @@ def test_cli_learn_and_summary_deterministic(tmp_path, capsys):
     assert cli.main(["learn", "--dist", dist_path, "--epsilon", "0.3", "--delta", "0.3",
                      "--trials", "4", "--seed", "11", "--summary", "-"]) == 0
     assert capsys.readouterr().out.encode() == outs[0][0] + outs[0][1]
+
+
+def test_cli_learn_gap_is_exactly_zero_when_the_learned_strategy_is_the_optimum(tmp_path, capsys):
+    # on delta(10) every trial learns q_opt; backward induction's C_1 and the lambda
+    # form differ by an ulp there, which the gap printed as -5.551115123e-17
+    dist_path = _write_dist(tmp_path, "d.json", {"kind": "delta", "n": 10})
+    assert cli.main(["learn", "--dist", dist_path, "--epsilon", "0.2", "0.5", "--trials", "4",
+                     "--seed", "0"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 8
+    for row in rows:
+        assert row["value_hat"] == row["value_opt"] == "0.3986904762"
+        assert row["gap"] == "0"
 
 
 def test_cli_learn_repeats_its_bytes_after_another_truth(tmp_path, capsys):

@@ -25,7 +25,7 @@ from randhorizon import (
 from randhorizon import learn
 from randhorizon.learn import _endpoints_until, _learn_blocks
 from randhorizon.solver import backward_induction
-from oracles import endpoints_loop, learning_trial_loop
+from oracles import endpoints_loop, learn_blocks_loop, learning_trial_loop
 
 
 def test_block_indices_examples():
@@ -340,18 +340,22 @@ def _zero_entries(n: int, seed: int):
 def test_learning_trials_match_the_per_trial_loop(monkeypatch):
     # 5 truths x 4 epsilons x (T given, T pre-estimated) x 25 trials = 1000 trials,
     # in chunks of 1 or 7 columns, so that chunk boundaries fall inside a batch,
-    # plus 2 x 3 trials on a flat Dirichlet draw over n = 10^5 at epsilon 0.2
-    truths = [delta(1), make_distribution([0.3, 0.7]), sample_dirichlet_uniform(10, 5),
-              _zero_entries(1000, 6), delta(40), sample_dirichlet_uniform(10**5, 7)]
+    # plus 2 x 3 trials on a flat Dirichlet draw over n = 10^5 at epsilon 0.2 and
+    # on p ~ 1/i over n = 10^5 at epsilon 0.05, whose trials have dozens of runs
+    small, n = (0.02, 0.05, 0.2, 0.9), 10**5
+    truths = [(delta(1), small, 25), (make_distribution([0.3, 0.7]), small, 25),
+              (sample_dirichlet_uniform(10, 5), small, 25), (_zero_entries(1000, 6), small, 25),
+              (delta(40), small, 25), (sample_dirichlet_uniform(n, 7), (0.2,), 3),
+              (make_distribution(1.0 / np.arange(1, n + 1)), (0.05,), 3)]
     rng = np.random.default_rng(29)
     case = 0
-    for p in truths:
-        for eps in (0.02, 0.05, 0.2, 0.9) if p.n < 10**5 else (0.2,):
+    for p, epsilons, trials in truths:
+        for eps in epsilons:
             for T in (None, p.n):
                 width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
                 monkeypatch.setattr(learn, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
                 case += 1
-                seeds = rng.integers(2**32, size=25 if p.n < 10**5 else 3).tolist()
+                seeds = rng.integers(2**32, size=trials).tolist()
                 m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
                 want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
                 assert m.tolist() == [w[0] for w in want], (p.n, eps, T)
@@ -405,6 +409,32 @@ def test_block_core_matches_the_scalar_solve():
     # samples all at 2: G = [1/2, 1] and C_2 = 1/2, so index 1 ties and accepts
     out = learn_strategy(np.full(5, 2), 0.5)
     assert np.array_equal(out.G, [0.5, 1.0]) and np.array_equal(out.q_hat.q, [1.0, 1.0])
+
+
+def test_block_core_matches_the_block_loop():
+    # lam and q bit for bit against one numpy step per block, on random count
+    # matrices and on alternating empty and non-empty blocks, where the runs at
+    # ratios 1.2 and 2 number about half the blocks
+    rng = np.random.default_rng(32)
+    for rho, n in ((2.0, 1), (1.5, 2), (1.005, 3000), (1.0125, 1000), (1.05, 300), (1.2, 3000),
+                   (2.0, 10**5)):
+        ends = _endpoints_until(rho, n)
+        for alternate in (False, True):
+            counts = rng.integers(alternate, 5, size=(ends.size, 20)).astype(float)
+            if alternate:
+                counts[1::2] = 0.0
+            for r in range(20):  # half the trials with empty trailing blocks
+                last = ends.size - 1 if r % 2 else int(rng.integers(ends.size))
+                counts[last + 1 :, r] = 0.0
+                counts[last, r] += 1.0
+            m = counts.sum(axis=0).astype(np.int64)
+            length = max(1, int(ends[-1]) - int(rng.integers(3)))
+            lam, q = _learn_blocks(counts, m, ends, length)
+            want_lam, want_q = learn_blocks_loop(counts, m, ends, length)
+            assert np.array_equal(lam, want_lam) and np.array_equal(q, want_q), (rho, n, alternate)
+            if alternate and rho >= 1.2:
+                runs = 1 + np.count_nonzero(np.diff(q[1::2], axis=1), axis=1)
+                assert runs.mean() >= ends.size / 3, (rho, n, runs)
 
 
 def test_an_oversized_sample_count_is_reported_before_the_endpoints():
