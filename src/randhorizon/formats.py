@@ -138,16 +138,12 @@ def json_text(doc: dict) -> str:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, separators=(", ",
     ": ")) + "\\n"`` with each numpy vector among the values of ``doc`` (an
-    output vector such as ``q_opt``) read as its ``tolist()``.  A document with
-    no vector longer than _CHUNK entries is that one ``json.dumps`` call.  In
-    any other, each key and value is encoded on its own and each vector by
-    :func:`_array_pieces`: a chunk of entries per ``json.dumps`` call, or each
-    run of equal entries with its value spelled once.  The pieces are joined
-    once at the end; only one chunk's Python floats are alive at a time.
+    output vector such as ``q_opt``) read as its ``tolist()``.  Each key and
+    value is encoded on its own and each vector by :func:`_array_pieces`: a
+    chunk of entries per ``json.dumps`` call, or each run of equal entries with
+    its value spelled once.  The pieces are joined once at the end; only one
+    chunk's Python floats are alive at a time.
     """
-    if not any(isinstance(v, np.ndarray) and v.size > _CHUNK for v in doc.values()):
-        doc = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
-        return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
     pieces = []
     for key in sorted(doc):
         value = doc[key]

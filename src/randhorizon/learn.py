@@ -14,14 +14,14 @@ of repeated ``power *= rho``, in order), snapped to integers.  One core
 learns from sample counts per block, one column per trial.  lambda_hat is
 constant on a block, so the block accepts a suffix of its indices, and the
 learned strategy is a union of a few accept and reject runs of blocks.  The
-core advances every trial by one run per numpy step, so its numpy calls grow
-with runs * log(blocks), not with blocks.  :func:`learn_strategy` is one
-column; :func:`learning_trials` runs every trial of one epsilon through the
-core.  It counts each trial's main samples per block straight from the
-sorted uniforms, by one search of the endpoints' cdf values
-(``dist._horizon_edges``), and draws no horizons for them.
-:func:`draw_samples` returns a read-only int64 array of horizons for the
-tail pre-estimate; :func:`learn_strategy` takes any integer vector.
+core moves every trial in lock-step, one full pass over the blocks per run,
+so its numpy calls grow with the largest run count, not with blocks.
+:func:`learn_strategy` is one column; :func:`learning_trials` runs every trial
+of one epsilon through the core.  It counts each trial's main samples per
+block straight from the sorted uniforms, by one search of the endpoints' cdf
+values (``dist._horizon_edges``), and draws no horizons for them.
+:func:`draw_samples` returns a read-only int64 array of horizons for the tail
+pre-estimate; :func:`learn_strategy` takes any integer vector.
 """
 
 from __future__ import annotations
@@ -83,20 +83,10 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> np.ndarray:
     return samples
 
 
-_RUN_WINDOW = 16  # blocks in the first window of a run's search; it doubles while the run goes on
-
-
-def _window(b: np.ndarray, width: np.ndarray, spare: int):
-    """Rows d = 0..W-1+spare of a window below each column's block b.
-
-    Returns the blocks b - d (clipped at 0), the rows each column reads
-    (d < held) and held: W is the largest min(width, b + 1), and a column
-    reads min(W, b + 1) rows if its width is positive, else none.
-    """
-    held = np.minimum(width, b + 1)
-    d = np.arange(max(int(held.max()), 0) + spare)[:, None]
-    held = np.where(width > 0, np.minimum(d.size - spare, b + 1), 0)
-    return np.maximum(b - d, 0), d < held, held
+def _highest(mask: np.ndarray) -> np.ndarray:
+    """The highest row of each column of mask that holds, or -1 if none does."""
+    top = mask.shape[0] - 1 - mask[::-1].argmax(axis=0)
+    return np.where(mask[top, np.arange(mask.shape[1])], top, -1)
 
 
 def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,100 +100,71 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
     form of ``solver.backward_induction`` with g_j = jL, whose suffix-sum terms
     g_j/(j(j-1)) = L/(j-1) sum to harmonic differences.
 
-    The blocks are solved run by run from the last one down, one run of every
-    live column per iteration.  On a reject run C stays constant; the run ends at
-    the highest block whose last index accepts.  On a run of fully accepted
-    blocks D_b = C_{lo+1}/lo = L_b (H_{e-1} - H_{lo-1}) + D_{b+1}, one cumulative
-    sum per window; the run ends at the first block whose first index rejects,
-    and that block's first accepting index is one search in H for all columns.
-    Each run's end is searched in a (window x columns) gather that looks back
-    from the column's current block; a column's window starts at _RUN_WINDOW
-    blocks and doubles while its run goes on, so the numpy calls grow with
-    runs * log(blocks), not with blocks.  Above a column's largest sample L = C
-    = 0 and every block accepts.
+    The blocks are solved run by run from the last one down, every live column in
+    lock-step.  Each starts an accept run at its largest sample's block b; then full
+    passes over the blocks [0, max b] find where each column's accept run ends, and
+    where its reject run ends, in turn.  A pass finds the end or reaches block 0, so
+    all live columns are always in the same phase.  On a run of fully accepted
+    blocks D_b = C_{lo+1}/lo = L_b (H_{e-1} - H_{lo-1}) + D_{b+1}, one reversed
+    cumulative sum with zeros above each column's b (adding 0.0 is exact); the run
+    ends at the highest block whose first index rejects, and that block's first
+    accepting index is one search in H for all columns.  On a reject run C stays
+    constant; the run ends at the highest block whose last index accepts.  The
+    numpy calls grow with the largest run count, the elements with runs * blocks *
+    columns.  Above a column's largest sample L = C = 0, e L is taken as inf so
+    that no pass divides 0 by 0, and every block accepts.
 
-    The strategies are backward_induction's on the per-index gains except where
-    an acceptance margin is within rounding of 0; the cumulative sum carries C
-    along an accept run with a rounding of its own, so a few ulps of C can
-    differ from a block-by-block recursion.
+    The strategies are backward_induction's on the per-index gains except where a
+    margin is within rounding of 0: the cumulative sum carries C along an accept
+    run with a rounding of its own, a few ulps off a block-by-block recursion.
     """
     p_hat = counts / m
     sums = p_hat.sum(axis=0)
-    if np.any(abs(sums - 1.0) > SUM_TOL):
-        raise ValidationError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
-                              f"got sums from {sums.min()!r} to {sums.max()!r}")
+    if np.any(abs(sums - 1.0) > SUM_TOL):  # the counts are the program's own: a bug
+        raise AssertionError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
+                             f"got sums from {sums.min()!r} to {sums.max()!r}")
     lam = np.cumsum((p_hat / ends[:, None])[::-1], axis=0)[::-1]
-    nb, nt = lam.shape
     h = np.concatenate([[0.0, 0.0], np.cumsum(1.0 / np.arange(1, ends[-1] + 1))])  # H_{j-1} at j
     los = np.concatenate([[0], ends[:-1]])
-    he, h_first = h[ends], h[los + 1]  # H_{e-1} and H_lo of each block
-    # flat (block, column) entries: e L, and L (H_{e-1} - H_{lo-1}), a full block's step of D
-    el, step = (ends[:, None] * lam).ravel(), (lam * (he - h[los])[:, None]).ravel()
-    # flat 0-based first accepting index (int32: the endpoints stay below 2^31); a block
-    # accepts unless the block that ends an accept run sets it or a reject run covers it.
-    # marks row k + 1 belongs to block k: a reject run adds 1 at its top block and -1 at the
-    # block below its bottom, so the sum from the top is positive on its blocks
-    first = np.repeat(los.astype(np.int32), nt)
-    marks = np.zeros((nb + 1) * nt, dtype=np.int8)
-    cols = np.arange(nt)  # the live columns, with per-column state below
-    b = np.count_nonzero(lam, axis=0) - 1  # next block: the largest sample's, at first
-    c = np.zeros(nt)  # C_{e+1} of block b
-    # the accept search is next: block b's last index accepts, or an accept run's window ran out
-    accepting = np.ones(nt, dtype=bool)
-    width = np.full(nt, _RUN_WINDOW)  # of the current run's next window
-    while (live := b >= 0).any():
-        if not live.all():
-            cols, b, c, accepting, width = (v[live] for v in (cols, b, c, accepting, width))
-        at = np.arange(cols.size)
-        if not accepting.all():
-            # reject run: C stays; it ends where the last index's target is <= H_{e-1}
-            k, held, run = _window(b, np.where(accepting, 0, width), 0)
-            kf, he_k = k * nt + cols, he[k]
-            x = c / el[kf]
-            x += he_k
-            x -= 1.0
-            hit = (x <= he_k) & held
-            end = hit.argmax(axis=0)
-            found = hit[end, at]
-            run[found] = end[found]
-            marks[(b + 1) * nt + cols] += 1
-            b = b - run
-            marks[(b + 1) * nt + cols] -= 1
-            width = np.where(found, _RUN_WINDOW, np.where(accepting, width, 2 * width))
-            accepting |= found
-        if accepting.any():
-            # accept run: C_{e+1} of the window's blocks, each as if every block above
-            # it in the window accepted fully
-            k, held, run = _window(b, np.where(accepting, width, 0), 1)
-            kf = k * nt + cols
-            c_in = np.empty(k.shape)
-            np.divide(c, ends[k[0]], out=c_in[0])
-            np.take(step, kf[:-1], out=c_in[1:])
-            np.cumsum(c_in, axis=0, out=c_in)
-            c_in *= ends[k]
-            c_in[0] = c
-            x = c_in / el[kf]
-            x += he[k]
-            x -= 1.0
-            stop = (x > h_first[k]) & held  # the block's first index rejects
-            end = stop.argmax(axis=0)
-            ended = stop[end, at]
-            run[ended] = end[ended]
-            ks, c, x = k[run, at], c_in[run, at], x[run, at]
-            lo, e = los[ks], ends[ks]
-            j = lo + np.clip(h.searchsorted(x) - lo - 1, 0, e - lo)
-            first[(ks * nt + cols)[ended]] = j[ended]
-            c = np.where(ended & (j < e), j * (lam[ks, cols] * (h[e] - h[j]) + c / e), c)
-            b = b - run - ended
-            width = np.where(ended, _RUN_WINDOW, np.where(accepting, 2 * width, width))
-            accepting &= ~ended
-    first = first.reshape(nb, nt)
-    rejected = np.cumsum(marks.reshape(nb + 1, nt)[::-1], axis=0)[-2::-1] > 0
-    np.copyto(first, ends[:, None], where=rejected)
+    he, h_first = h[ends, None], h[los + 1, None]  # H_{e-1} and H_lo of each block
+    el = np.where(lam > 0.0, ends[:, None] * lam, np.inf)
+    up = np.zeros_like(lam)  # row k: L (H_{e-1} - H_{lo-1}) of block k + 1, D's step into k
+    up[:-1] = (lam * (he - h[los, None]))[1:]
+    # 0-based first accepting index (int32: ends < 2^31): lo, unless a run's end sets it
+    first = np.repeat(los.astype(np.int32)[:, None], lam.shape[1], axis=1)
+    cols = np.arange(lam.shape[1])  # the live columns, with their b, c, el and up
+    b = np.count_nonzero(lam, axis=0) - 1  # the current block: the largest sample's, at first
+    c = np.zeros(cols.size)  # C_{e+1} of block b
+    accepting = True
+    while b.size:
+        rows, at = np.arange(b.max() + 1)[:, None], np.arange(b.size)
+        el, up, he, h_first = (v[: rows.size] for v in (el, up, he, h_first))
+        held = rows <= b  # the blocks of each column's run, from b down
+        if accepting:  # C_{e+1} of each block, as if every block from b down to it accepted
+            d = np.where(held, up, 0.0)
+            d[b, at] = c / ends[b]
+            c_in = np.cumsum(d[::-1], axis=0)[::-1] * ends[: rows.size, None]
+            c_in[b, at] = c
+            x = c_in / el + he - 1.0
+            ks = _highest((x > h_first) & held)
+            # where no first index rejects (ks = -1), block 0 accepts and j is its lo, 0
+            k = np.maximum(ks, 0)
+            lo, e, c = los[k], ends[k], c_in[k, at]
+            first[k, cols] = j = lo + np.clip(h.searchsorted(x[k, at]) - lo - 1, 0, e - lo)
+            c = np.where(j < e, j * (lam[k, cols] * (h[e] - h[j]) + c / e), c)
+            b = ks - 1
+        else:  # C stays; the run ends where the last index's target is <= H_{e-1}
+            ks = _highest((c / el + he - 1.0 <= he) & held)
+            r, a = np.nonzero((rows > ks) & held)
+            first[r, cols[a]] = ends[r]
+            b = ks
+        accepting = not accepting
+        if not (live := b >= 0).all():
+            cols, b, c, el, up = cols[live], b[live], c[live], el[:, live], up[:, live]
     # C order, the layout of the scorer's buffer, so that its in-place passes read q row by row
     # (its row sums, taken over that buffer, do not depend on q's layout)
     first = np.repeat(first.T, np.diff(ends, prepend=0), axis=1)[:, :length]
-    q = np.empty((nt, length))
+    q = np.empty((lam.shape[1], length))
     np.greater_equal(np.arange(length, dtype=np.int32), first, out=q)
     return lam, q
 
@@ -224,8 +185,8 @@ def learn_strategy(samples, epsilon: float) -> LearnOutput:
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
     n_max = _check_size(int(samples.max()), "largest sample")  # the strategy's length
     ends = _endpoints_until(1.0 + epsilon / 4.0, n_max)
-    lam, q = _learn_blocks(_blocked(ends, samples)[ends - 1, None], samples.size, ends,
-                           int(ends[-1]))
+    counts = np.bincount(np.searchsorted(ends, samples), minlength=ends.size)
+    lam, q = _learn_blocks(counts[:, None], samples.size, ends, int(ends[-1]))
     g = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, 0], np.diff(ends, prepend=0))
     g.setflags(write=False)
     return LearnOutput(q_hat=Strategy(q=q[0]), G=g)

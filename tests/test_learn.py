@@ -435,6 +435,31 @@ def test_block_core_matches_the_block_loop():
             if alternate and rho >= 1.2:
                 runs = 1 + np.count_nonzero(np.diff(q[1::2], axis=1), axis=1)
                 assert runs.mean() >= ends.size / 3, (rho, n, runs)
+    # one chunk of uniform(100) at epsilon 0.2: 4000 columns whose largest samples
+    # sit in different blocks
+    ends = _endpoints_until(1.05, 100)
+    counts = rng.multinomial(200, np.diff(ends, prepend=0) / 100, size=4000).T.astype(float)
+    last = rng.integers(ends.size, size=4000)
+    counts[np.arange(ends.size)[:, None] > last] = 0.0
+    counts[last, np.arange(4000)] += 1.0
+    assert np.unique(last).size == ends.size
+    # one column with every other block empty, the shape of learn_strategy with many runs
+    ends_one = _endpoints_until(1.2, 3000)
+    one = rng.integers(1, 5, size=(ends_one.size, 1)).astype(float)
+    one[1::2] = 0.0
+    for counts, ends in ((counts, ends), (one, ends_one)):
+        m = counts.sum(axis=0).astype(np.int64)
+        lam, q = _learn_blocks(counts, m, ends, int(ends[-1]))
+        want_lam, want_q = learn_blocks_loop(counts, m, ends, int(ends[-1]))
+        assert np.array_equal(lam, want_lam) and np.array_equal(q, want_q), counts.shape
+    assert 1 + np.count_nonzero(np.diff(q[0])) >= ends.size / 3
+
+
+def test_a_count_matrix_that_does_not_sum_to_its_m_is_a_bug_not_bad_input():
+    ends = _endpoints_until(2.0, 8)
+    counts = np.array([[1.0], [0.0], [2.0], [1.0]])
+    with pytest.raises(AssertionError, match="sum to 1"):
+        _learn_blocks(counts, np.array([5]), ends, 8)
 
 
 def test_an_oversized_sample_count_is_reported_before_the_endpoints():

@@ -309,6 +309,6 @@ def test_json_text_calls_json_dumps_once_per_short_document_chunk_or_run_chunk(m
         calls.clear()
         assert formats.json_text(doc) == want[len(found)]
         found.append(len(calls))
-    # a long document: one call per key and per non-vector value, then per chunk of
-    # entries, or per chunk of runs when their mean length is 4 or more
-    assert found == [1, 2 + 1 + 1, 2 + 1 + 4]
+    # every document, short or long: one call per key and per non-vector value, then
+    # per chunk of entries, or per chunk of runs when their mean length is 4 or more
+    assert found == [2 + 1 + 1, 2 + 1 + 1, 2 + 1 + 4]
