@@ -61,7 +61,7 @@ def _load_distribution(path: str) -> dist.HorizonDistribution:
     return formats.distribution_from_json(formats.load_json(path))
 
 
-def _load_strategy(args, n: int) -> strategy.Strategy:
+def _load_strategy(args, n: int) -> np.ndarray:
     if args.threshold is not None:  # the strategy file {"kind": "threshold", "l": L}
         return formats.strategy_from_json({"kind": "threshold", "l": args.threshold}, n)
     return formats.strategy_from_json(formats.load_json(args.strategy), n)
@@ -240,8 +240,8 @@ def cmd_lowerbound(args) -> dict:
     p_plus, p_minus, s_star = learn.hard_instance_lb(args.n, args.epsilon)
     opt_plus = solver.solve_optimal(p_plus)
     opt_minus = solver.solve_optimal(p_minus)
-    cross_plus = strategy.success_probability(p_minus, strategy.make_strategy(opt_plus.q))
-    cross_minus = strategy.success_probability(p_plus, strategy.make_strategy(opt_minus.q))
+    cross_plus = strategy.success_probability(p_minus, opt_plus.q)
+    cross_minus = strategy.success_probability(p_plus, opt_minus.q)
     separated = (
         cross_plus < opt_minus.value - args.epsilon / 3.0
         and cross_minus < opt_plus.value - args.epsilon / 3.0

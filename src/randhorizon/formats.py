@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dist
 from .errors import InputFileError, ValidationError
-from .strategy import Strategy, make_strategy, single_threshold
+from .strategy import make_strategy, single_threshold
 
 _DIST_KINDS = {
     "delta": lambda n, param: dist.delta(n),
@@ -97,8 +97,8 @@ def distribution_from_json(obj) -> dist.HorizonDistribution:
     raise ValidationError("distribution object needs 'probs' or 'kind'")
 
 
-def strategy_from_json(obj, n: int) -> Strategy:
-    """A strategy for support [n]; a threshold rule keeps min(l, n) entries, all A(p, q) reads."""
+def strategy_from_json(obj, n: int) -> np.ndarray:
+    """A read-only acceptance vector; a threshold rule keeps the min(l, n) entries A reads on [n]."""
     obj = _object(obj, "strategy file")
     if "q" in obj:
         return make_strategy(_numbers(obj, "q"))

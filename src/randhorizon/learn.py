@@ -36,11 +36,11 @@ from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil
                    _positive_ints, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
-from .strategy import Strategy, _acceptance_terms, _lambda_form
+from .strategy import _acceptance_terms, _lambda_form
 
 
 class LearnOutput(NamedTuple):
-    q_hat: Strategy
+    q_hat: np.ndarray  # read-only learned acceptance vector on 1..N_max
     G: np.ndarray  # estimated gain sequence on 1..N_max, N_max = G.size
 
 
@@ -189,7 +189,8 @@ def learn_strategy(samples, epsilon: float) -> LearnOutput:
     lam, q = _learn_blocks(counts[:, None], samples.size, ends, int(ends[-1]))
     g = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, 0], np.diff(ends, prepend=0))
     g.setflags(write=False)
-    return LearnOutput(q_hat=Strategy(q=q[0]), G=g)
+    q.setflags(write=False)
+    return LearnOutput(q_hat=q[0], G=g)
 
 
 def _check_budget(epsilon: float, delta: float) -> None:

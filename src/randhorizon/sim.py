@@ -39,7 +39,7 @@ import numpy as np
 
 from .dist import _CHUNK_ELEMS, HorizonDistribution, _check_int, _check_size
 from .errors import HarnessError, ValidationError
-from .strategy import Strategy, point_mass_values, single_threshold
+from .strategy import extended, make_strategy, point_mass_values, single_threshold
 
 Policy = Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
 
@@ -137,7 +137,7 @@ def _next_record(t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.floor(t / (1.0 - rng.random(t.size))) + 1.0
 
 
-def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> SimResult:
+def simulate(p: HorizonDistribution, q, trials: int, seed) -> SimResult:
     """Empirical success rate of a strategy, with binomial standard error.
 
     Each trial walks its records: at record t it accepts with probability q_t
@@ -146,7 +146,7 @@ def simulate(p: HorizonDistribution, strategy: Strategy, trials: int, seed) -> S
     """
     _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
-    qx = strategy.extended(p.n)
+    qx = extended(q, p.n)
     horizons = p.sample(trials, rng)
     t = np.ones(trials)
     successes = 0
@@ -213,7 +213,7 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
         raise ValidationError(f"epsilon must be in (0, 2/e^2), got {epsilon}")
     _check_size(draws, "draws")
     l_star = math.ceil(n / math.e**2)
-    coeff = point_mass_values(single_threshold(l_star, n).q)
+    coeff = point_mass_values(single_threshold(l_star, n))
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
     slab = np.empty((min(draws, max(1, (_CHUNK_ELEMS >> 6) // n)), n))
@@ -253,9 +253,9 @@ def threshold_policy(l: int) -> Policy:
     return decide
 
 
-def strategy_policy(strategy: Strategy) -> Policy:
-    """Play an acceptance vector as a batched policy (ones past its length)."""
-    q = strategy.q
+def strategy_policy(q) -> Policy:
+    """Play a :func:`make_strategy` copy of q as a batched policy (ones past its length)."""
+    q = make_strategy(q)
 
     def decide(t: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         q_t = q[t - 1] if t <= q.size else 1.0

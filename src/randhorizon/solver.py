@@ -161,7 +161,7 @@ def solve_optimal(p: HorizonDistribution) -> SolveResult:
     k = int(np.argmax(gains))
     theta = float(gains[k])
     cutoff = classical_cutoff(k + 1)
-    value = lambda_form_value(lam, single_threshold(cutoff, p.n).q)
+    value = lambda_form_value(lam, single_threshold(cutoff, p.n))
     tol = 1e-12
     if not (theta / math.e <= value + tol and value <= opt + tol):
         raise AssertionError(

@@ -2,6 +2,8 @@
 
 A strategy is a vector q where q_i is the probability of accepting the i-th
 arrival given that it is the best seen so far and nothing was accepted yet.
+It is a plain float64 array, read-only where the package makes it; a caller's
+vector is checked, not copied, by :func:`extended`, which every evaluator reads.
 Its exact success probability against a horizon distribution p is
 
     A(p, q) = sum_i U_{i-1}(q) * q_i * lambda_i(p),
@@ -20,8 +22,6 @@ else would be picked weakly dominates rejecting it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dist import (HorizonDistribution, _check_int, _check_size, _floats, _probability_vector,
@@ -29,53 +29,49 @@ from .dist import (HorizonDistribution, _check_int, _check_size, _floats, _proba
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Acceptance probabilities q_1..q_m, each in [0, 1]."""
-
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = _floats(self.q, "q")
-        if q.ndim != 1:
-            raise ValidationError("q must be a 1-D vector")
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("q must be finite")
-        if np.any(q < 0) or np.any(q > 1):
-            raise ValidationError("q entries must lie in [0, 1]")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def m(self) -> int:
-        return self.q.size
-
-    def extended(self, n: int) -> np.ndarray:
-        """Acceptance vector of length n, padding with 1 beyond the stored length."""
-        n = _check_size(n, "length", low=0)
-        if n <= self.m:
-            return self.q[:n]
-        out = np.ones(n)  # one allocation, not the ones and their concatenation
-        out[: self.m] = self.q
-        return out
+def _acceptance_vector(values, copy: bool) -> np.ndarray:
+    """values as :func:`dist._floats` gives them, refused unless 1-D, finite and in [0, 1]."""
+    q = _floats(values, "q", copy)
+    if q.ndim != 1:
+        raise ValidationError("q must be a 1-D vector")
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("q must be finite")
+    if np.any(q < 0) or np.any(q > 1):
+        raise ValidationError("q entries must lie in [0, 1]")
+    return q
 
 
-def make_strategy(values) -> Strategy:
-    return Strategy(q=values)
+def make_strategy(values) -> np.ndarray:
+    """A read-only float64 copy of acceptance probabilities q_1..q_m, each in [0, 1]."""
+    q = _acceptance_vector(values, copy=True)
+    q.setflags(write=False)
+    return q
 
 
-def single_threshold(l: int, m: int) -> Strategy:
+def extended(q, n: int) -> np.ndarray:
+    """q checked like :func:`make_strategy`'s input, cut (a view) or padded with 1 to length n."""
+    q = _acceptance_vector(q, copy=False)
+    n = _check_size(n, "length", low=0)
+    if n <= q.size:
+        return q[:n]
+    out = np.ones(n)  # one allocation, not the ones and their concatenation
+    out[: q.size] = q
+    return out
+
+
+def single_threshold(l: int, m: int) -> np.ndarray:
     """Reject the first l-1 arrivals, then accept the first best-so-far one.
 
-    Stored with length m; thresholds beyond the length give the all-zero
-    vector.
+    A read-only vector of length m; thresholds beyond the length give the
+    all-zero vector.
     """
     _check_int(l, "threshold", 1)
     _check_size(m, "length", low=0)
     q = np.zeros(m)
     if l <= m:
         q[l - 1 :] = 1.0
-    return Strategy(q=q)
+    q.setflags(write=False)
+    return q
 
 
 def prefix_products(q: np.ndarray) -> np.ndarray:
@@ -112,9 +108,9 @@ def _pform(probs: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(np.multiply(probs, values, out=values)))
 
 
-def success_probability(p: HorizonDistribution, strategy: Strategy) -> float:
+def success_probability(p: HorizonDistribution, q) -> float:
     """Exact success probability A(p, q), evaluated in the lambda form (O(n))."""
-    return lambda_form_value(lambda_sequence(p), strategy.extended(p.n))
+    return lambda_form_value(lambda_sequence(p), extended(q, p.n))
 
 
 def lambda_form_value(lam: np.ndarray, qx: np.ndarray) -> float:
@@ -128,24 +124,24 @@ def point_mass_values(qx: np.ndarray) -> np.ndarray:
     return _point_masses(_acceptance_terms(qx))
 
 
-def success_probability_pform(p: HorizonDistribution, strategy: Strategy) -> float:
+def success_probability_pform(p: HorizonDistribution, q) -> float:
     """Same value as :func:`success_probability`, via the per-horizon form.
 
     sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l.  It shares q's extension and
     U with the lambda form and is independent of it where the two differ: a
     prefix sum per horizon here, the suffix sums lambda there.
     """
-    return _pform(p.probs, point_mass_values(strategy.extended(p.n)))
+    return _pform(p.probs, point_mass_values(extended(q, p.n)))
 
 
-def success_probabilities(p: HorizonDistribution, strategy: Strategy) -> tuple[float, float]:
+def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q) from one extension of q and one buffer.
 
     Each value has the bits of :func:`success_probability` and
     :func:`success_probability_pform`: the lambda form reads the terms
     a_i = U_{i-1} q_i, which then become the point-mass values in place.
     """
-    a = _acceptance_terms(strategy.extended(p.n))
+    a = _acceptance_terms(extended(q, p.n))
     value = float(_lambda_form(a, lambda_sequence(p)))
     return value, _pform(p.probs, _point_masses(a))
 

@@ -16,7 +16,7 @@ from randhorizon import (HorizonDistribution, ValidationError, backward_inductio
                          make_distribution, make_strategy, sample_size_bound, single_threshold,
                          success_probability)
 from randhorizon.learn import _blocked, _endpoints_until
-from randhorizon.strategy import point_mass_values
+from randhorizon.strategy import extended, point_mass_values
 
 
 def permutation_tables(n: int):
@@ -236,7 +236,7 @@ def average_case_one_block(n: int, epsilon: float, draws: int, seed) -> tuple[fl
     sum and takes the values of the threshold rule at ceil(n/e^2) as one
     matrix-vector product; returns (fraction at or below epsilon, mean value).
     """
-    coeff = point_mass_values(single_threshold(math.ceil(n / math.e**2), n).q)
+    coeff = point_mass_values(single_threshold(math.ceil(n / math.e**2), n))
     sample = np.random.default_rng(seed).standard_exponential((draws, n))
     sample /= sample.sum(axis=1, keepdims=True)
     values = sample @ coeff
@@ -262,10 +262,10 @@ def lambda_sequence_copy(p: HorizonDistribution) -> np.ndarray:
     return np.cumsum(terms[::-1])[::-1]
 
 
-def eval_two_pass(p: HorizonDistribution, strategy) -> tuple[float, float]:
+def eval_two_pass(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q), each from its own extension of q and own U."""
     def terms() -> np.ndarray:
-        qx = strategy.extended(p.n)
+        qx = extended(q, p.n)
         return prefix_products_concat(qx)[:-1] * qx
 
     value = float(np.sum(terms() * lambda_sequence_copy(p)))

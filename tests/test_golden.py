@@ -13,7 +13,9 @@ to move an output records new hashes with
     PYTHONPATH=src python tests/test_golden.py
 
 The hashes hold for the numpy version stored with them; under another
-version the test is skipped.
+version the tests are skipped.  A second test runs the cases again in a child
+interpreter with numpy's widest dispatched SIMD targets off
+(``NPY_DISABLE_CPU_FEATURES``), so no output may depend on the host's vector width.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -136,11 +139,40 @@ def _hashes() -> dict[str, dict]:
     return found
 
 
-def test_outputs_match_the_recorded_hashes():
+def _recorded_cases() -> dict[str, dict]:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["numpy"] != np.__version__:
         pytest.skip(f"hashes recorded under numpy {golden['numpy']}, not {np.__version__}")
-    assert _hashes() == golden["cases"]
+    return golden["cases"]
+
+
+def test_outputs_match_the_recorded_hashes():
+    cases = _recorded_cases()
+    assert _hashes() == cases
+
+
+# numpy ignores a name it does not know, so the child checks that each one reads off
+SIMD_OFF = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+_CHILD = (
+    "import json, sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+    "on = [name for name in sys.argv[1].split() if cpu.get(name) is not False]\n"
+    "assert not on, f'not off: {on}'\n"
+    "import test_golden\n"
+    "print(json.dumps(test_golden._hashes()))\n"
+)
+
+
+def test_outputs_match_the_recorded_hashes_with_wide_simd_off():
+    cases = _recorded_cases()
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, str(GOLDEN.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": SIMD_OFF, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", _CHILD, SIMD_OFF], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == cases
 
 
 if __name__ == "__main__":

@@ -151,8 +151,8 @@ def test_surrogate_objective_accuracy():
         g = np.clip(gains + rng.uniform(-eps, eps, n), 0.0, 1.0)
         err = np.max(np.abs(g - gains))
         q = make_strategy(rng.random(n))
-        u_prev = np.concatenate([[1.0], np.cumprod(1.0 - q.q / np.arange(1, n + 1))])[:-1]
-        surrogate = float(np.sum(u_prev * (q.q / np.arange(1, n + 1)) * g))
+        u_prev = np.concatenate([[1.0], np.cumprod(1.0 - q / np.arange(1, n + 1))])[:-1]
+        surrogate = float(np.sum(u_prev * (q / np.arange(1, n + 1)) * g))
         assert abs(success_probability(p, q) - surrogate) <= err + 1e-12
 
 
@@ -189,7 +189,7 @@ def test_learn_strategy_degenerate_batch():
     out = learn_strategy(np.ones(7, dtype=int), 0.5)
     assert out.G.size == 1
     assert np.array_equal(out.G, [1.0])
-    assert np.array_equal(out.q_hat.q, [1.0])
+    assert np.array_equal(out.q_hat, [1.0])
     assert success_probability(delta(1), out.q_hat) == 1.0
 
 
@@ -261,7 +261,7 @@ def test_learner_accepts_immediately_when_mass_sits_at_one():
     hits = 0
     for t in range(30):
         out = learn_strategy(draw_samples(p, 2000, t), 0.1)
-        hits += out.q_hat.q[0] == 1.0 and success_probability(p, out.q_hat) >= opt.value - 0.1
+        hits += out.q_hat[0] == 1.0 and success_probability(p, out.q_hat) >= opt.value - 0.1
     assert hits >= 28
 
 
@@ -408,7 +408,7 @@ def test_block_core_matches_the_scalar_solve():
             assert np.array_equal(q[r], backward_induction(gains)[0][:length]), (rho, n, r)
     # samples all at 2: G = [1/2, 1] and C_2 = 1/2, so index 1 ties and accepts
     out = learn_strategy(np.full(5, 2), 0.5)
-    assert np.array_equal(out.G, [0.5, 1.0]) and np.array_equal(out.q_hat.q, [1.0, 1.0])
+    assert np.array_equal(out.G, [0.5, 1.0]) and np.array_equal(out.q_hat, [1.0, 1.0])
 
 
 def test_block_core_matches_the_block_loop():

@@ -232,7 +232,7 @@ def test_the_optimum_on_a_point_mass_is_within_64_ulps_of_an_exact_sum(n):
     # a per-index scalar recursion drifts 1.1e5 ulps low at n = 10^6, below the threshold value
     r = solve_optimal(delta(n))
     l = r.cutoff
-    assert np.array_equal(r.q, single_threshold(l, n).q)
+    assert np.array_equal(r.q, single_threshold(l, n))
     want = (l - 1) / n * math.fsum(1.0 / np.arange(l - 1, n))
     assert abs(r.value - want) <= 64 * math.ulp(want), (r.value, want)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from randhorizon import (
     minimax_mixture,
     prefix_products,
     sample_dirichlet_uniform,
+    simulate,
     single_threshold,
     solve_optimal,
+    strategy_policy,
     success_probabilities,
     success_probability,
     success_probability_pform,
@@ -22,16 +25,17 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon.strategy import _acceptance_terms, _lambda_form, lambda_form_value, point_mass_values
+from randhorizon.strategy import (_acceptance_terms, _lambda_form, extended, lambda_form_value,
+                                  point_mass_values)
 
 from oracles import (eval_two_pass, first_principles_success, lambda_sequence_copy, perm_success_rate,
                      prefix_products_concat)
 
 
 def test_single_threshold_examples():
-    assert np.array_equal(single_threshold(1, 3).q, [1, 1, 1])
-    assert np.array_equal(single_threshold(2, 3).q, [0, 1, 1])
-    assert np.array_equal(single_threshold(5, 3).q, [0, 0, 0])
+    assert np.array_equal(single_threshold(1, 3), [1, 1, 1])
+    assert np.array_equal(single_threshold(2, 3), [0, 1, 1])
+    assert np.array_equal(single_threshold(5, 3), [0, 0, 0])
     with pytest.raises(ValidationError):
         single_threshold(0, 3)
 
@@ -41,6 +45,37 @@ def test_strategy_validation():
         make_strategy([0.5, 1.2])
     with pytest.raises(ValidationError):
         make_strategy([-0.1])
+
+
+READERS = {
+    "success_probability": lambda q: success_probability(delta(4), q),
+    "success_probability_pform": lambda q: success_probability_pform(delta(4), q),
+    "success_probabilities": lambda q: success_probabilities(delta(4), q),
+    "simulate": lambda q: simulate(delta(4), q, 10, 0),
+    "strategy_policy": strategy_policy,
+    "extended": lambda q: extended(q, 4),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+def test_every_reader_of_a_vector_refuses_what_make_strategy_refuses(read):
+    for bad in ([[0.5, 1.0]], [0.5, np.nan], [-0.1, 1.0], [0.5, 1.5]):
+        with pytest.raises(ValidationError) as want:
+            make_strategy(bad)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(want.value))}$"):
+            read(np.array(bad))
+    q = np.array([0.0, 1.0, 0.25])
+    read(q)
+    assert q.flags.writeable and np.array_equal(q, [0.0, 1.0, 0.25])
+
+
+def test_a_strategy_policy_plays_the_vector_it_was_given():
+    q = np.array([0.0, 1.0])
+    policy = strategy_policy(q)
+    q[:] = [1.0, 0.0]
+    records = np.ones((2, 3), dtype=np.int32)
+    rng = np.random.default_rng(0)
+    assert not policy(1, records[:1], rng).any() and policy(2, records, rng).all()
 
 
 def test_prefix_products_examples():
@@ -103,10 +138,10 @@ def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
         assert _same_bits(lambda_sequence(p), lambda_sequence_copy(p)), p.n
         want = eval_two_pass(p, s)
         got = success_probabilities(p, s)
-        assert [v.hex() for v in got] == [v.hex() for v in want], (p.n, s.m)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (p.n, s.size)
         assert success_probability(p, s).hex() == want[0].hex()
         assert success_probability_pform(p, s).hex() == want[1].hex()
-        qx = s.extended(p.n)
+        qx = extended(s, p.n)
         assert _same_bits(point_mass_values(qx),
                           np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
 
@@ -169,7 +204,7 @@ def test_extension_rule_equivalence():
         m = int(rng.integers(1, n))
         p = sample_dirichlet_uniform(n, rng)
         short = make_strategy(rng.random(m))
-        padded = make_strategy(np.concatenate([short.q, np.ones(n - m)]))
+        padded = make_strategy(np.concatenate([short, np.ones(n - m)]))
         assert abs(success_probability(p, short) - success_probability(p, padded)) < 1e-15
 
 

@@ -13,9 +13,11 @@ from randhorizon import (
     meta_mixture,
     minimax_mixture,
     prophet_block_distribution,
+    single_threshold,
     solve_optimal,
     uniform,
 )
+from randhorizon import formats
 
 
 def _arrays(value, prefix=""):
@@ -46,6 +48,10 @@ def _built_values():
         "make_distribution": (make_distribution(unit_weights), [unit_weights]),
         "make_distribution-renormalized": (make_distribution(raw_weights), [raw_weights]),
         "make_strategy": (make_strategy(q), [q]),
+        "single_threshold": (single_threshold(2, 3), []),
+        "strategy_from_json-q": (formats.strategy_from_json({"q": q.tolist()}, 3), []),
+        "strategy_from_json-threshold": (
+            formats.strategy_from_json({"kind": "threshold", "l": 2}, 3), []),
         "minimax_mixture": (minimax_mixture(3), []),
         "draw_samples": (draw_samples(uniform(6), 5, 0), []),
         "solve_optimal": (solve_optimal(uniform(6)), []),
