@@ -131,6 +131,8 @@ def profile_table_from_json(obj) -> dict[int, float]:
 # entries per json.dumps call when json_text writes a long array: only one
 # chunk's Python floats and repr strings are alive at a time
 _CHUNK = 4096
+# below this many entries one json.dumps call beats finding runs, even in a 0/1 vector of two runs
+_RUNS_FROM = 128
 
 
 def json_text(doc: dict) -> str:
@@ -139,10 +141,9 @@ def json_text(doc: dict) -> str:
     The bytes are those of ``json.dumps(doc, sort_keys=True, separators=(", ",
     ": ")) + "\\n"`` with each numpy vector among the values of ``doc`` (an
     output vector such as ``q_opt``) read as its ``tolist()``.  Each key and
-    value is encoded on its own and each vector by :func:`_array_pieces`: a
-    chunk of entries per ``json.dumps`` call, or each run of equal entries with
-    its value spelled once.  The pieces are joined once at the end; only one
-    chunk's Python floats are alive at a time.
+    value is encoded on its own and each vector by :func:`_array_pieces`; the
+    pieces are joined once at the end, and only one chunk's Python floats are
+    alive at a time.
     """
     pieces = []
     for key in sorted(doc):
@@ -159,12 +160,14 @@ def json_text(doc: dict) -> str:
 def _array_pieces(a: np.ndarray) -> list[str]:
     """Texts that join into ``json.dumps(a.tolist())``, for a 1-D vector of 8-byte entries.
 
-    The entries are encoded a chunk at a time.  When their runs of bit-equal
-    entries average 4 entries or more (an optimal strategy has a handful), each
-    run's value is spelled once by ``json.dumps`` and that text repeated: a run
-    costs about as much as 3 entries of a 0/1 vector encoded in chunks.  Equal
-    means equal bits, so -0.0 and 0.0 are separate runs.
+    One ``json.dumps`` call writes a vector under ``_RUNS_FROM`` entries, and a
+    longer one goes a chunk at a time.  When its runs of bit-equal entries average
+    4 or more (an optimal strategy has a handful), each run's value is spelled once
+    and that text repeated: a run costs about as much as 3 entries of a 0/1 vector
+    encoded in chunks.  Equal means equal bits, so -0.0 and 0.0 are separate runs.
     """
+    if a.size < _RUNS_FROM:
+        return [json.dumps(a.tolist())]
     bits = a.view(np.uint64)
     changes = bits[1:] != bits[:-1]
     pieces = []  # a separator before each chunk or run; the first one becomes "["

@@ -28,12 +28,7 @@ from .dist import (HorizonDistribution, _ceil_size, _check_size, _float, _floats
 from .errors import ValidationError
 # success_probability is unused here but kept as a name of this module:
 # bench/test_bench.py checks that the tracer rebinds such copied names.
-from .strategy import (  # noqa: F401
-    lambda_form_value,
-    single_threshold,
-    success_probability,
-    threshold_success_values,
-)
+from .strategy import _threshold_values, success_probability, threshold_success_values  # noqa: F401
 
 
 class SolveResult(NamedTuple):
@@ -145,23 +140,23 @@ def classical_cutoff(k: int) -> int:
 def solve_optimal(p: HorizonDistribution) -> SolveResult:
     """Exact optimum over all strategies, with theta, K* and the certified threshold value.
 
-    One lambda sequence, one gain vector and one backward induction serve
-    every field; only the acceptance vector and scalars outlive the call.
-    The threshold rule is the classical cutoff at scale K* (the smallest
-    maximizer of i*lambda_i), which collects at least a 1/e fraction of
-    K* lambda_{K*} = theta.  Asserts theta/e <= threshold value <= optimum
-    before returning.
+    One lambda sequence, one gain vector and one backward induction serve every
+    field; only the acceptance vector and scalars outlive the call.  The threshold
+    rule is the classical cutoff at scale K* (the smallest maximizer of i*lambda_i),
+    which collects at least a 1/e fraction of K* lambda_{K*} = theta; its value is the
+    closed form of :func:`threshold_success_values` on the same lambda.  Asserts
+    theta/e <= threshold value <= optimum before returning.
     """
     lam = lambda_sequence(p)
     gains = np.arange(1, p.n + 1) * lam
     q, c = backward_induction(gains)
     q.setflags(write=False)
     opt = float(c[0])
-    del c  # the threshold rule's temporaries below are the peak; C is not needed for them
     k = int(np.argmax(gains))
     theta = float(gains[k])
+    del c, gains  # the peak is backward induction's; the closed form below needs only lambda
     cutoff = classical_cutoff(k + 1)
-    value = lambda_form_value(lam, single_threshold(cutoff, p.n))
+    value = float(_threshold_values(lam, cutoff)[-1])
     tol = 1e-12
     if not (theta / math.e <= value + tol and value <= opt + tol):
         raise AssertionError(

@@ -146,20 +146,25 @@ def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     return value, _pform(p.probs, _point_masses(a))
 
 
-def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
-    """A(p, q^(l)) for every threshold l = 1..l_max, in one pass.
+def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:
+    """A(p, q^(l)) for l = 1..l_max from p's lambda sequence; thresholds past its length earn 0.
 
-    Uses the closed form A(p, q^(l)) = lambda_l + (l-1) * sum_{i>l} lambda_i/(i-1),
-    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.
+    Uses the closed form A(p, q^(l)) = lambda_l + (l-1) * R_{l+1}, R_i = sum_{j>=i} lambda_j/(j-1),
+    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.  R is built over lam's length only.
     """
-    _check_size(l_max, "l_max")
-    span = max(l_max, p.n)
-    lam = np.zeros(span + 1)
-    lam[: p.n] = lambda_sequence(p)
-    # ratio_tail (0-based j, threshold l = j+1): sum_{i >= l+1} lambda_i / (i-1)
-    ratios = lam[1:] / np.arange(1, span + 1)
-    ratio_tail = np.cumsum(ratios[::-1])[::-1]
-    return lam[:l_max] + np.arange(l_max) * ratio_tail[:l_max]
+    k = min(l_max, lam.size)
+    r = np.zeros(lam.size)  # r[l-1] = R_{l+1}
+    np.divide(lam[1:], np.arange(1, lam.size), out=r[:-1])
+    np.cumsum(r[::-1], out=r[::-1])
+    out = np.zeros(l_max)
+    np.add(lam[:k], np.multiply(r[:k], np.arange(k), out=r[:k]), out=out[:k])
+    return out
+
+
+def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:
+    """A(p, q^(l)) for every threshold l = 1..l_max, in one pass (:func:`_threshold_values`)."""
+    l_max = _check_size(l_max, "l_max")
+    return _threshold_values(lambda_sequence(p), l_max)
 
 
 def mixture_success_probability(p: HorizonDistribution, weights) -> float:

@@ -272,6 +272,16 @@ def eval_two_pass(p: HorizonDistribution, q) -> tuple[float, float]:
     return value, float(np.sum(p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))))
 
 
+def threshold_values_padded(p: HorizonDistribution, l_max: int) -> np.ndarray:
+    """A(p, q^(l)) for l = 1..l_max, with lambda padded by zeros out to max(l_max, n) + 1."""
+    span = max(l_max, p.n)
+    lam = np.zeros(span + 1)
+    lam[: p.n] = lambda_sequence(p)
+    ratios = lam[1:] / np.arange(1, span + 1)
+    ratio_tail = np.cumsum(ratios[::-1])[::-1]
+    return lam[:l_max] + np.arange(l_max) * ratio_tail[:l_max]
+
+
 def learn_blocks_loop(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """``learn._learn_blocks`` the way it ran before runs: one numpy step per block.
 

@@ -549,13 +549,14 @@ def test_cli_solve_matches_the_library(tmp_path, capsys):
             gains = np.arange(1, n + 1) * lambda_sequence(p)
             q, c = backward_induction(gains)
             k = int(np.argmax(gains))
-            rule = single_threshold(classical_cutoff(k + 1), n)
+            cutoff = classical_cutoff(k + 1)
             want = {
                 "q_opt": list(map(float, q)),
                 "value": float(c[0]),
                 "theta": float(gains[k]),
                 "k_star": k + 1,
-                "threshold_value": success_probability(p, rule),
+                # the cutoff rule's value in the closed form of every threshold rule
+                "threshold_value": float(strategy.threshold_success_values(p, cutoff)[cutoff - 1]),
             }
             # the contract written out, not formats.json_text: that is the code under test
             text = json.dumps(want, sort_keys=True, separators=(", ", ": ")) + "\n"

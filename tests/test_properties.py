@@ -234,6 +234,7 @@ def test_cli_keeps_its_exit_code_contract_on_sizes_across_floor_and_cap(data):
 
 # formats.json_text against its contract: json.dumps of the document with each vector as a list
 CHUNK = formats._CHUNK
+RUNS_FROM = formats._RUNS_FROM
 
 
 def _contract(doc: dict) -> str:
@@ -283,6 +284,12 @@ EDGE_VECTORS = {
     # w_1 = w_2, then distinct values: minimax's weights
     "minimax weights": minimax_mixture(3 * CHUNK),
     "pair then distinct": np.concatenate([[0.25, 0.25], _RNG.random(2 * CHUNK)]),
+    # around the length below which one json.dumps call writes the vector
+    "two 0/1 runs, one under the run cutoff": np.repeat([0.0, 1.0], [40, RUNS_FROM - 41]),
+    "two 0/1 runs, at the run cutoff": np.repeat([0.0, 1.0], [40, RUNS_FROM - 40]),
+    "two 0/1 runs, one over the run cutoff": np.repeat([0.0, 1.0], [40, RUNS_FROM - 39]),
+    "short runs of zeros of both signs": np.repeat([-0.0, 0.0], 5),
+    "short run of nan": np.repeat([1.0, math.nan], [3, 7]),
 }
 
 

@@ -21,6 +21,7 @@ from randhorizon import (
     single_threshold,
     solve_optimal,
     success_probability,
+    threshold_success_values,
     uniform,
     worst_case_pstar,
 )
@@ -89,6 +90,14 @@ def test_single_threshold_approx():
     assert (1 / h5) / math.e - 1e-12 <= v <= 1 / h5 + 1e-12
     s = solve_optimal(delta(1))
     assert s.cutoff == 1 and s.threshold_value == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 1000, 35000])
+def test_threshold_value_is_the_closed_form_of_every_threshold_rule(n):
+    laws = (uniform(n), delta(n), worst_case_pstar(n), sample_dirichlet_uniform(n, n))
+    for p in laws:
+        s = solve_optimal(p)
+        assert s.threshold_value == threshold_success_values(p, s.cutoff)[s.cutoff - 1], p.probs[:3]
 
 
 def test_sandwich_on_random_distributions():
@@ -246,9 +255,9 @@ def test_solve_optimal_keeps_its_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.4 MB vectors: the suffix sums live in the vector that becomes q, and C is freed before
-    # the threshold rule's temporaries, where the peak is (14.5 MB; 16.9 MB with C held)
-    assert peak <= 15e6, peak
+    # 2.4 MB vectors: the peak is backward induction's lambda, gains, C and S (9.7 MB); the
+    # gains and C are freed before the threshold value, whose closed form needs no rule or buffer
+    assert peak <= 10.5e6, peak
 
 
 def test_classical_cutoff_matches_the_loop():

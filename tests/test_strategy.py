@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from randhorizon import (
     success_probability,
     success_probability_pform,
     threshold_success_values,
+    uniform,
     worst_case_pstar,
 )
 
@@ -29,7 +31,7 @@ from randhorizon.strategy import (_acceptance_terms, _lambda_form, extended, lam
                                   point_mass_values)
 
 from oracles import (eval_two_pass, first_principles_success, lambda_sequence_copy, perm_success_rate,
-                     prefix_products_concat)
+                     prefix_products_concat, threshold_values_padded)
 
 
 def test_single_threshold_examples():
@@ -266,6 +268,37 @@ def test_mixture_matches_naive_sum():
         for l in range(l_max):
             direct = success_probability(p, single_threshold(l + 1, max(n, l + 1)))
             assert abs(fast[l] - direct) <= 1e-12
+
+
+def test_threshold_values_have_the_bits_of_a_lambda_padded_past_every_threshold():
+    # R is built over [n] only; zeros added before the tail's first nonzero term are exact
+    rng = np.random.default_rng(27)
+    for n in [1, 2, 3, 10, *rng.integers(11, 400, size=20)]:
+        n = int(n)
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0  # zero entries, the last ones too
+        w[int(rng.integers(n))] = 1.0
+        for p in (make_distribution(w / w.sum()), sample_dirichlet_uniform(n, rng)):
+            for l_max in {max(n - 1, 1), int(rng.integers(1, n + 1)), n, n + 1, 3 * n + 7}:
+                want = threshold_values_padded(p, l_max)
+                got = threshold_success_values(p, l_max)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (n, l_max)
+                mix = rng.random(l_max)
+                mix /= mix.sum()
+                assert mixture_success_probability(p, mix) == float(np.sum(mix * want)), (n, l_max)
+
+
+def test_threshold_values_hold_one_vector_of_thresholds_past_the_support():
+    p = uniform(1000)
+    threshold_success_values(p, 10**6)  # warm
+    tracemalloc.start()
+    try:
+        threshold_success_values(p, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB result and vectors of n = 1000; a lambda padded to 10^6 took 40 MB
+    assert peak <= 9e6, peak
 
 
 def test_mixture_weight_validation():
