@@ -1,8 +1,10 @@
 """Unified command-line entry point.
 
-One binary, subcommand dispatch.  All randomness flows from --seed: trial t
-of stream s uses numpy's SeedSequence([seed, s, t]) so results are
-bit-reproducible for identical (config, seed).  Each ``cmd_*`` returns its
+One binary, subcommand dispatch.  All randomness flows from --seed: stream s
+(the s-th n or epsilon a command runs; simulate has stream 0) uses numpy's
+SeedSequence([seed, s]), and ``learn`` draws the trials of its s-th epsilon
+one after another from that stream, so results are bit-reproducible for
+identical (config, seed).  Each ``cmd_*`` returns its
 document, a dict for JSON or a list of rows for CSV (``learn`` also returns
 its --summary document).  :func:`main` writes --out, then --summary, through
 :func:`_write`, the one writer of files and stdout, in the bytes ``formats``
@@ -184,8 +186,8 @@ def cmd_learn(args) -> tuple[list[dict], list[dict]]:
     value_opt = strategy.lambda_form_value(dist.lambda_sequence(p), solver.solve_optimal(p).q)
     rows, summary = [], []
     for i, eps in enumerate(args.epsilon):
-        seeds = [int(_subseed(args.seed, i, t).generate_state(1)[0]) for t in range(args.trials)]
-        m, value_hat = learn.learning_trials(p, eps, args.delta, seeds, T=args.tail_bound)
+        m, value_hat = learn.learning_trials(p, eps, args.delta, args.trials,
+                                             _subseed(args.seed, i), T=args.tail_bound)
         gap = value_opt - value_hat
         ok = gap <= eps
         for trial, (m_t, v_t, gap_t, ok_t) in enumerate(zip(m.tolist(), value_hat.tolist(),

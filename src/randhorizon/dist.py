@@ -169,8 +169,8 @@ def _horizon_edges(p: HorizonDistribution, ends: np.ndarray) -> np.ndarray:
 
     That is u < cdf[e - 1] while e - 1 is below the last positive entry, and
     every uniform (+inf) from it on, where :func:`_horizons` clamps; ascending
-    for ascending ends, so the uniforms per block (prev, e] of sorted u are
-    ``np.diff(u.searchsorted(edges), prepend=0)``.
+    for ascending ends, so with the edges capped at 1 a uniform's horizon falls
+    in block (prev, e] with probability the difference of consecutive edges.
     """
     cdf, last_positive = p._inverse_cdf
     return np.append(cdf[:last_positive], np.inf)[np.minimum(ends - 1, last_positive)]

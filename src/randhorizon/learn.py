@@ -17,11 +17,13 @@ learned strategy is a union of a few accept and reject runs of blocks.  The
 core moves every trial in lock-step, one full pass over the blocks per run,
 so its numpy calls grow with the largest run count, not with blocks.
 :func:`learn_strategy` is one column; :func:`learning_trials` runs every trial
-of one epsilon through the core.  It counts each trial's main samples per
-block straight from the sorted uniforms, by one search of the endpoints' cdf
-values (``dist._horizon_edges``), and draws no horizons for them.
-:func:`draw_samples` returns a read-only int64 array of horizons for the tail
-pre-estimate; :func:`learn_strategy` takes any integer vector.
+of one epsilon through the core, all from one generator.  It draws each
+trial's main sample counts per block as one multinomial over the blocks'
+probabilities, the differences of the endpoints' cdf values
+(``dist._horizon_edges``), so a trial costs O(blocks), whatever its m, and
+draws no horizons for them.  :func:`draw_samples` returns a read-only int64
+array of horizons for the tail pre-estimate; :func:`learn_strategy` takes
+any integer vector.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ def draw_samples(p: HorizonDistribution, m: int, seed) -> np.ndarray:
 
     Consumes exactly ``default_rng(seed).random(m)`` and sorts those uniforms,
     so the horizons are those ``p.sample`` draws from the same seed, sorted.
+    seed is anything ``default_rng`` takes; a ``Generator`` is drawn from in
+    place, so consecutive calls on one generator continue its stream.
     """
     _check_size(m, "sample count")
     u = np.random.default_rng(seed).random(m)
@@ -249,22 +253,28 @@ def learning_trials(
     p: HorizonDistribution,
     epsilon: float,
     delta_conf: float,
-    seeds,
+    trials: int,
+    seed,
     T: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """m and value_hat = A(p, q_hat) of one learner trial per seed, at one epsilon.
+    """m and value_hat = A(p, q_hat) of ``trials`` learner trials at one epsilon.
 
-    Trial r pre-estimates the tail bound T from SeedSequence([seeds[r], 0])
-    unless T is given (which leaves the main phase the whole confidence budget
-    instead of half).  It then counts per block the main samples that
-    ``draw_samples(p, m, SeedSequence([seeds[r], 1]))`` would return, straight
-    from that stream's sorted uniforms by one search of the block edges,
-    without mapping any uniform to a horizon.  Each strategy is scored on [p.n];
-    past a trial's largest sample its blocks have zero gains and accept, as
-    padding its strategy with ones gives.  The optimum is the caller's to solve.
+    The trials draw one after another from one ``default_rng(seed)``, seed a
+    SeedSequence or an integer >= 0, so the first k rows do not depend on
+    ``trials`` beyond k.  Unless T is given (which leaves the main phase the
+    whole confidence budget instead of half), a trial's tail bound T is the
+    largest of a ``draw_samples`` batch.  Its m main samples are counted per
+    block by one ``rng.multinomial`` over the differences of the endpoints' cdf
+    values (``dist._horizon_edges``), up to the first block whose edge reaches
+    1, past which ``dist._horizons`` maps no uniform.  Each strategy is scored
+    on [p.n]; past a trial's largest sample its blocks have zero gains and
+    accept, as padding its strategy with ones gives.  The optimum is the
+    caller's to solve.
     """
     _check_budget(epsilon, delta_conf)
-    entropy = [_check_int(seed, "seed", 0) for seed in seeds]
+    _check_size(trials, "trials")
+    rng = np.random.default_rng(
+        seed if isinstance(seed, np.random.SeedSequence) else _check_int(seed, "seed", 0))
     if T is None:
         # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
         # at least 1 - delta/2 the tail beyond T is at most eps/12
@@ -275,27 +285,29 @@ def learning_trials(
     # before the endpoints, so that an oversized sample count is the error reported
     _check_size(m_pre if T is None else m_main, "sample count")
     ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
-    edges = _horizon_edges(p, ends)
+    edges = np.minimum(_horizon_edges(p, ends), 1.0)
+    live = np.count_nonzero(edges < 1.0) + 1  # the last live block gets multinomial's remainder
+    probs = np.diff(edges[:live], prepend=0.0)
     chunk = max(1, _CHUNK_ELEMS // int(ends[-1]))
     lam = lambda_sequence(p)
-    m = np.empty(len(entropy), dtype=np.int64)
-    value_hat = np.empty(len(entropy))
-    for lo in range(0, len(entropy), chunk):
-        rows = entropy[lo : lo + chunk]
-        below = np.empty((ends.size, len(rows)), dtype=np.int64)  # samples at or below each end
-        for col, e in enumerate(rows):
+    m_of_tail = {}
+    m = np.empty(trials, dtype=np.int64)
+    value_hat = np.empty(trials)
+    for lo in range(0, trials, chunk):
+        cols = min(chunk, trials - lo)
+        counts = np.zeros((ends.size, cols), dtype=np.int64)
+        for col in range(cols):
             if T is None:
-                tail = int(draw_samples(p, m_pre, np.random.SeedSequence([e, 0]))[-1])
-                m_main = _check_size(sample_size_bound(epsilon, delta_conf / 2.0, tail),
-                                     "sample count")
-            u = np.random.default_rng(np.random.SeedSequence([e, 1])).random(m_main)
-            u.sort()
+                tail = int(draw_samples(p, m_pre, rng)[-1])
+                if tail not in m_of_tail:
+                    m_of_tail[tail] = _check_size(
+                        sample_size_bound(epsilon, delta_conf / 2.0, tail), "sample count")
+                m_main = m_of_tail[tail]
             m[lo + col] = m_main
-            below[:, col] = u.searchsorted(edges)
-        counts = np.diff(below, axis=0, prepend=0)
-        _, q = _learn_blocks(counts, m[lo : lo + len(rows)], ends, p.n)
+            counts[:live, col] = rng.multinomial(m_main, probs)
+        _, q = _learn_blocks(counts, m[lo : lo + cols], ends, p.n)
         # the kernel's buffer has one contiguous row per trial, so each row sum is
         # lambda_form_value's 1-D sum, bit for bit
         a = _acceptance_terms(q)
-        value_hat[lo : lo + len(rows)] = _lambda_form(a, lam, out=a)
+        value_hat[lo : lo + cols] = _lambda_form(a, lam, out=a)
     return m, value_hat

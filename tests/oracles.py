@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from randhorizon import (HorizonDistribution, ValidationError, backward_induction, lambda_sequence,
+from randhorizon import (HorizonDistribution, ValidationError, lambda_sequence, learn_strategy,
                          make_distribution, make_strategy, sample_size_bound, single_threshold,
                          success_probability)
-from randhorizon.learn import _blocked, _endpoints_until
+from randhorizon.learn import _endpoints_until
 from randhorizon.strategy import extended, point_mass_values
 
 
@@ -186,28 +186,33 @@ def endpoints_loop(rho: float, stop: int) -> list[int]:
     return out
 
 
-def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: float, seed: int,
-                        T=None) -> tuple[int, float]:
-    """One learner trial the way it ran before trials were batched: (m, A(p, q_hat)).
+def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: float, trials: int,
+                        seed, T=None) -> list[tuple[int, float]]:
+    """(m, A(p, q_hat)) of each learner trial, one trial at a time from one generator.
 
-    Horizons come from ``p.sample`` in draw order, the tail pre-estimate
-    (unless T is given) from stream 0 and the main phase from stream 1 of the
-    seed; counts sum onto block endpoints with ``_blocked``, and one scalar
-    ``backward_induction`` maximizes the surrogate.
+    Per trial: the tail pre-estimate (unless T is given) is the largest of
+    ``p.sample`` horizons; the main counts per block are one ``multinomial``
+    over the blocks' cdf differences, up to the first block whose cdf edge
+    reaches 1 (no inverse-CDF draw lands past it).  The counts are expanded
+    back into samples at the block endpoints, learned from by
+    ``learn_strategy`` and scored by ``success_probability``.
     """
-    def sample(m: int, stream: int) -> np.ndarray:
-        return p.sample(m, np.random.default_rng(np.random.SeedSequence([seed, stream])))
-
-    main_delta = delta_conf
-    if T is None:
-        T = int(sample(math.ceil(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf))), 0).max())
-        main_delta = delta_conf / 2.0
-    m = sample_size_bound(epsilon, main_delta, T)
-    h = sample(m, 1)
-    ends = _endpoints_until(1.0 + epsilon / 4.0, int(h.max()))
-    p_hat = HorizonDistribution(probs=_blocked(ends, h) / m)
-    q, _ = backward_induction(np.arange(1, p_hat.n + 1) * lambda_sequence(p_hat))
-    return m, success_probability(p, make_strategy(q))
+    rng = np.random.default_rng(seed)
+    ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
+    cdf, last_positive = p._inverse_cdf
+    edges = [min(float(cdf[e - 1]), 1.0) if e - 1 < last_positive else 1.0 for e in ends]
+    live = next(k for k, edge in enumerate(edges) if edge >= 1.0) + 1
+    probs = np.diff(edges[:live], prepend=0.0)
+    out = []
+    for _ in range(trials):
+        main_delta, tail = delta_conf, T
+        if T is None:
+            m_pre = math.ceil(12.0 / epsilon * (math.log(2.0) - math.log(delta_conf)))
+            tail, main_delta = int(p.sample(m_pre, rng).max()), delta_conf / 2.0
+        m = sample_size_bound(epsilon, main_delta, tail)
+        samples = np.repeat(ends[:live], rng.multinomial(m, probs))
+        out.append((m, success_probability(p, learn_strategy(samples, epsilon).q_hat)))
+    return out
 
 
 def union_event_rate_matrix(grid, trials: int, seed) -> tuple[int, float, float]:

@@ -308,10 +308,9 @@ def test_cli_learn_repeats_its_bytes_after_another_truth(tmp_path, capsys):
     # the run in between is the second truth's own: its values are those of the per-trial loop
     p = formats.distribution_from_json(formats.load_json(paths[1]))
     rows = [row.split(",") for row in outputs[1][0].split("\n")[1:-1]]
-    for k, (trial, m, value_hat, *_rest, eps) in enumerate(rows):
-        seed = int(cli._subseed(3, k // 40, int(trial)).generate_state(1)[0])
-        want_m, want_value = learning_trial_loop(p, float(eps), 0.1, seed)
-        assert (int(m), value_hat) == (want_m, f"{want_value:.10g}")
+    want = [(want_m, f"{want_value:.10g}") for i, eps in enumerate((0.05, 0.1, 0.2))
+            for want_m, want_value in learning_trial_loop(p, eps, 0.1, 40, cli._subseed(3, i))]
+    assert [(int(m), value_hat) for _trial, m, value_hat, *_rest in rows] == want
     assert len({m for _trial, m, *_rest in rows}) > 1  # ragged sample counts
 
 

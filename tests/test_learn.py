@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,17 +312,74 @@ def test_hard_instances_separate_strategies():
 
 def test_learning_trials_two_phase():
     p = worst_case_pstar(30)
-    m1, v1 = learning_trials(p, 0.25, 0.2, [4, 5])
-    m2, v2 = learning_trials(p, 0.25, 0.2, [4, 5])
-    assert np.array_equal(m1, m2) and np.array_equal(v1, v2)  # deterministic given seeds
+    m1, v1 = learning_trials(p, 0.25, 0.2, 2, 4)
+    m2, v2 = learning_trials(p, 0.25, 0.2, 2, 4)
+    assert np.array_equal(m1, m2) and np.array_equal(v1, v2)  # deterministic given the seed
     opt = solve_optimal(p).value
     assert np.all(opt - v1 <= 0.25)
-    m_known, v_known = learning_trials(p, 0.25, 0.2, [4], T=30)
+    m_known, v_known = learning_trials(p, 0.25, 0.2, 1, 4, T=30)
     assert opt - v_known[0] <= 0.25
     # with T given the whole budget goes to the main phase
     assert m_known[0] == sample_size_bound(0.25, 0.2, 30)
-    with pytest.raises(ValidationError, match=r"^seed must be an integer, got 4\.0$"):
-        learning_trials(p, 0.25, 0.2, [4.0])
+    # a SeedSequence seeds the generator as its integer entropy does
+    m_seq, v_seq = learning_trials(p, 0.25, 0.2, 2, np.random.SeedSequence(4))
+    assert np.array_equal(m_seq, m1) and np.array_equal(v_seq, v1)
+
+
+def test_learning_trials_rows_are_a_prefix_of_more_trials(monkeypatch):
+    p = _zero_entries(1000, 8)
+    for T in (None, p.n):
+        m, value_hat = learning_trials(p, 0.2, 0.1, 100, 12, T=T)
+        assert np.unique(m).size > (T is None)  # ragged sample counts without T
+        width = int(_endpoints_until(1.05, p.n)[-1])
+        monkeypatch.setattr(learn, "_CHUNK_ELEMS", 3 * width)  # chunks of 3 trials
+        for trials in (1, 10, 37):
+            m_k, value_k = learning_trials(p, 0.2, 0.1, trials, 12, T=T)
+            assert np.array_equal(m_k, m[:trials]) and np.array_equal(value_k, value_hat[:trials])
+        monkeypatch.undo()
+
+
+def test_learning_trials_block_counts_fit_the_block_probabilities(monkeypatch):
+    # the counts each trial learns from, pooled over the trials, against the block
+    # masses: a chi-square statistic within 5 standard deviations of its degrees of
+    # freedom, and exactly 0 in every block of zero mass
+    seen = []
+
+    def record(counts, m, ends, length):
+        seen.append(counts.copy())
+        return _learn_blocks(counts, m, ends, length)
+
+    monkeypatch.setattr(learn, "_learn_blocks", record)
+    w = np.zeros(12)
+    w[[0, 2, 5, 6]] = [0.3, 0.2, 0.45, 0.05]
+    for p, eps in ((make_distribution(w), 0.05), (_zero_entries(1000, 6), 0.2),
+                   (sample_dirichlet_uniform(300, 3), 0.5)):
+        seen.clear()
+        m, _ = learning_trials(p, eps, 0.1, 200, 21, T=p.n)
+        counts = np.concatenate(seen, axis=1)
+        assert np.array_equal(counts.sum(axis=0), m)
+        ends = _endpoints_until(1.0 + eps / 4.0, p.n)
+        mass = np.add.reduceat(p.probs, np.concatenate([[0], ends[:-1]]))
+        pooled = counts.sum(axis=1)
+        assert np.all(pooled[mass == 0.0] == 0)
+        want = mass[mass > 0.0] * m.sum()
+        chi2 = float(np.sum((pooled[mass > 0.0] - want) ** 2 / want))
+        dof = np.count_nonzero(mass) - 1
+        assert abs(chi2 - dof) <= 5 * math.sqrt(2 * dof), (p.n, eps, chi2, dof)
+
+
+def test_learning_trials_hold_no_sample_sized_buffer():
+    p = uniform(100)
+    tracemalloc.start()
+    try:
+        m, _ = learning_trials(p, 0.01, 0.1, 20, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pre-estimate batch and the endpoints' powers, O(log(1/delta)/eps) each, set
+    # the peak; sorting the m main uniforms held 8 m bytes
+    assert m.min() > 9 * 10**4
+    assert peak <= 8 * m.min() / 3, peak  # a third of one float64 vector of m
 
 
 def _zero_entries(n: int, seed: int):
@@ -355,9 +413,9 @@ def test_learning_trials_match_the_per_trial_loop(monkeypatch):
                 width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
                 monkeypatch.setattr(learn, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
                 case += 1
-                seeds = rng.integers(2**32, size=trials).tolist()
-                m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
-                want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
+                seed = int(rng.integers(2**32))
+                m, value_hat = learning_trials(p, eps, 0.1, trials, seed, T=T)
+                want = learning_trial_loop(p, eps, 0.1, trials, seed, T=T)
                 assert m.tolist() == [w[0] for w in want], (p.n, eps, T)
                 assert value_hat.tolist() == [w[1] for w in want], (p.n, eps, T)
 
@@ -383,9 +441,9 @@ def test_learning_trials_match_the_per_trial_loop_on_random_small_truths():
     for case, p in enumerate(truths):
         eps = (0.3, 0.5, 0.9)[case % 3]
         T = (None, 1, p.n, p.n + int(rng.integers(1, 10**6)))[case % 4]
-        seeds = rng.integers(2**32, size=50).tolist()
-        m, value_hat = learning_trials(p, eps, 0.1, seeds, T=T)
-        want = [learning_trial_loop(p, eps, 0.1, seed, T=T) for seed in seeds]
+        seed = int(rng.integers(2**32))
+        m, value_hat = learning_trials(p, eps, 0.1, 50, seed, T=T)
+        want = learning_trial_loop(p, eps, 0.1, 50, seed, T=T)
         assert m.tolist() == [w[0] for w in want], (p.probs, eps, T)
         assert value_hat.tolist() == [w[1] for w in want], (p.probs, eps, T)
 
@@ -466,4 +524,4 @@ def test_an_oversized_sample_count_is_reported_before_the_endpoints():
     # at epsilon 1e-7 the endpoint count of uniform(40) is past the cap too
     for T in (None, 10):
         with pytest.raises(ValidationError, match="^sample count [0-9]+ exceeds the cap"):
-            learning_trials(uniform(40), 1e-7, 0.1, [0], T=T)
+            learning_trials(uniform(40), 1e-7, 0.1, 1, 0, T=T)

@@ -39,6 +39,7 @@ SIZES = {
     "HorizonDistribution.sample m": (lambda m: P.sample(m, np.random.default_rng(0)), 1,
                                      "sample count"),
     "draw_samples m": (lambda m: learn.draw_samples(P, m, 0), 1, "sample count"),
+    "learning_trials trials": (lambda t: learn.learning_trials(P, 0.5, 0.5, t, 0), 1, "trials"),
     "hard_instance_lb n": (lambda n: learn.hard_instance_lb(n, 0.01), 3, "n"),
     "classical_cutoff k": (solver.classical_cutoff, 1, "scale"),
     "minimax_mixture n_bar": (solver.minimax_mixture, 1, "n_bar"),
@@ -100,9 +101,9 @@ INTEGERS = {
     "threshold_policy l": (lambda l: sim.simulate_custom(P, sim.threshold_policy(l), 10, 0), 1,
                            "threshold"),
     "sample_size_bound T": (lambda t: learn.sample_size_bound(0.5, 0.5, t), 1, "tail bound T"),
-    "learning_trials T": (lambda t: learn.learning_trials(P, 0.5, 0.5, [0], T=t), 1,
+    "learning_trials T": (lambda t: learn.learning_trials(P, 0.5, 0.5, 1, 0, T=t), 1,
                           "tail bound T"),
-    "learning_trials seed": (lambda s: learn.learning_trials(P, 0.5, 0.5, [0, s]), 0, "seed"),
+    "learning_trials seed": (lambda s: learn.learning_trials(P, 0.5, 0.5, 1, s), 0, "seed"),
     "cli._subseed seed": (lambda s: cli._subseed(s, 0), 0, "seed"),
     "prophet_block_distribution K": (
         lambda k: meta.prophet_block_distribution(2, k, [0.0, 0.5, 1.0]), 1, "K"),
