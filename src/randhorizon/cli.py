@@ -182,8 +182,8 @@ def cmd_avgcase(args) -> list[dict]:
 def cmd_learn(args) -> tuple[list[dict], list[dict]]:
     p = _load_distribution(args.dist)
     dist._check_size(args.trials, "trials")
-    # the lambda form, as value_hat is scored, so that q_hat = q_opt has a gap of exactly 0
-    value_opt = strategy.lambda_form_value(dist.lambda_sequence(p), solver.solve_optimal(p).q)
+    # by runs, as value_hat is scored, so that q_hat = q_opt has a gap of exactly 0
+    value_opt = strategy.runs_value(p, solver.solve_optimal(p).q)
     rows, summary = [], []
     for i, eps in enumerate(args.epsilon):
         m, value_hat = learn.learning_trials(p, eps, args.delta, args.trials,

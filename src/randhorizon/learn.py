@@ -15,13 +15,17 @@ learns from sample counts per block, one column per trial.  lambda_hat is
 constant on a block, so the block accepts a suffix of its indices, and the
 learned strategy is a union of a few accept and reject runs of blocks.  The
 core moves every trial in lock-step, one full pass over the blocks per run,
-so its numpy calls grow with the largest run count, not with blocks.
-:func:`learn_strategy` is one column; :func:`learning_trials` runs every trial
-of one epsilon through the core, all from one generator.  It draws each
-trial's main sample counts per block as one multinomial over the blocks'
-probabilities, the differences of the endpoints' cdf values
-(``dist._horizon_edges``), so a trial costs O(blocks), whatever its m, and
-draws no horizons for them.  :func:`draw_samples` returns a read-only int64
+so its numpy calls grow with the largest run count, not with blocks, and it
+returns each strategy as its accept runs, never as a vector of n.
+:func:`learn_strategy` is one column, written out as q_hat;
+:func:`learning_trials` runs every trial of one epsilon through the core, all
+from one generator.  It draws each trial's main sample counts per block as
+one multinomial over the blocks' probabilities, the differences of the
+endpoints' cdf values (``dist._horizon_edges``), so a trial's sampling costs
+O(blocks), whatever its m, and draws no horizons for them.  It scores each
+trial's runs by the threshold closed form (``strategy._runs_value``) in
+O(runs), after one O(n) pass for the threshold values of the truth, so no
+array of n exists per trial.  :func:`draw_samples` returns a read-only int64
 array of horizons for the tail pre-estimate; :func:`learn_strategy` takes
 any integer vector.
 """
@@ -38,7 +42,7 @@ from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil
                    _positive_ints, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
-from .strategy import _acceptance_terms, _lambda_form
+from .strategy import _runs_value, _threshold_values
 
 
 class LearnOutput(NamedTuple):
@@ -93,8 +97,8 @@ def _highest(mask: np.ndarray) -> np.ndarray:
     return np.where(mask[top, np.arange(mask.shape[1])], top, -1)
 
 
-def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block lambda_hat (blocks, trials) and the learned 0/1 strategies (trials, length).
+def _learn_blocks(counts, m, ends: np.ndarray, length: int):
+    """Block lambda_hat (blocks, trials) and the accept runs of the learned 0/1 strategies.
 
     Column r of counts holds trial r's m[r] samples counted per block of ends;
     p_hat is that column over m[r].  On a block (lo, e] lambda_hat is a constant
@@ -118,9 +122,19 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
     columns.  Above a column's largest sample L = C = 0, e L is taken as inf so
     that no pass divides 0 by 0, and every block accepts.
 
-    The strategies are backward_induction's on the per-index gains except where a
-    margin is within rounding of 0: the cumulative sum carries C along an accept
-    run with a rounding of its own, a few ulps off a block-by-block recursion.
+    The strategy on 1..length is returned as its maximal accept runs, 1-based
+    and inclusive: starts and stops of shape (trials, accept passes), ascending
+    in each row after the no-op runs [2, 1] that pad a column which finished in
+    fewer passes.  length lies in the last block (lo, e], past every sample,
+    and only the first run reaches past lo.  That run ends at length and, for
+    rho <= 2, holds the whole last block, so it starts at or below lo + 1:
+    there C_{e+1} = 0, and i accepts when H_{e-1} - H_{i-1} <= 1, which holds
+    down to lo + 1 since the block's harmonic sum is below rho - 1.
+
+    The strategies are backward_induction's on the per-index gains except where
+    a margin is within rounding of 0: the cumulative sum carries C along an
+    accept run with a rounding of its own, a few ulps off a block-by-block
+    recursion.
     """
     p_hat = counts / m
     sums = p_hat.sum(axis=0)
@@ -134,43 +148,38 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int) -> tuple[np.ndarray,
     el = np.where(lam > 0.0, ends[:, None] * lam, np.inf)
     up = np.zeros_like(lam)  # row k: L (H_{e-1} - H_{lo-1}) of block k + 1, D's step into k
     up[:-1] = (lam * (he - h[los, None]))[1:]
-    # 0-based first accepting index (int32: ends < 2^31): lo, unless a run's end sets it
-    first = np.repeat(los.astype(np.int32)[:, None], lam.shape[1], axis=1)
     cols = np.arange(lam.shape[1])  # the live columns, with their b, c, el and up
     b = np.count_nonzero(lam, axis=0) - 1  # the current block: the largest sample's, at first
     c = np.zeros(cols.size)  # C_{e+1} of block b
+    runs = []  # starts and stops of each accept pass, the no-op run [2, 1] where a column is done
     accepting = True
     while b.size:
         rows, at = np.arange(b.max() + 1)[:, None], np.arange(b.size)
         el, up, he, h_first = (v[: rows.size] for v in (el, up, he, h_first))
         held = rows <= b  # the blocks of each column's run, from b down
         if accepting:  # C_{e+1} of each block, as if every block from b down to it accepted
+            top = ends[b] if runs else length  # the first run also holds the blocks past b
             d = np.where(held, up, 0.0)
             d[b, at] = c / ends[b]
             c_in = np.cumsum(d[::-1], axis=0)[::-1] * ends[: rows.size, None]
             c_in[b, at] = c
             x = c_in / el + he - 1.0
             ks = _highest((x > h_first) & held)
-            # where no first index rejects (ks = -1), block 0 accepts and j is its lo, 0
+            # j is block k's first accepting index, 0-based; where no first index rejects
+            # (ks = -1), block 0 accepts and j is its lo, 0
             k = np.maximum(ks, 0)
             lo, e, c = los[k], ends[k], c_in[k, at]
-            first[k, cols] = j = lo + np.clip(h.searchsorted(x[k, at]) - lo - 1, 0, e - lo)
+            j = lo + np.clip(h.searchsorted(x[k, at]) - lo - 1, 0, e - lo)
             c = np.where(j < e, j * (lam[k, cols] * (h[e] - h[j]) + c / e), c)
+            runs.append(run := np.tile([[2], [1]], lam.shape[1]))
+            run[0, cols], run[1, cols] = j + 1, top
             b = ks - 1
         else:  # C stays; the run ends where the last index's target is <= H_{e-1}
-            ks = _highest((c / el + he - 1.0 <= he) & held)
-            r, a = np.nonzero((rows > ks) & held)
-            first[r, cols[a]] = ends[r]
-            b = ks
+            b = _highest((c / el + he - 1.0 <= he) & held)
         accepting = not accepting
         if not (live := b >= 0).all():
             cols, b, c, el, up = cols[live], b[live], c[live], el[:, live], up[:, live]
-    # C order, the layout of the scorer's buffer, so that its in-place passes read q row by row
-    # (its row sums, taken over that buffer, do not depend on q's layout)
-    first = np.repeat(first.T, np.diff(ends, prepend=0), axis=1)[:, :length]
-    q = np.empty((lam.shape[1], length))
-    np.greater_equal(np.arange(length, dtype=np.int32), first, out=q)
-    return lam, q
+    return lam, *np.stack(runs[::-1], axis=-1)
 
 
 def learn_strategy(samples, epsilon: float) -> LearnOutput:
@@ -190,11 +199,14 @@ def learn_strategy(samples, epsilon: float) -> LearnOutput:
     n_max = _check_size(int(samples.max()), "largest sample")  # the strategy's length
     ends = _endpoints_until(1.0 + epsilon / 4.0, n_max)
     counts = np.bincount(np.searchsorted(ends, samples), minlength=ends.size)
-    lam, q = _learn_blocks(counts[:, None], samples.size, ends, int(ends[-1]))
+    lam, starts, stops = _learn_blocks(counts[:, None], samples.size, ends, int(ends[-1]))
     g = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, 0], np.diff(ends, prepend=0))
+    q = np.zeros(g.size)
+    for s, e in zip(starts[0].tolist(), stops[0].tolist()):
+        q[s - 1 : e] = 1.0
     g.setflags(write=False)
     q.setflags(write=False)
-    return LearnOutput(q_hat=q[0], G=g)
+    return LearnOutput(q_hat=q, G=g)
 
 
 def _check_budget(epsilon: float, delta: float) -> None:
@@ -267,7 +279,8 @@ def learning_trials(
     block by one ``rng.multinomial`` over the differences of the endpoints' cdf
     values (``dist._horizon_edges``), up to the first block whose edge reaches
     1, past which ``dist._horizons`` maps no uniform.  Each strategy is scored
-    on [p.n]; past a trial's largest sample its blocks have zero gains and
+    on [p.n] from its accept runs, with the bits of ``strategy.runs_value`` on
+    the same rule; past a trial's largest sample its blocks have zero gains and
     accept, as padding its strategy with ones gives.  The optimum is the
     caller's to solve.
     """
@@ -288,8 +301,8 @@ def learning_trials(
     edges = np.minimum(_horizon_edges(p, ends), 1.0)
     live = np.count_nonzero(edges < 1.0) + 1  # the last live block gets multinomial's remainder
     probs = np.diff(edges[:live], prepend=0.0)
-    chunk = max(1, _CHUNK_ELEMS // int(ends[-1]))
-    lam = lambda_sequence(p)
+    chunk = max(1, _CHUNK_ELEMS // ends.size)
+    values = _threshold_values(lambda_sequence(p), p.n + 1)  # A(p, q^(l)), l = 1..n+1
     m_of_tail = {}
     m = np.empty(trials, dtype=np.int64)
     value_hat = np.empty(trials)
@@ -305,9 +318,6 @@ def learning_trials(
                 m_main = m_of_tail[tail]
             m[lo + col] = m_main
             counts[:live, col] = rng.multinomial(m_main, probs)
-        _, q = _learn_blocks(counts, m[lo : lo + cols], ends, p.n)
-        # the kernel's buffer has one contiguous row per trial, so each row sum is
-        # lambda_form_value's 1-D sum, bit for bit
-        a = _acceptance_terms(q)
-        value_hat[lo : lo + cols] = _lambda_form(a, lam, out=a)
+        _, starts, stops = _learn_blocks(counts, m[lo : lo + cols], ends, p.n)
+        value_hat[lo : lo + cols] = _runs_value(values, starts, stops)
     return m, value_hat

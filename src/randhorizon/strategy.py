@@ -14,7 +14,9 @@ kept around as a cross-check.  Both forms read the same terms
 a_i = U_{i-1} q_i, which one kernel writes into one buffer; they differ where
 the formulas do: the lambda form weights a by the suffix sums lambda, the
 per-horizon form takes a prefix sum of a per horizon.  :func:`success_probabilities`
-evaluates both from one extension of q and one buffer.  When a strategy is
+evaluates both from one extension of q and one buffer.  A 0/1 rule is also
+scored from its accept runs alone, by differences of threshold values
+(:func:`runs_value`), which is how the learner scores its rules.  When a strategy is
 evaluated against a distribution whose support extends past the stored length,
 the missing entries are treated as 1 (accepting a best-so-far item when nothing
 else would be picked weakly dominates rejecting it).
@@ -92,11 +94,6 @@ def _acceptance_terms(q: np.ndarray) -> np.ndarray:
     return np.multiply(a, q, out=a)
 
 
-def _lambda_form(a: np.ndarray, lam: np.ndarray, out=None):
-    """sum_i a_i lambda_i along the last axis, by a pairwise sum of each contiguous row of a*lam."""
-    return np.sum(np.multiply(a, lam, out=out), axis=-1)
-
-
 def _point_masses(a: np.ndarray) -> np.ndarray:
     """Turn the 1-D terms a into (1/i) * sum_{l<=i} a_l, i = 1..len(a), in place."""
     np.cumsum(a, out=a)
@@ -110,13 +107,8 @@ def _pform(probs: np.ndarray, values: np.ndarray) -> float:
 
 def success_probability(p: HorizonDistribution, q) -> float:
     """Exact success probability A(p, q), evaluated in the lambda form (O(n))."""
-    return lambda_form_value(lambda_sequence(p), extended(q, p.n))
-
-
-def lambda_form_value(lam: np.ndarray, qx: np.ndarray) -> float:
-    """sum_i U_{i-1}(q) q_i lambda_i for a lambda sequence and a same-length q."""
-    a = _acceptance_terms(qx)
-    return float(_lambda_form(a, lam, out=a))
+    a = _acceptance_terms(extended(q, p.n))
+    return float(np.sum(np.multiply(a, lambda_sequence(p), out=a)))
 
 
 def point_mass_values(qx: np.ndarray) -> np.ndarray:
@@ -142,7 +134,7 @@ def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     a_i = U_{i-1} q_i, which then become the point-mass values in place.
     """
     a = _acceptance_terms(extended(q, p.n))
-    value = float(_lambda_form(a, lambda_sequence(p)))
+    value = float(np.sum(a * lambda_sequence(p)))
     return value, _pform(p.probs, _point_masses(a))
 
 
@@ -159,6 +151,35 @@ def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:
     out = np.zeros(l_max)
     np.add(lam[:k], np.multiply(r[:k], np.arange(k), out=r[:k]), out=out[:k])
     return out
+
+
+def _runs_value(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """A(p, q) of the 0/1 rules accepting on the runs [starts, stops] along the last axis.
+
+    values[l-1] = A(p, q^(l)) (:func:`_threshold_values`), runs 1-based and
+    ascending.  With U the chance that nothing was picked before a run (1
+    before the first), a run [s, e] adds U (A(q^(s)) - f A(q^(e+1))),
+    f = (s-1)/e, since past e the terms of q^(s) are f times those of
+    q^(e+1), and it leaves U f.  The product and the sum run in order, so a
+    no-op run [s, s-1] (f = 1, a term of 0) anywhere in a row leaves its bits
+    alone.
+    """
+    f = (starts - 1) / stops
+    terms = values[starts - 1] - f * values[stops]
+    terms[..., 1:] *= np.cumprod(f, axis=-1)[..., :-1]
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def runs_value(p: HorizonDistribution, q) -> float:
+    """A(p, q) of a 0/1 rule q from its accept runs by :func:`_runs_value` (O(n), then O(runs))."""
+    q = extended(q, p.n)
+    if np.any((q != 0.0) & (q != 1.0)):
+        raise ValidationError("q must be a 0/1 rule")
+    steps = np.diff(q, prepend=0.0, append=0.0)
+    # after the no-op run [2, 1], so that a rule that never accepts scores 0
+    starts = np.append(2, np.flatnonzero(steps > 0.0) + 1)
+    stops = np.append(1, np.flatnonzero(steps < 0.0))
+    return float(_runs_value(_threshold_values(lambda_sequence(p), p.n + 1), starts, stops))
 
 
 def threshold_success_values(p: HorizonDistribution, l_max: int) -> np.ndarray:

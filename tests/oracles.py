@@ -16,7 +16,7 @@ from randhorizon import (HorizonDistribution, ValidationError, lambda_sequence, 
                          make_distribution, make_strategy, sample_size_bound, single_threshold,
                          success_probability)
 from randhorizon.learn import _endpoints_until
-from randhorizon.strategy import extended, point_mass_values
+from randhorizon.strategy import extended, point_mass_values, runs_value
 
 
 def permutation_tables(n: int):
@@ -92,6 +92,20 @@ def first_principles_success(p: HorizonDistribution, q: np.ndarray) -> float:
                     win += none_before * qx[pos]
                 none_before *= 1.0 - qx[pos]
         total += p.probs[horizon - 1] * win / math.factorial(horizon)
+    return total
+
+
+def lambda_form_exact(p: HorizonDistribution, q) -> Fraction:
+    """sum_i U_{i-1} q_i lambda_i in exact rational arithmetic on p's float64 weights and q extended to p.n."""
+    qx = [Fraction(float(x)) for x in extended(q, p.n)]
+    lam, tail = [Fraction(0)] * p.n, Fraction(0)
+    for i in range(p.n, 0, -1):
+        tail += Fraction(float(p.probs[i - 1])) / i
+        lam[i - 1] = tail
+    total, u = Fraction(0), Fraction(1)
+    for i, (qi, li) in enumerate(zip(qx, lam), start=1):
+        total += u * qi * li
+        u *= 1 - qi / i
     return total
 
 
@@ -195,7 +209,7 @@ def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: floa
     over the blocks' cdf differences, up to the first block whose cdf edge
     reaches 1 (no inverse-CDF draw lands past it).  The counts are expanded
     back into samples at the block endpoints, learned from by
-    ``learn_strategy`` and scored by ``success_probability``.
+    ``learn_strategy`` and scored from its accept runs on [p.n] by ``runs_value``.
     """
     rng = np.random.default_rng(seed)
     ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
@@ -211,7 +225,7 @@ def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: floa
             tail, main_delta = int(p.sample(m_pre, rng).max()), delta_conf / 2.0
         m = sample_size_bound(epsilon, main_delta, tail)
         samples = np.repeat(ends[:live], rng.multinomial(m, probs))
-        out.append((m, success_probability(p, learn_strategy(samples, epsilon).q_hat)))
+        out.append((m, runs_value(p, learn_strategy(samples, epsilon).q_hat)))
     return out
 
 

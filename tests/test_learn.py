@@ -331,7 +331,7 @@ def test_learning_trials_rows_are_a_prefix_of_more_trials(monkeypatch):
     for T in (None, p.n):
         m, value_hat = learning_trials(p, 0.2, 0.1, 100, 12, T=T)
         assert np.unique(m).size > (T is None)  # ragged sample counts without T
-        width = int(_endpoints_until(1.05, p.n)[-1])
+        width = _endpoints_until(1.05, p.n).size
         monkeypatch.setattr(learn, "_CHUNK_ELEMS", 3 * width)  # chunks of 3 trials
         for trials in (1, 10, 37):
             m_k, value_k = learning_trials(p, 0.2, 0.1, trials, 12, T=T)
@@ -382,6 +382,21 @@ def test_learning_trials_hold_no_sample_sized_buffer():
     assert peak <= 8 * m.min() / 3, peak  # a third of one float64 vector of m
 
 
+def test_learning_trials_hold_a_few_vectors_of_n_whatever_the_trial_count():
+    # scored by runs, a chunk of trials holds no (trials x n) strategy or scoring buffer;
+    # the law's cdf and the threshold values with their temporaries set the peak (13.2
+    # and 16.6 vectors of n when each trial's 0/1 strategy was expanded and scanned)
+    for trials in (5, 40):
+        p = uniform(10**6)
+        tracemalloc.start()
+        try:
+            learning_trials(p, 0.2, 0.1, trials, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8e6, (trials, peak)
+
+
 def _zero_entries(n: int, seed: int):
     """Decaying weights with about 30% of the entries and the last tenth zero.
 
@@ -410,7 +425,7 @@ def test_learning_trials_match_the_per_trial_loop(monkeypatch):
     for p, epsilons, trials in truths:
         for eps in epsilons:
             for T in (None, p.n):
-                width = int(_endpoints_until(1.0 + eps / 4.0, p.n)[-1])
+                width = _endpoints_until(1.0 + eps / 4.0, p.n).size
                 monkeypatch.setattr(learn, "_CHUNK_ELEMS", (1, 7)[case % 2] * width)
                 case += 1
                 seed = int(rng.integers(2**32))
@@ -448,6 +463,24 @@ def test_learning_trials_match_the_per_trial_loop_on_random_small_truths():
         assert value_hat.tolist() == [w[1] for w in want], (p.probs, eps, T)
 
 
+def _rules(starts, stops, length: int) -> np.ndarray:
+    """The (trials, length) 0/1 strategies of the block core's runs, once the runs check out.
+
+    A row's runs ascend, each pair apart by at least one rejected index, after
+    the no-op runs [2, 1].
+    """
+    assert starts.shape == stops.shape and starts.shape[1] >= 1
+    q = np.zeros((starts.shape[0], length))
+    for r, row in enumerate(zip(starts.tolist(), stops.tolist())):
+        runs = [(s, e) for s, e in zip(*row) if s <= e]
+        assert all((s, e) == (2, 1) for s, e in zip(*row) if s > e), row
+        assert all(1 <= s and e <= length for s, e in runs), runs
+        assert all(e + 1 < s for (_, e), (s, _) in zip(runs, runs[1:])), runs
+        for s, e in runs:
+            q[r, s - 1 : e] = 1.0
+    return q
+
+
 def test_block_core_matches_the_scalar_solve():
     rng = np.random.default_rng(30)
     for rho, n, rows in ((2.0, 1, 1), (1.5, 2, 5), (1.05, 300, 9), (1.005, 3000, 4), (3.0, 5000, 3)):
@@ -459,8 +492,8 @@ def test_block_core_matches_the_scalar_solve():
             counts[last + 1 :, r] = 0.0
             counts[last, r] += 1.0
         length = max(1, int(ends[-1]) - int(rng.integers(3)))  # learning_trials cuts at p.n
-        lam, q = _learn_blocks(counts, counts.sum(axis=0).astype(np.int64), ends, length)
-        assert q.shape == (rows, length) and q.flags.c_contiguous
+        lam, starts, stops = _learn_blocks(counts, counts.sum(axis=0).astype(np.int64), ends, length)
+        q = _rules(starts, stops, length)
         for r in range(rows):
             gains = np.arange(1, ends[-1] + 1) * np.repeat(lam[:, r], np.diff(ends, prepend=0))
             assert np.array_equal(q[r], backward_induction(gains)[0][:length]), (rho, n, r)
@@ -487,7 +520,8 @@ def test_block_core_matches_the_block_loop():
                 counts[last, r] += 1.0
             m = counts.sum(axis=0).astype(np.int64)
             length = max(1, int(ends[-1]) - int(rng.integers(3)))
-            lam, q = _learn_blocks(counts, m, ends, length)
+            lam, starts, stops = _learn_blocks(counts, m, ends, length)
+            q = _rules(starts, stops, length)
             want_lam, want_q = learn_blocks_loop(counts, m, ends, length)
             assert np.array_equal(lam, want_lam) and np.array_equal(q, want_q), (rho, n, alternate)
             if alternate and rho >= 1.2:
@@ -507,7 +541,8 @@ def test_block_core_matches_the_block_loop():
     one[1::2] = 0.0
     for counts, ends in ((counts, ends), (one, ends_one)):
         m = counts.sum(axis=0).astype(np.int64)
-        lam, q = _learn_blocks(counts, m, ends, int(ends[-1]))
+        lam, starts, stops = _learn_blocks(counts, m, ends, int(ends[-1]))
+        q = _rules(starts, stops, int(ends[-1]))
         want_lam, want_q = learn_blocks_loop(counts, m, ends, int(ends[-1]))
         assert np.array_equal(lam, want_lam) and np.array_equal(q, want_q), counts.shape
     assert 1 + np.count_nonzero(np.diff(q[0])) >= ends.size / 3

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import re
 import tracemalloc
 
@@ -27,11 +28,10 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon.strategy import (_acceptance_terms, _lambda_form, extended, lambda_form_value,
-                                  point_mass_values)
+from randhorizon.strategy import _runs_value, _threshold_values, extended, point_mass_values, runs_value
 
-from oracles import (eval_two_pass, first_principles_success, lambda_sequence_copy, perm_success_rate,
-                     prefix_products_concat, threshold_values_padded)
+from oracles import (eval_two_pass, first_principles_success, lambda_form_exact, lambda_sequence_copy,
+                     perm_success_rate, prefix_products_concat, threshold_values_padded)
 
 
 def test_single_threshold_examples():
@@ -148,19 +148,100 @@ def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
                           np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
 
 
-def test_row_scores_match_the_product_array_and_the_1d_sum_bit_for_bit():
-    # the learner scores (trials x n) 0/1 strategies by rows of the kernel's buffer
-    rng = np.random.default_rng(25)
-    for _ in range(500):
-        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 3000))
-        q = np.floor(rng.random((rows, n)) + rng.random((rows, 1)))
-        if rng.random() < 0.3:
-            q = rng.random((rows, n))
-        lam = lambda_sequence(make_distribution(rng.standard_exponential(n)))
-        a = _acceptance_terms(q)
-        got = _lambda_form(a, lam, out=a)
-        assert _same_bits(got, np.sum(prefix_products_concat(q)[:, :-1] * q * lam, axis=1))
-        assert got.tolist() == [lambda_form_value(lam, row) for row in q]
+def _random_rule(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A 0/1 rule of random length around n with a random number of runs."""
+    size = int(rng.integers(max(1, n - 3), n + 4))
+    return np.floor(rng.random(size) + rng.random()).astype(float)
+
+
+def _runs_scale(p, q) -> float:
+    """sum_j U_j (A(q^(s_j)) + f_j A(q^(e_j+1))) over q's runs: what the run form cancels down from.
+
+    A short run [s, e] far from 1 scores the difference of two close threshold
+    values, so the run form's rounding is a few ulps of this sum, not of A(p, q).
+    """
+    steps = np.diff(extended(q, p.n), prepend=0.0, append=0.0)
+    starts, stops = np.flatnonzero(steps > 0) + 1, np.flatnonzero(steps < 0)
+    values = _threshold_values(lambda_sequence(p), p.n + 1)
+    f = (starts - 1) / stops
+    u = np.concatenate([[1.0], np.cumprod(f)[:-1]])
+    return float(np.sum(u * (values[starts - 1] + f * values[stops])))
+
+
+def test_runs_value_is_within_16_ulps_of_exact_arithmetic():
+    # stored rules shorter and longer than n, on laws with zero entries; in ulps of
+    # the value itself the worst case here is 21.6, a one-run rule at n = 48
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        w = rng.standard_exponential(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] += 1.0
+        p = make_distribution(w)
+        q = _random_rule(rng, n)
+        want = lambda_form_exact(p, q)
+        got = runs_value(p, q)
+        if want == 0:
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - want) <= 16 * Fraction(math.ulp(_runs_scale(p, q))), (n, q)
+    # an all-reject rule scores exactly 0, as does a rule that accepts past the support only
+    for p in (uniform(7), delta(1)):
+        assert runs_value(p, np.zeros(p.n)) == 0.0
+    assert runs_value(make_distribution([0.5, 0.5, 0.0]), [0.0, 0.0, 1.0]) == 0.0
+
+
+def test_runs_value_agrees_with_success_probability_on_large_rules():
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 100, 3000, 10**5):
+        for p in (sample_dirichlet_uniform(n, rng), uniform(n), worst_case_pstar(n)):
+            q = _random_rule(rng, n)
+            want = success_probability(p, q)
+            assert abs(runs_value(p, q) - want) <= 1e-12 * want, n
+            flip = rng.random(q.size) < 0.01  # a run every 50 or so entries
+            q[flip] = 1.0 - q[flip]
+            want = success_probability(p, q)
+            assert abs(runs_value(p, q) - want) <= 1e-12 * want, n
+            # one short run far from 1: up to about 2e-12 of the value off, but within
+            # a few ulps of the two threshold values it is the difference of
+            for s, e in ((n // 2 + 1, n // 2 + 1), (n // 10 + 1, n // 10 + 2), (n, n)):
+                q = np.zeros(n)
+                q[s - 1 : e] = 1.0
+                want = success_probability(p, q)
+                assert abs(runs_value(p, q) - want) <= 16 * math.ulp(_runs_scale(p, q)), (n, s, e)
+    with pytest.raises(ValidationError, match="^q must be a 0/1 rule$"):
+        runs_value(uniform(3), [0.0, 0.5, 1.0])
+    with pytest.raises(ValidationError, match=r"^q entries must lie in \[0, 1\]$"):
+        runs_value(uniform(3), [0.0, 2.0])
+
+
+def test_a_row_of_runs_has_the_same_bits_alone_and_padded_in_a_batch():
+    # the learner scores a chunk of trials at once, each row padded in front by no-op
+    # runs [2, 1] to the chunk's largest run count; one more no-op, [n + 1, n], ends
+    # every row here, since a no-op anywhere in a row must leave its bits alone
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        p = sample_dirichlet_uniform(n, rng)
+        values = _threshold_values(lambda_sequence(p), n + 1)
+        rules = [_random_rule(rng, n)[:n] for _ in range(int(rng.integers(1, 6)))]
+        rows = []
+        for q in rules:
+            steps = np.diff(extended(q, n), prepend=0.0, append=0.0)
+            rows.append((np.flatnonzero(steps > 0) + 1, np.flatnonzero(steps < 0)))
+        width = 1 + max(starts.size for starts, _ in rows)
+        batch = np.empty((2, len(rows), width), dtype=np.int64)
+        for r, (starts, stops) in enumerate(rows):
+            pad = width - 1 - starts.size
+            batch[:, r] = [[2] * pad + starts.tolist() + [n + 1], [1] * pad + stops.tolist() + [n]]
+        got = _runs_value(values, batch[0], batch[1])
+        for r, (q, (starts, stops)) in enumerate(zip(rules, rows)):
+            alone = runs_value(p, q)
+            assert got[r].hex() == alone.hex(), (n, r)
+            if starts.size:
+                assert _runs_value(values, starts, stops) == alone
+            else:
+                assert alone == 0.0
 
 
 def test_success_probability_examples():
