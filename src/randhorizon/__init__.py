@@ -54,11 +54,9 @@ from .solver import (
 from .strategy import (
     make_strategy,
     mixture_success_probability,
-    prefix_products,
     single_threshold,
     success_probabilities,
     success_probability,
-    success_probability_pform,
     threshold_success_values,
 )
 

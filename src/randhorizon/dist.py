@@ -10,7 +10,8 @@ the marginal probability that the i-th arrival is both the best seen so far
 and the eventual overall best.
 
 A caller's vector becomes floats once, in :func:`_floats`, and a real scalar
-in :func:`_float`; both refuse an integer beyond the float range.
+in :func:`_float`; both refuse an integer beyond the float range.  A caller's
+seed becomes a generator in :func:`_rng` only.
 ``HorizonDistribution(probs=)`` refuses a sum off 1 by more than SUM_TOL;
 make_distribution and every builder renormalize it.
 """
@@ -69,6 +70,16 @@ def _check_size(size: int, what: str, low: int = 1) -> int:
     if size > MAX_ELEMS:
         raise ValidationError(f"{what} {size} exceeds the cap of {MAX_ELEMS} elements")
     return size
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of a caller's seed: an integer >= 0 (:func:`_check_int`) or a SeedSequence.
+
+    A Generator is drawn from in place, so consecutive calls on one continue its stream.
+    """
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = _check_int(seed, "seed", 0)
+    return np.random.default_rng(seed)
 
 
 def _ceil_size(size: float, what: str) -> int:
@@ -171,9 +182,11 @@ def _horizon_edges(p: HorizonDistribution, ends: np.ndarray) -> np.ndarray:
     every uniform (+inf) from it on, where :func:`_horizons` clamps; ascending
     for ascending ends, so with the edges capped at 1 a uniform's horizon falls
     in block (prev, e] with probability the difference of consecutive edges.
+    Gathers only the ends' entries of the cdf, with no copy of it.
     """
     cdf, last_positive = p._inverse_cdf
-    return np.append(cdf[:last_positive], np.inf)[np.minimum(ends - 1, last_positive)]
+    idx = np.minimum(ends - 1, last_positive)
+    return np.where(idx < last_positive, cdf[idx], np.inf)
 
 
 def make_distribution(weights) -> HorizonDistribution:
@@ -299,6 +312,5 @@ def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:
     deterministic given the seed.
     """
     _check_size(n, "n")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_exponential(n)
+    x = _rng(seed).standard_exponential(n)
     return _distribution(x / x.sum())

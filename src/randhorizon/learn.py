@@ -39,7 +39,7 @@ import numpy as np
 
 from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped,
                    _check_int, _check_size, _distribution, _horizon_edges, _horizons,
-                   _positive_ints, delta, lambda_sequence)
+                   _positive_ints, _rng, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import _runs_value, _threshold_values
@@ -62,29 +62,25 @@ def _endpoints_until(rho: float, stop: int) -> np.ndarray:
     return ends[: np.searchsorted(ends, stop) + 1]
 
 
-def _blocked(ends: np.ndarray, horizons: np.ndarray, weights=None) -> np.ndarray:
-    """Weights of the horizons summed onto the right endpoint e of their block (prev, e]."""
-    out = np.zeros(int(ends[-1]))
-    out[ends - 1] = np.bincount(np.searchsorted(ends, horizons), weights, minlength=ends.size)
-    return out
-
-
 def block_distribution(p: HorizonDistribution, rho: float) -> HorizonDistribution:
     """Move the mass of every block (prev endpoint, endpoint] onto its right endpoint."""
     ends = _endpoints_until(rho, p.n)
-    return _distribution(_blocked(ends, np.arange(1, p.n + 1), p.probs))
+    out = np.zeros(int(ends[-1]))
+    out[ends - 1] = np.bincount(np.searchsorted(ends, np.arange(1, p.n + 1)), p.probs,
+                                minlength=ends.size)
+    return _distribution(out)
 
 
 def draw_samples(p: HorizonDistribution, m: int, seed) -> np.ndarray:
     """m iid horizon draws via inverse-CDF, ascending, as a read-only int64 array.
 
-    Consumes exactly ``default_rng(seed).random(m)`` and sorts those uniforms,
-    so the horizons are those ``p.sample`` draws from the same seed, sorted.
-    seed is anything ``default_rng`` takes; a ``Generator`` is drawn from in
-    place, so consecutive calls on one generator continue its stream.
+    Consumes exactly ``random(m)`` of the seed's generator (``dist._rng``) and
+    sorts those uniforms, so the horizons are those ``p.sample`` draws from the
+    same seed, sorted.  A ``Generator`` is drawn from in place, so consecutive
+    calls on one generator continue its stream.
     """
     _check_size(m, "sample count")
-    u = np.random.default_rng(seed).random(m)
+    u = _rng(seed).random(m)
     u.sort()
     samples = _horizons(p, u)
     samples.setflags(write=False)
@@ -271,11 +267,12 @@ def learning_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """m and value_hat = A(p, q_hat) of ``trials`` learner trials at one epsilon.
 
-    The trials draw one after another from one ``default_rng(seed)``, seed a
-    SeedSequence or an integer >= 0, so the first k rows do not depend on
-    ``trials`` beyond k.  Unless T is given (which leaves the main phase the
-    whole confidence budget instead of half), a trial's tail bound T is the
-    largest of a ``draw_samples`` batch.  Its m main samples are counted per
+    The trials draw one after another from the seed's one generator
+    (``dist._rng``: an integer >= 0, a SeedSequence, or a Generator drawn from
+    in place), so the first k rows do not depend on ``trials`` beyond k.
+    Unless T is given (which leaves the main phase the whole confidence budget
+    instead of half), a trial's tail bound T is the largest of a
+    ``draw_samples`` batch.  Its m main samples are counted per
     block by one ``rng.multinomial`` over the differences of the endpoints' cdf
     values (``dist._horizon_edges``), up to the first block whose edge reaches
     1, past which ``dist._horizons`` maps no uniform.  Each strategy is scored
@@ -286,8 +283,7 @@ def learning_trials(
     """
     _check_budget(epsilon, delta_conf)
     _check_size(trials, "trials")
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else _check_int(seed, "seed", 0))
+    rng = _rng(seed)
     if T is None:
         # T = max of ceil((12/eps) log(2/delta)) fresh samples: with probability
         # at least 1 - delta/2 the tail beyond T is at most eps/12

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dist import (HorizonDistribution, _ceil_snapped, _check_int, _check_size, _distribution,
-                   _float, _floats)
+                   _float, _floats, _rng)
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -210,7 +210,7 @@ def union_event_rate(grid: ProphetGrid, trials: int, seed) -> SimResult:
     are their running maximum.
     """
     _check_size(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     blocks = np.diff(grid.k, prepend=0)
     if np.any(blocks <= 0):
         raise ValidationError("prefix counts must be strictly increasing")

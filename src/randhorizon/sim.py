@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dist import _CHUNK_ELEMS, HorizonDistribution, _check_int, _check_size
+from .dist import _CHUNK_ELEMS, HorizonDistribution, _check_int, _check_size, _rng
 from .errors import HarnessError, ValidationError
 from .strategy import extended, make_strategy, point_mass_values, single_threshold
 
@@ -145,7 +145,7 @@ def simulate(p: HorizonDistribution, q, trials: int, seed) -> SimResult:
     horizon.  Memory is O(trials + n).  Deterministic given the seed.
     """
     _check_size(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     qx = extended(q, p.n)
     horizons = p.sample(trials, rng)
     t = np.ones(trials)
@@ -164,7 +164,7 @@ def simulate(p: HorizonDistribution, q, trials: int, seed) -> SimResult:
 def simulate_custom(p: HorizonDistribution, policy: Policy, trials: int, seed) -> SimResult:
     """Empirical success rate of a batched rank-feedback policy."""
     _check_size(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     successes = sum(
         int(np.count_nonzero(_wins(ranks, picks, h)))
         for h, ranks, picks in _play(p.sample(trials, rng), policy, rng)
@@ -182,7 +182,7 @@ def adversary_game(n: int, policy: Policy, trials: int, seed) -> SimResult:
     """
     _check_size(n, "n")
     _check_size(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     k = math.isqrt(n)
     last_asked = min(k + 1, n)
     successes = 0
@@ -214,7 +214,7 @@ def average_case_experiment(n: int, epsilon: float, draws: int, seed) -> AvgCase
     _check_size(draws, "draws")
     l_star = math.ceil(n / math.e**2)
     coeff = point_mass_values(single_threshold(l_star, n))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     values = np.empty(draws)
     slab = np.empty((min(draws, max(1, (_CHUNK_ELEMS >> 6) // n)), n))
     for lo in range(0, draws, slab.shape[0]):

@@ -10,16 +10,17 @@ Its exact success probability against a horizon distribution p is
     U_i(q)  = prod_{l<=i} (1 - q_l / l),
 
 with the equivalent per-horizon form sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l
-kept around as a cross-check.  Both forms read the same terms
-a_i = U_{i-1} q_i, which one kernel writes into one buffer; they differ where
-the formulas do: the lambda form weights a by the suffix sums lambda, the
-per-horizon form takes a prefix sum of a per horizon.  :func:`success_probabilities`
-evaluates both from one extension of q and one buffer.  A 0/1 rule is also
-scored from its accept runs alone, by differences of threshold values
-(:func:`runs_value`), which is how the learner scores its rules.  When a strategy is
-evaluated against a distribution whose support extends past the stored length,
-the missing entries are treated as 1 (accepting a best-so-far item when nothing
-else would be picked weakly dominates rejecting it).
+as a cross-check, reached through :func:`success_probabilities`.  Both forms
+read the same terms a_i = U_{i-1} q_i, which one 1-D kernel writes into one
+buffer; they differ where the formulas do: the lambda form weights a by the
+suffix sums lambda, the per-horizon form takes a prefix sum of a per horizon.
+:func:`success_probabilities` evaluates both from one extension of q and one
+buffer.  A 0/1 rule is also scored from its accept runs alone, by differences
+of threshold values (:func:`runs_value`), which is how the learner scores its
+rules.  When a strategy is evaluated against a distribution whose support
+extends past the stored length, the missing entries are treated as 1
+(accepting a best-so-far item when nothing else would be picked weakly
+dominates rejecting it).
 """
 
 from __future__ import annotations
@@ -76,21 +77,19 @@ def single_threshold(l: int, m: int) -> np.ndarray:
     return q
 
 
-def prefix_products(q: np.ndarray) -> np.ndarray:
-    """U_0..U_m along q's last axis, U_i = prod_{l<=i} (1 - q_l/l): no-pick-yet probabilities."""
-    m = q.shape[-1]
-    u = np.empty(q.shape[:-1] + (m + 1,))
-    u[..., 0] = 1.0
-    tail = u[..., 1:]
+def _acceptance_terms(q: np.ndarray) -> np.ndarray:
+    """a_i = U_{i-1} q_i of a 1-D q, U_i = prod_{l<=i} (1 - q_l/l) the no-pick-yet probabilities.
+
+    U_0..U_m go into one buffer, whose U_0..U_{m-1} then become the terms in place.
+    """
+    m = q.size
+    u = np.empty(m + 1)
+    u[0] = 1.0
+    tail = u[1:]
     np.divide(q, np.arange(1.0, m + 1), out=tail)  # exact integers: an int range's quotients
     np.subtract(1.0, tail, out=tail)
-    np.cumprod(tail, axis=-1, out=tail)
-    return u
-
-
-def _acceptance_terms(q: np.ndarray) -> np.ndarray:
-    """a_i = U_{i-1} q_i along q's last axis, written over U_0..U_{m-1} of one prefix-product buffer."""
-    a = prefix_products(q)[..., :-1]
+    np.cumprod(tail, out=tail)
+    a = u[:-1]
     return np.multiply(a, q, out=a)
 
 
@@ -98,11 +97,6 @@ def _point_masses(a: np.ndarray) -> np.ndarray:
     """Turn the 1-D terms a into (1/i) * sum_{l<=i} a_l, i = 1..len(a), in place."""
     np.cumsum(a, out=a)
     return np.divide(a, np.arange(1, a.size + 1), out=a)
-
-
-def _pform(probs: np.ndarray, values: np.ndarray) -> float:
-    """sum_i p_i * values_i, multiplying into the point-mass values."""
-    return float(np.sum(np.multiply(probs, values, out=values)))
 
 
 def success_probability(p: HorizonDistribution, q) -> float:
@@ -116,26 +110,16 @@ def point_mass_values(qx: np.ndarray) -> np.ndarray:
     return _point_masses(_acceptance_terms(qx))
 
 
-def success_probability_pform(p: HorizonDistribution, q) -> float:
-    """Same value as :func:`success_probability`, via the per-horizon form.
-
-    sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l.  It shares q's extension and
-    U with the lambda form and is independent of it where the two differ: a
-    prefix sum per horizon here, the suffix sums lambda there.
-    """
-    return _pform(p.probs, point_mass_values(extended(q, p.n)))
-
-
 def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q) from one extension of q and one buffer.
 
-    Each value has the bits of :func:`success_probability` and
-    :func:`success_probability_pform`: the lambda form reads the terms
-    a_i = U_{i-1} q_i, which then become the point-mass values in place.
+    The lambda form has the bits of :func:`success_probability`.  It reads the
+    terms a_i = U_{i-1} q_i, which then become the point-mass values in place,
+    and the per-horizon form is sum_i p_i times those.
     """
     a = _acceptance_terms(extended(q, p.n))
     value = float(np.sum(a * lambda_sequence(p)))
-    return value, _pform(p.probs, _point_masses(a))
+    return value, float(np.sum(np.multiply(p.probs, _point_masses(a), out=a)))
 
 
 def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:

@@ -187,6 +187,22 @@ def test_horizon_edges_count_the_uniforms_as_the_horizons_do():
     assert above_top > 0  # where the last_positive clamp decides
 
 
+def test_horizon_edges_gather_the_ends_without_a_copy_of_the_cdf():
+    p = uniform(10**6)
+    cdf, _ = p._inverse_cdf
+    ends = np.unique(np.geomspace(1, p.n, 400).astype(np.int64))
+    tracemalloc.start()
+    try:
+        edges = dist._horizon_edges(p, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak  # a few vectors of the ends, not the 8 MB of the cdf
+    want = cdf[ends - 1].copy()
+    want[ends >= p.n] = np.inf  # the last positive entry and past it: every uniform
+    assert np.array_equal(edges, want)
+
+
 def test_delta():
     assert np.array_equal(delta(1).probs, [1.0])
     assert np.array_equal(delta(3).probs, [0.0, 0.0, 1.0])

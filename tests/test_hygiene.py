@@ -317,3 +317,29 @@ def test_no_numpy_2_only_function():
              "from numpy import unique_values\nx.astype(float)\nnp.cumsum(t)\nnp.astype(x, float)")
     assert _numpy2_names(ast.parse(probe)) == {
         (1, "cumulative_sum"), (2, "concat"), (3, "unique_values"), (6, "astype")}
+
+
+def _default_rng_reads(tree: ast.Module) -> set[tuple[str, int]]:
+    """(top-level definition, line) of every ``default_rng`` read, as an attribute or a name."""
+    return {
+        (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "", node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "default_rng")
+        or (isinstance(node, ast.Name) and node.id == "default_rng")
+        or (isinstance(node, ast.alias) and node.name == "default_rng")
+    }
+
+
+def test_only_dist_rng_makes_a_generator():
+    # dist._rng holds the seed rule (an integer >= 0 by dist._check_int, a SeedSequence or a
+    # Generator); a default_rng call elsewhere would take -1, 2.5 or True by numpy's rules again
+    found = {
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, _line in _default_rng_reads(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("dist.py", "_rng")}
+    probe = ("from numpy.random import default_rng\ndef f(s):\n    return np.random.default_rng(s)\n"
+             "g = default_rng\n")
+    assert _default_rng_reads(ast.parse(probe)) == {("", 1), ("f", 3), ("", 4)}

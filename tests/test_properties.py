@@ -27,7 +27,7 @@ from randhorizon import (  # noqa: E402
     sample_size_bound,
     solve_optimal,
     success_probability,
-    success_probability_pform,
+    success_probabilities,
 )
 
 # a fixed example sequence and no example database: runs repeat exactly
@@ -45,7 +45,7 @@ open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(w=weights, q=st.lists(unit, max_size=70))
 def test_lambda_form_equals_the_per_horizon_form(w, q):
     p, strategy = make_distribution(w), make_strategy(q)
-    assert abs(success_probability(p, strategy) - success_probability_pform(p, strategy)) <= TOL
+    assert abs(success_probability(p, strategy) - success_probabilities(p, strategy)[1]) <= TOL
 
 
 @PROPERTY

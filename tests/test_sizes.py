@@ -51,8 +51,8 @@ SIZES = {
 # small enough that a site which allocated before checking would still stay cheap
 SMALL_CAP = 1000
 
-NOT_INTEGERS = pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True],
-                                       ids=["2.5", "3.0", "nan", "True"])
+NOT_INTEGERS = pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, "x"],
+                                       ids=["2.5", "3.0", "nan", "True", "x"])
 
 
 @pytest.mark.parametrize("name", SIZES)
@@ -94,6 +94,18 @@ def test_every_size_refuses_what_is_not_an_integer(name, value):
         call(value)
     assert str(exc.value) == f"{what} must be an integer, got {value!r}"
 
+# every entry point that takes a seed, which reaches its generator through dist._rng
+SEEDS = {
+    "simulate": lambda s: sim.simulate(P, strategy.single_threshold(2, 3), 10, s),
+    "simulate_custom": lambda s: sim.simulate_custom(P, POLICY, 10, s),
+    "adversary_game": lambda s: sim.adversary_game(4, POLICY, 10, s),
+    "average_case_experiment": lambda s: sim.average_case_experiment(10, 0.05, 10, s),
+    "sample_dirichlet_uniform": lambda s: dist.sample_dirichlet_uniform(3, s),
+    "draw_samples": lambda s: learn.draw_samples(P, 10, s),
+    "union_event_rate": lambda s: meta.union_event_rate(GRID, 10, s),
+    "learning_trials": lambda s: learn.learning_trials(P, 0.5, 0.5, 1, s),
+}
+
 # (entry point of one uncapped integer, its floor, the name its errors give it): a huge
 # threshold, tail bound or seed costs no memory
 INTEGERS = {
@@ -103,7 +115,7 @@ INTEGERS = {
     "sample_size_bound T": (lambda t: learn.sample_size_bound(0.5, 0.5, t), 1, "tail bound T"),
     "learning_trials T": (lambda t: learn.learning_trials(P, 0.5, 0.5, 1, 0, T=t), 1,
                           "tail bound T"),
-    "learning_trials seed": (lambda s: learn.learning_trials(P, 0.5, 0.5, 1, s), 0, "seed"),
+    **{f"{name} seed": (call, 0, "seed") for name, call in SEEDS.items()},
     "cli._subseed seed": (lambda s: cli._subseed(s, 0), 0, "seed"),
     "prophet_block_distribution K": (
         lambda k: meta.prophet_block_distribution(2, k, [0.0, 0.5, 1.0]), 1, "K"),
@@ -125,6 +137,15 @@ def test_every_uncapped_integer_refuses_what_is_not_an_integer(name, value):
     with pytest.raises(ValidationError) as exc:
         call(value)
     assert str(exc.value) == f"{what} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name", SEEDS)
+def test_every_seed_takes_an_integer_a_seed_sequence_or_a_generator(name):
+    # the same stream from 7, np.int64(7) and SeedSequence(7); a Generator is drawn from in place
+    values = lambda r: r.probs if isinstance(r, dist.HorizonDistribution) else r  # noqa: E731
+    want = values(SEEDS[name](7))
+    for seed in (np.int64(7), np.random.SeedSequence(7), np.random.default_rng(7)):
+        assert np.array_equal(values(SEEDS[name](seed)), want), seed
 
 
 # K sets the prefix counts k_i <= K, stored as int64, so a huge K is refused (below)
