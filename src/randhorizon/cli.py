@@ -12,7 +12,8 @@ spells: JSON with sorted keys or CSV with a header row, UTF-8, LF endings and
 no timestamps.
 
 Exit codes: 0 success, 2 usage error, 3 missing, unreadable or malformed input
-file, 4 parameter out of range, 5 unwritable output, stdout included.
+file, 4 parameter out of range, 5 unwritable output, stdout included, 6 out of
+memory while computing or writing.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import InputFileError, ValidationError
 EXIT_BAD_FILE = 3
 EXIT_BAD_RANGE = 4
 EXIT_BAD_OUTPUT = 5
+EXIT_NO_MEMORY = 6
 
 
 def _subseed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -347,6 +349,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        # a resource limit, neither bad input nor a bug: no traceback
+        detail = str(exc).replace("\n", " ")
+        print(f"randhorizon: out of memory in {args.command}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return EXIT_NO_MEMORY
+
+
+def _run(args) -> int:
+    """Compute and write one parsed command; the exit code of all but running out of memory."""
     # looked up on each call, not bound into the cached parser, so that a rebound
     # cmd_* (bench/tracer.py wraps them) is the one that runs
     command = {

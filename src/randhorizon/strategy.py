@@ -2,25 +2,29 @@
 
 A strategy is a vector q where q_i is the probability of accepting the i-th
 arrival given that it is the best seen so far and nothing was accepted yet.
-It is a plain float64 array, read-only where the package makes it; a caller's
-vector is checked, not copied, by :func:`extended`, which every evaluator reads.
-Its exact success probability against a horizon distribution p is
+It is a plain float64 array, read-only where the package makes it; every
+evaluator checks a caller's vector in place, without a copy, with the checks
+of :func:`make_strategy`.  Its exact success probability against a horizon
+distribution p is
 
     A(p, q) = sum_i U_{i-1}(q) * q_i * lambda_i(p),
     U_i(q)  = prod_{l<=i} (1 - q_l / l),
 
 with the equivalent per-horizon form sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l
 as a cross-check, reached through :func:`success_probabilities`.  Both forms
-read the same terms a_i = U_{i-1} q_i, which one 1-D kernel writes into one
-buffer; they differ where the formulas do: the lambda form weights a by the
-suffix sums lambda, the per-horizon form takes a prefix sum of a per horizon.
-:func:`success_probabilities` evaluates both from one extension of q and one
-buffer.  A 0/1 rule is also scored from its accept runs alone, by differences
-of threshold values (:func:`runs_value`), which is how the learner scores its
-rules.  When a strategy is evaluated against a distribution whose support
-extends past the stored length, the missing entries are treated as 1
-(accepting a best-so-far item when nothing else would be picked weakly
-dominates rejecting it).
+read the same terms a_i = U_{i-1} q_i, which one private kernel writes a chunk
+of i at a time, U carried from chunk to chunk; they differ where the formulas
+do: the lambda form weights a by the suffix sums lambda, the per-horizon form
+takes a prefix sum of a per horizon.  :func:`success_probabilities` evaluates
+both in one pass over the chunks, into lambda's vector and one more vector of
+n, with the bits of one whole-vector pass.  A 0/1 rule is also scored from its
+accept runs alone, by differences of threshold values (:func:`runs_value`),
+which is how the learner scores its rules.  When a strategy is evaluated
+against a distribution whose support extends past the stored length, the
+missing entries are treated as 1 (accepting a best-so-far item when nothing
+else would be picked weakly dominates rejecting it); the evaluators read them
+as 1 without padding q, and :func:`extended` pads it where a vector of n is
+read (:func:`runs_value`, the simulator).
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ def _acceptance_vector(values, copy: bool) -> np.ndarray:
     q = _floats(values, "q", copy)
     if q.ndim != 1:
         raise ValidationError("q must be a 1-D vector")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():  # the methods, not np.all and np.any: a few us less per call
         raise ValidationError("q must be finite")
-    if np.any(q < 0) or np.any(q > 1):
+    if (q < 0).any() or (q > 1).any():
         raise ValidationError("q entries must lie in [0, 1]")
     return q
 
@@ -77,64 +81,115 @@ def single_threshold(l: int, m: int) -> np.ndarray:
     return q
 
 
-def _acceptance_terms(q: np.ndarray) -> np.ndarray:
-    """a_i = U_{i-1} q_i of a 1-D q, U_i = prod_{l<=i} (1 - q_l/l) the no-pick-yet probabilities.
+_CHUNK = 1 << 14  # entries per kernel step: its few working vectors of 128 KB stay in cache
 
-    U_0..U_m go into one buffer, whose U_0..U_{m-1} then become the terms in place.
+
+def _acceptance_terms(q: np.ndarray, start: int, u: float, i: np.ndarray, buf: np.ndarray) -> float:
+    """a_i = U_{i-1} q_i for the float indices i = start+1..start+k into buf[:k]; returns U_{start+k}.
+
+    U_i = prod_{l<=i} (1 - q_l/l) are the no-pick-yet probabilities and u is
+    U_start; q is 1-D and its entries past its length count as 1.  buf has
+    k+1 entries: u and the factors 1 - q_i/i go in, one cumprod turns them
+    into U_start..U_{start+k}, which has the bits of one cumprod from U_0 = 1.
     """
-    m = q.size
-    u = np.empty(m + 1)
-    u[0] = 1.0
-    tail = u[1:]
-    np.divide(q, np.arange(1.0, m + 1), out=tail)  # exact integers: an int range's quotients
-    np.subtract(1.0, tail, out=tail)
-    np.cumprod(tail, out=tail)
-    a = u[:-1]
-    return np.multiply(a, q, out=a)
+    k = i.size
+    m = min(max(q.size - start, 0), k)  # the entries of q in this chunk
+    f = buf[1:]
+    np.divide(q[start : start + m], i[:m], out=f[:m])
+    np.divide(1.0, i[m:], out=f[m:])  # 1.0/i has the bits of q_i/i at q_i = 1
+    np.subtract(1.0, f, out=f)
+    buf[0] = u
+    np.cumprod(buf, out=buf)
+    u = buf[k]
+    np.multiply(buf[:m], q[start : start + m], out=buf[:m])  # past q, a_i = U_{i-1} * 1.0
+    return u
 
 
-def _point_masses(a: np.ndarray) -> np.ndarray:
-    """Turn the 1-D terms a into (1/i) * sum_{l<=i} a_l, i = 1..len(a), in place."""
+def _term_chunks(q: np.ndarray, n: int):
+    """(start, i, a) per chunk of i = 1..n: the float indices and the terms a of :func:`_acceptance_terms`.
+
+    i and a are views of two chunk-sized buffers that the next step overwrites.
+    """
+    size = min(n, _CHUNK)
+    i, buf, u = np.arange(1.0, size + 1), np.empty(size + 1), 1.0
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        u = _acceptance_terms(q, start, u, i[:k], buf[: k + 1])
+        yield start, i[:k], buf[:k]
+        i += _CHUNK  # exact integers
+
+
+def _point_masses(a: np.ndarray, i: np.ndarray, total: float) -> float:
+    """Turn a chunk's terms a into (1/i) * (total + sum of a up to i) in place; returns the new total.
+
+    The carried total goes into a's first entry, so one cumsum per chunk has
+    the bits of one cumsum over 1..n; -0.0 starts it, as x + -0.0 is x.
+    """
+    a[0] += total
     np.cumsum(a, out=a)
-    return np.divide(a, np.arange(1, a.size + 1), out=a)
+    total = a[-1]
+    np.divide(a, i, out=a)
+    return total
 
 
 def success_probability(p: HorizonDistribution, q) -> float:
     """Exact success probability A(p, q), evaluated in the lambda form (O(n))."""
-    a = _acceptance_terms(extended(q, p.n))
-    return float(np.sum(np.multiply(a, lambda_sequence(p), out=a)))
+    q = _acceptance_vector(q, copy=False)
+    lam = lambda_sequence(p)
+    lam.setflags(write=True)  # a fresh vector, which takes the terms a_i lambda_i in place
+    for start, _, a in _term_chunks(q, p.n):
+        np.multiply(lam[start : start + a.size], a, out=lam[start : start + a.size])
+    return float(lam.sum())
 
 
 def point_mass_values(qx: np.ndarray) -> np.ndarray:
     """(1/i) * sum_{l<=i} U_{l-1} q_l for i = 1..len(qx): the value of q when N = i."""
-    return _point_masses(_acceptance_terms(qx))
+    out, total = np.empty(qx.size), -0.0
+    for start, i, a in _term_chunks(qx, qx.size):
+        total = _point_masses(a, i, total)
+        out[start : start + a.size] = a
+    return out
 
 
 def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
-    """(lambda form, per-horizon form) of A(p, q) from one extension of q and one buffer.
+    """(lambda form, per-horizon form) of A(p, q) from one pass over the terms a_i = U_{i-1} q_i.
 
-    The lambda form has the bits of :func:`success_probability`.  It reads the
-    terms a_i = U_{i-1} q_i, which then become the point-mass values in place,
-    and the per-horizon form is sum_i p_i times those.
+    Chunk by chunk, the terms are multiplied into lambda's vector, then turned
+    into the point-mass values, and p_i times those go into a second vector.
+    Each form is the sum of its vector, so the lambda form has the bits of
+    :func:`success_probability`.
     """
-    a = _acceptance_terms(extended(q, p.n))
-    value = float(np.sum(a * lambda_sequence(p)))
-    return value, float(np.sum(np.multiply(p.probs, _point_masses(a), out=a)))
+    q = _acceptance_vector(q, copy=False)
+    lam = lambda_sequence(p)
+    lam.setflags(write=True)  # a fresh vector, which takes the terms a_i lambda_i in place
+    pform, total = np.empty(p.n), -0.0
+    for start, i, a in _term_chunks(q, p.n):
+        stop = start + a.size
+        np.multiply(lam[start:stop], a, out=lam[start:stop])
+        total = _point_masses(a, i, total)
+        np.multiply(p.probs[start:stop], a, out=pform[start:stop])
+    return float(lam.sum()), float(pform.sum())
 
 
 def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:
     """A(p, q^(l)) for l = 1..l_max from p's lambda sequence; thresholds past its length earn 0.
 
     Uses the closed form A(p, q^(l)) = lambda_l + (l-1) * R_{l+1}, R_i = sum_{j>=i} lambda_j/(j-1),
-    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.  R is built over lam's length only.
+    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.  R is built over lam's length only,
+    in the output's buffer, and one float range 1..n-1 serves as both divisor and factor.
     """
-    k = min(l_max, lam.size)
-    r = np.zeros(lam.size)  # r[l-1] = R_{l+1}
-    np.divide(lam[1:], np.arange(1, lam.size), out=r[:-1])
+    n = lam.size
+    k = min(l_max, n)
+    out = np.zeros(max(l_max, n))
+    r = out[:n]  # r[l-1] = R_{l+1}
+    j = np.arange(1.0, n)  # exact integers: an int range's quotients and products
+    np.divide(lam[1:], j, out=r[:-1])
     np.cumsum(r[::-1], out=r[::-1])
-    out = np.zeros(l_max)
-    np.add(lam[:k], np.multiply(r[:k], np.arange(k), out=r[:k]), out=out[:k])
-    return out
+    r[0] *= 0.0  # (l-1) R_{l+1} at l = 1
+    np.multiply(r[1:k], j[: k - 1], out=r[1:k])
+    del j  # freed before the copy below, so l_max < n also peaks at two vectors of n
+    np.add(lam[:k], r[:k], out=r[:k])
+    return out if l_max >= n else out[:l_max].copy()
 
 
 def _runs_value(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here evaluates strategies by enumerating permutations and
 simulating decisions position by position, never through the closed forms
-under test.  The exceptions are the separate-pass forms of the exact
-evaluators at the end, which the one-buffer kernels must match bit for bit.
+under test.  The exceptions are the separate-pass and whole-vector forms of
+the exact evaluators at the end, which the chunked kernels must match bit
+for bit.
 """
 
 import itertools
@@ -289,6 +290,28 @@ def eval_two_pass(p: HorizonDistribution, q) -> tuple[float, float]:
 
     value = float(np.sum(terms() * lambda_sequence_copy(p)))
     return value, float(np.sum(p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))))
+
+
+def eval_whole_vector(p: HorizonDistribution, q) -> tuple[float, float, np.ndarray]:
+    """(lambda form, per-horizon form, point-mass values) of q as one whole-vector pass makes them.
+
+    ``strategy.success_probabilities`` the way it ran before its chunked pass:
+    q padded with ones to n, U_0..U_n in one buffer of n + 1 whose first n
+    entries become the terms a_i = U_{i-1} q_i, the lambda form the sum of
+    a * lambda, and the per-horizon form that of p times the point-mass
+    values cumsum(a) / i.
+    """
+    qx = extended(q, p.n)
+    u = np.empty(p.n + 1)
+    u[0] = 1.0
+    tail = u[1:]
+    np.divide(qx, np.arange(1.0, p.n + 1), out=tail)
+    np.subtract(1.0, tail, out=tail)
+    np.cumprod(tail, out=tail)
+    a = np.multiply(u[:-1], qx, out=u[:-1])
+    value = float(np.sum(a * lambda_sequence(p)))
+    masses = np.divide(np.cumsum(a), np.arange(1, p.n + 1))
+    return value, float(np.sum(p.probs * masses)), masses
 
 
 def threshold_values_padded(p: HorizonDistribution, l_max: int) -> np.ndarray:

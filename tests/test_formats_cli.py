@@ -157,9 +157,11 @@ def test_cli_eval_round_trip_strategy(tmp_path):
     assert abs(result["value"] - result["value_pform"]) < 1e-12
 
 
-def test_cli_eval_extends_q_once_and_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
-    # both forms of A(p, q) come from one extension of q and one U
-    calls = {"extended": 0, "kernel": 0}
+def test_cli_eval_checks_q_once_and_runs_the_kernel_once_per_chunk(tmp_path, monkeypatch, capsys):
+    # both forms of A(p, q) come from one chunked pass over the stored rule, never padded to n
+    n, l = 2 * strategy._CHUNK + 5, 20
+    calls = {"checked": 0, "extended": 0, "kernel": 0}
+    kernel_q_sizes = set()
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -167,14 +169,22 @@ def test_cli_eval_extends_q_once_and_runs_the_kernel_once(tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
+    def kernel(q, *args, step=strategy._acceptance_terms):
+        kernel_q_sizes.add(q.size)
+        return step(q, *args)
+
+    monkeypatch.setattr(strategy, "_acceptance_vector",
+                        counted("checked", strategy._acceptance_vector))
     monkeypatch.setattr(strategy, "extended", counted("extended", strategy.extended))
-    monkeypatch.setattr(strategy, "_acceptance_terms", counted("kernel", strategy._acceptance_terms))
-    dist_path = _write_dist(tmp_path, "u50.json", {"kind": "uniform", "n": 50})
-    assert cli.main(["eval", "--dist", dist_path, "--threshold", "20"]) == 0
-    assert calls == {"extended": 1, "kernel": 1}
+    monkeypatch.setattr(strategy, "_acceptance_terms", counted("kernel", kernel))
+    dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": n})
+    assert cli.main(["eval", "--dist", dist_path, "--threshold", str(l)]) == 0
+    assert calls == {"checked": 1, "extended": 0, "kernel": 3}
+    assert kernel_q_sizes == {l}  # the stored rule itself, not an extension of length n
     result = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
     assert (result["value"], result["value_pform"]) == strategy.success_probabilities(
-        uniform(50), single_threshold(20, 20))
+        uniform(n), single_threshold(l, l))
 
 
 def test_cli_eval_keeps_its_peak_memory(tmp_path):
@@ -187,9 +197,9 @@ def test_cli_eval_keeps_its_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8 MB vectors: the law, the stored rule (0.37 of one) and three more, such as U's buffer,
-    # lambda and their product (34.9 MB; 43.0 MB with q extended and U built once per form)
-    assert peak <= 36e6, peak
+    # 8 MB vectors: the law, the stored rule (0.37 of one), lambda and the per-horizon terms
+    # (27.2 MB); q padded to n, U's buffer of n + 1 and their product took it to 34.9 MB
+    assert peak <= 28.5e6, peak
 
 
 _CAPPED_MAIN = (
@@ -208,8 +218,8 @@ _CAPPED_MAIN = (
 def _main_under_memory_cap(argvs):
     """(exit code, stdout, stderr) of cli.main per argv, in a child with 2 GiB of address space.
 
-    An argv that allocates before it checks its sizes fails fast there with a
-    MemoryError traceback, and the child exits non-zero.
+    An argv that allocates more than that exits 6 there; one that raised
+    anything else would end the child with a traceback and a non-zero exit.
     """
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -235,6 +245,19 @@ def test_cli_huge_threshold_needs_no_memory(tmp_path):
         assert result["value"] == 0.0 and result["value_pform"] == 0.0 and result["n"] == 3
     assert results[2][1].splitlines() == [
         "trials,successes,rate,stderr,exact,gap,pass", "1000,0,0,0,0,0,1"]
+
+
+def test_cli_out_of_memory_exits_6_with_one_line(tmp_path):
+    # a law at the size cap needs vectors of 800 MB, more than the child's 2 GiB allow
+    dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": 100000000})
+    results = _main_under_memory_cap([
+        ["solve", "--dist", dist_path],
+        ["eval", "--dist", dist_path, "--threshold", "2"],
+    ])
+    for (code, out, err), command in zip(results, ["solve", "eval"]):
+        assert code == 6 and out == "", (code, err)
+        assert err.startswith(f"randhorizon: out of memory in {command}") and err.count("\n") == 1, err
+        assert "Traceback" not in err, err
 
 
 def test_cli_minimax_rate_does_not_depend_on_blas_threads(tmp_path):

@@ -26,11 +26,12 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon.strategy import (_acceptance_terms, _runs_value, _threshold_values, extended,
+from randhorizon.strategy import (_CHUNK, _acceptance_terms, _runs_value, _threshold_values, extended,
                                   point_mass_values, runs_value)
 
-from oracles import (eval_two_pass, first_principles_success, lambda_form_exact, lambda_sequence_copy,
-                     perm_success_rate, prefix_products_concat, threshold_values_padded)
+from oracles import (eval_two_pass, eval_whole_vector, first_principles_success, lambda_form_exact,
+                     lambda_sequence_copy, perm_success_rate, prefix_products_concat,
+                     threshold_values_padded)
 
 
 def test_single_threshold_examples():
@@ -78,19 +79,43 @@ def test_a_strategy_policy_plays_the_vector_it_was_given():
     assert not policy(1, records[:1], rng).any() and policy(2, records, rng).all()
 
 
+def _terms(q: np.ndarray, start: int = 0, u: float = 1.0, n: int | None = None):
+    """(a_{start+1}..a_n, U_n) of q by one kernel step from U_start = u; n defaults to q's length."""
+    n = q.size if n is None else n
+    buf = np.empty(n - start + 1)
+    u = _acceptance_terms(q, start, u, np.arange(start + 1.0, n + 1), buf)
+    return buf[:-1], u
+
+
 def test_prefix_products_examples():
-    # the terms a_i = U_{i-1} q_i that the prefix products U make
-    assert np.array_equal(_acceptance_terms(np.array([1.0, 1.0, 1.0])), [1, 0, 0])
-    assert np.array_equal(_acceptance_terms(np.array([0.0, 1.0, 1.0])), [0, 1, 0.5])
-    assert np.array_equal(_acceptance_terms(np.zeros(3)), [0, 0, 0])
-    assert np.array_equal(_acceptance_terms(np.zeros(0)), np.zeros(0))
+    # the terms a_i = U_{i-1} q_i that the prefix products U make, and U after the last
+    assert np.array_equal(_terms(np.array([1.0, 1.0, 1.0]))[0], [1, 0, 0])
+    assert np.array_equal(_terms(np.array([0.0, 1.0, 1.0]))[0], [0, 1, 0.5])
+    assert _terms(np.array([0.0, 1.0, 1.0]))[1] == 0.5 * (1 - 1 / 3)
+    assert np.array_equal(_terms(np.zeros(3))[0], [0, 0, 0])
+    assert np.array_equal(_terms(np.zeros(0))[0], np.zeros(0)) and _terms(np.zeros(0))[1] == 1.0
+    # past q's length the entries count as 1
+    assert np.array_equal(_terms(np.array([0.0]), n=3)[0], [0, 1, 0.5])
+
+
+def test_a_kernel_step_split_anywhere_keeps_the_bits_of_one_step():
+    # U is carried into the next step's first entry, so the cumprod runs on unbroken
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n = int(rng.integers(1, 400))
+        q = rng.random(int(rng.integers(0, 2 * n)))
+        whole, u_n = _terms(q, n=n)
+        cut = int(rng.integers(0, n + 1))
+        head, u = _terms(q, n=cut)
+        tail, u_end = _terms(q, cut, u, n)
+        assert _same_bits(np.concatenate([head, tail]), whole) and u_end.hex() == u_n.hex(), (n, cut)
 
 
 def test_prefix_products_monotone_in_unit_interval():
     # U_i = U_{i-1} - a_i / i, so U is nonincreasing in [0, 1] iff every a_i >= 0 and sum a_i/i <= 1
     rng = np.random.default_rng(2)
     for _ in range(20):
-        a = _acceptance_terms(rng.random(int(rng.integers(1, 50))))
+        a = _terms(rng.random(int(rng.integers(1, 50))))[0]
         assert np.all(a >= 0.0)
         assert np.sum(a / np.arange(1, a.size + 1)) <= 1 + 1e-15
 
@@ -120,7 +145,7 @@ def test_prefix_products_match_the_concatenate_form_bit_for_bit():
         m = int(rng.integers(0, 3000))
         cases.append(rng.random(m) if rng.random() < 0.5 else np.floor(rng.random(m) + rng.random()))
     for q in cases:
-        assert _same_bits(_acceptance_terms(q), prefix_products_concat(q)[:-1] * q), q.shape
+        assert _same_bits(_terms(q)[0], prefix_products_concat(q)[:-1] * q), q.shape
 
 
 def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
@@ -135,6 +160,34 @@ def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
         qx = extended(s, p.n)
         assert _same_bits(point_mass_values(qx),
                           np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+def test_chunked_evaluators_keep_the_bits_of_the_whole_vector_pass(n):
+    # U and the prefix sum of the terms are carried across chunk edges
+    rng = np.random.default_rng(n)
+    w = rng.standard_exponential(n)
+    w[rng.random(n) < 0.3] = 0.0
+    w[-1] += 1e-3
+    p = make_distribution(w)
+    leading_zeros = rng.random(n + 3)
+    leading_zeros[: max(n // 2, 1)] = 0.0
+    rules = {
+        "shorter": rng.random(max(n - 5, 0)),
+        "longer": rng.random(n + 9),
+        "empty": np.zeros(0),
+        "zeros": np.zeros(n),
+        "negative zeros": -np.zeros(n // 2 + 1),
+        "leading zeros": leading_zeros,
+        "0/1 shorter": np.floor(rng.random(n // 2) + rng.random()),
+        "threshold at n": single_threshold(n, n),
+        "threshold past n": single_threshold(n + 2, n + 4),
+    }
+    for name, q in rules.items():
+        value, pform, masses = eval_whole_vector(p, q)
+        assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], name
+        assert success_probability(p, q).hex() == value.hex(), name
+        assert _same_bits(point_mass_values(extended(q, n)), masses), name
 
 
 def _random_rule(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -369,6 +422,21 @@ def test_threshold_values_hold_one_vector_of_thresholds_past_the_support():
         tracemalloc.stop()
     # the 8 MB result and vectors of n = 1000; a lambda padded to 10^6 took 40 MB
     assert peak <= 9e6, peak
+
+
+@pytest.mark.parametrize("l_max", [10**6 + 1, 10**6 // 2 + 1])
+def test_threshold_values_hold_two_vectors_beyond_lambda(l_max):
+    # R in the output's buffer and one float range; a separate R and int ranges made 3.0
+    n = 10**6
+    lam = lambda_sequence(uniform(n))
+    _threshold_values(lam, l_max)  # warm
+    tracemalloc.start()
+    try:
+        _threshold_values(lam, l_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + 2**12, peak / (8 * n)
 
 
 def test_mixture_weight_validation():
