@@ -39,7 +39,7 @@ import numpy as np
 
 from .dist import _CHUNK_ELEMS, HorizonDistribution, _check_int, _check_size, _rng
 from .errors import HarnessError, ValidationError
-from .strategy import extended, make_strategy, point_mass_values, single_threshold
+from .strategy import _acceptance_vector, make_strategy, point_mass_values, single_threshold
 
 Policy = Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
 
@@ -142,17 +142,20 @@ def simulate(p: HorizonDistribution, q, trials: int, seed) -> SimResult:
 
     Each trial walks its records: at record t it accepts with probability q_t
     (1 past the stored vector) and wins iff the next record lies beyond its
-    horizon.  Memory is O(trials + n).  Deterministic given the seed.
+    horizon.  Memory is O(trials) beyond p and q.  Deterministic given the seed.
     """
     _check_size(trials, "trials")
     rng = _rng(seed)
-    qx = extended(q, p.n)
+    q = _acceptance_vector(q, copy=False)
+    if q.size < p.n:
+        q = np.append(q, 1.0)  # one sentinel, which every record past the stored vector reads
     horizons = p.sample(trials, rng)
     t = np.ones(trials)
     successes = 0
     while t.size:
-        # exact index: a live row's record is at most its horizon <= n
-        accept = rng.random(t.size) < qx[t.astype(np.int64) - 1]
+        # exact index: a live row's record is at most its horizon <= n; past a short q, take
+        # clips it to the sentinel
+        accept = rng.random(t.size) < np.take(q, t.astype(np.int64) - 1, mode="clip")
         t = _next_record(t, rng)
         past = t > horizons
         successes += int(np.count_nonzero(accept & past))

@@ -22,9 +22,8 @@ accept runs alone, by differences of threshold values (:func:`runs_value`),
 which is how the learner scores its rules.  When a strategy is evaluated
 against a distribution whose support extends past the stored length, the
 missing entries are treated as 1 (accepting a best-so-far item when nothing
-else would be picked weakly dominates rejecting it); the evaluators read them
-as 1 without padding q, and :func:`extended` pads it where a vector of n is
-read (:func:`runs_value`, the simulator).
+else would be picked weakly dominates rejecting it); every reader, the
+simulator too, takes q as stored and reads them as 1 without padding q to n.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ def make_strategy(values) -> np.ndarray:
     q = _acceptance_vector(values, copy=True)
     q.setflags(write=False)
     return q
-
-
-def extended(q, n: int) -> np.ndarray:
-    """q checked like :func:`make_strategy`'s input, cut (a view) or padded with 1 to length n."""
-    q = _acceptance_vector(q, copy=False)
-    n = _check_size(n, "length", low=0)
-    if n <= q.size:
-        return q[:n]
-    out = np.ones(n)  # one allocation, not the ones and their concatenation
-    out[: q.size] = q
-    return out
 
 
 def single_threshold(l: int, m: int) -> np.ndarray:
@@ -144,6 +132,7 @@ def success_probability(p: HorizonDistribution, q) -> float:
 
 def point_mass_values(qx: np.ndarray) -> np.ndarray:
     """(1/i) * sum_{l<=i} U_{l-1} q_l for i = 1..len(qx): the value of q when N = i."""
+    qx = _acceptance_vector(qx, copy=False)
     out, total = np.empty(qx.size), -0.0
     for start, i, a in _term_chunks(qx, qx.size):
         total = _point_masses(a, i, total)
@@ -211,13 +200,16 @@ def _runs_value(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np
 
 def runs_value(p: HorizonDistribution, q) -> float:
     """A(p, q) of a 0/1 rule q from its accept runs by :func:`_runs_value` (O(n), then O(runs))."""
-    q = extended(q, p.n)
-    if np.any((q != 0.0) & (q != 1.0)):
+    q = _acceptance_vector(q, copy=False)[: p.n]
+    if ((q != 0.0) & (q != 1.0)).any():
         raise ValidationError("q must be a 0/1 rule")
-    steps = np.diff(q, prepend=0.0, append=0.0)
+    short = q.size < p.n  # then q's entries past its length count as 1: an accept run to n
+    steps = np.diff(q, prepend=0.0, append=float(short))
     # after the no-op run [2, 1], so that a rule that never accepts scores 0
     starts = np.append(2, np.flatnonzero(steps > 0.0) + 1)
     stops = np.append(1, np.flatnonzero(steps < 0.0))
+    if short:
+        stops = np.append(stops, p.n)
     return float(_runs_value(_threshold_values(lambda_sequence(p), p.n + 1), starts, stops))
 
 

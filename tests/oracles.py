@@ -17,7 +17,13 @@ from randhorizon import (HorizonDistribution, ValidationError, lambda_sequence, 
                          make_distribution, make_strategy, sample_size_bound, single_threshold,
                          success_probability)
 from randhorizon.learn import _endpoints_until
-from randhorizon.strategy import extended, point_mass_values, runs_value
+from randhorizon.strategy import point_mass_values, runs_value
+
+
+def padded(q, n: int) -> np.ndarray:
+    """A float64 copy of q cut to length n, or padded with ones to it: q as every evaluator reads it."""
+    q = np.asarray(q, dtype=float)[:n]
+    return np.concatenate([q, np.ones(n - q.size)])
 
 
 def permutation_tables(n: int):
@@ -97,8 +103,8 @@ def first_principles_success(p: HorizonDistribution, q: np.ndarray) -> float:
 
 
 def lambda_form_exact(p: HorizonDistribution, q) -> Fraction:
-    """sum_i U_{i-1} q_i lambda_i in exact rational arithmetic on p's float64 weights and q extended to p.n."""
-    qx = [Fraction(float(x)) for x in extended(q, p.n)]
+    """sum_i U_{i-1} q_i lambda_i in exact rational arithmetic on p's float64 weights and q padded to p.n."""
+    qx = [Fraction(float(x)) for x in padded(q, p.n)]
     lam, tail = [Fraction(0)] * p.n, Fraction(0)
     for i in range(p.n, 0, -1):
         tail += Fraction(float(p.probs[i - 1])) / i
@@ -285,7 +291,7 @@ def lambda_sequence_copy(p: HorizonDistribution) -> np.ndarray:
 def eval_two_pass(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q), each from its own extension of q and own U."""
     def terms() -> np.ndarray:
-        qx = extended(q, p.n)
+        qx = padded(q, p.n)
         return prefix_products_concat(qx)[:-1] * qx
 
     value = float(np.sum(terms() * lambda_sequence_copy(p)))
@@ -301,7 +307,7 @@ def eval_whole_vector(p: HorizonDistribution, q) -> tuple[float, float, np.ndarr
     a * lambda, and the per-horizon form that of p times the point-mass
     values cumsum(a) / i.
     """
-    qx = extended(q, p.n)
+    qx = padded(q, p.n)
     u = np.empty(p.n + 1)
     u[0] = 1.0
     tail = u[1:]

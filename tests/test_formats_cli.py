@@ -160,7 +160,7 @@ def test_cli_eval_round_trip_strategy(tmp_path):
 def test_cli_eval_checks_q_once_and_runs_the_kernel_once_per_chunk(tmp_path, monkeypatch, capsys):
     # both forms of A(p, q) come from one chunked pass over the stored rule, never padded to n
     n, l = 2 * strategy._CHUNK + 5, 20
-    calls = {"checked": 0, "extended": 0, "kernel": 0}
+    calls = {"checked": 0, "kernel": 0}
     kernel_q_sizes = set()
 
     def counted(key, fn):
@@ -175,11 +175,10 @@ def test_cli_eval_checks_q_once_and_runs_the_kernel_once_per_chunk(tmp_path, mon
 
     monkeypatch.setattr(strategy, "_acceptance_vector",
                         counted("checked", strategy._acceptance_vector))
-    monkeypatch.setattr(strategy, "extended", counted("extended", strategy.extended))
     monkeypatch.setattr(strategy, "_acceptance_terms", counted("kernel", kernel))
     dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": n})
     assert cli.main(["eval", "--dist", dist_path, "--threshold", str(l)]) == 0
-    assert calls == {"checked": 1, "extended": 0, "kernel": 3}
+    assert calls == {"checked": 1, "kernel": 3}
     assert kernel_q_sizes == {l}  # the stored rule itself, not an extension of length n
     result = json.loads(capsys.readouterr().out)
     monkeypatch.undo()

@@ -28,7 +28,7 @@ from randhorizon import (
 )
 from randhorizon import sim
 
-from oracles import average_case_one_block, perm_adversary_rate
+from oracles import average_case_one_block, padded, perm_adversary_rate
 
 
 def test_simulate_examples():
@@ -46,6 +46,31 @@ def test_simulate_large_horizon():
     c = classical_cutoff(n)
     r = simulate(delta(n), single_threshold(c, c), 100_000, 4)
     assert abs(r.rate - 1 / math.e) <= 4 * r.stderr
+
+
+def test_simulate_reads_q_as_stored_with_the_draws_of_q_padded_to_n():
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        p = sample_dirichlet_uniform(n, rng)
+        q = rng.random(int(rng.integers(0, 2 * n + 2)))
+        q[rng.random(q.size) < 0.3] = 0.0
+        seed = int(rng.integers(2**32))
+        assert simulate(p, q, 500, seed) == simulate(p, padded(q, n), 500, seed), (n, q.size)
+
+
+def test_simulate_keeps_its_peak_memory_off_n():
+    # the threshold rule stored to its threshold, against a law of 10^6: no vector of n
+    p = uniform(10**6)
+    q = single_threshold(367_880, 367_880)
+    p._inverse_cdf  # the sampler's cdf, cached with the law
+    tracemalloc.start()
+    try:
+        simulate(p, q, 1000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6, peak  # q and one sentinel, 2.9 MB; a vector of n is 8 MB
 
 
 def test_simulate_deterministic_and_validated():
@@ -94,7 +119,7 @@ def test_record_jump_law():
 
 def test_simulate_engines_agree():
     # the record walk, the rank-stream engine and the exact value, pairwise;
-    # q is shorter than the support, so both engines pad it with ones
+    # q is shorter than the support, so both engines read its missing entries as ones
     rng = np.random.default_rng(15)
     for k in range(6):
         n = int(rng.integers(2, 61))

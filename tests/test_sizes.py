@@ -3,6 +3,8 @@
 Counts and lengths pass it through ``dist._check_size``, which adds the cap.
 """
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,9 @@ SIZES = {
     "classical_cutoff k": (solver.classical_cutoff, 1, "scale"),
     "minimax_mixture n_bar": (solver.minimax_mixture, 1, "n_bar"),
     "single_threshold m": (lambda m: strategy.single_threshold(1, m), 0, "length"),
-    # the id of strategy.extended is that of the method it was, so that test ids stay put
-    "Strategy.extended n": (lambda n: strategy.extended([1.0], n), 0, "length"),
+    # the CLI checks n before its stock policy reads it
+    "cli adversary n": (lambda n: cli.cmd_adversary(argparse.Namespace(
+        n=[n], policy="classical", trials=10, seed=0)), 1, "n"),
 }
 
 # small enough that a site which allocated before checking would still stay cheap

@@ -26,11 +26,11 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon.strategy import (_CHUNK, _acceptance_terms, _runs_value, _threshold_values, extended,
+from randhorizon.strategy import (_CHUNK, _acceptance_terms, _runs_value, _threshold_values,
                                   point_mass_values, runs_value)
 
 from oracles import (eval_two_pass, eval_whole_vector, first_principles_success, lambda_form_exact,
-                     lambda_sequence_copy, perm_success_rate, prefix_products_concat,
+                     lambda_sequence_copy, padded, perm_success_rate, prefix_products_concat,
                      threshold_values_padded)
 
 
@@ -54,7 +54,7 @@ READERS = {
     "success_probabilities": lambda q: success_probabilities(delta(4), q),
     "simulate": lambda q: simulate(delta(4), q, 10, 0),
     "strategy_policy": strategy_policy,
-    "extended": lambda q: extended(q, 4),
+    "point_mass_values": point_mass_values,
 }
 
 
@@ -68,6 +68,7 @@ def test_every_reader_of_a_vector_refuses_what_make_strategy_refuses(read):
     q = np.array([0.0, 1.0, 0.25])
     read(q)
     assert q.flags.writeable and np.array_equal(q, [0.0, 1.0, 0.25])
+    read(q.tolist())  # a list crosses in as a vector does
 
 
 def test_a_strategy_policy_plays_the_vector_it_was_given():
@@ -157,7 +158,7 @@ def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
         got = success_probabilities(p, s)
         assert [v.hex() for v in got] == [v.hex() for v in want], (p.n, s.size)
         assert success_probability(p, s).hex() == want[0].hex()
-        qx = extended(s, p.n)
+        qx = padded(s, p.n)
         assert _same_bits(point_mass_values(qx),
                           np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
 
@@ -187,7 +188,7 @@ def test_chunked_evaluators_keep_the_bits_of_the_whole_vector_pass(n):
         value, pform, masses = eval_whole_vector(p, q)
         assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], name
         assert success_probability(p, q).hex() == value.hex(), name
-        assert _same_bits(point_mass_values(extended(q, n)), masses), name
+        assert _same_bits(point_mass_values(padded(q, n)), masses), name
 
 
 def _random_rule(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -202,7 +203,7 @@ def _runs_scale(p, q) -> float:
     A short run [s, e] far from 1 scores the difference of two close threshold
     values, so the run form's rounding is a few ulps of this sum, not of A(p, q).
     """
-    steps = np.diff(extended(q, p.n), prepend=0.0, append=0.0)
+    steps = np.diff(padded(q, p.n), prepend=0.0, append=0.0)
     starts, stops = np.flatnonzero(steps > 0) + 1, np.flatnonzero(steps < 0)
     values = _threshold_values(lambda_sequence(p), p.n + 1)
     f = (starts - 1) / stops
@@ -269,7 +270,7 @@ def test_a_row_of_runs_has_the_same_bits_alone_and_padded_in_a_batch():
         rules = [_random_rule(rng, n)[:n] for _ in range(int(rng.integers(1, 6)))]
         rows = []
         for q in rules:
-            steps = np.diff(extended(q, n), prepend=0.0, append=0.0)
+            steps = np.diff(padded(q, n), prepend=0.0, append=0.0)
             rows.append((np.flatnonzero(steps > 0) + 1, np.flatnonzero(steps < 0)))
         width = 1 + max(starts.size for starts, _ in rows)
         batch = np.empty((2, len(rows), width), dtype=np.int64)
