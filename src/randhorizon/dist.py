@@ -32,6 +32,9 @@ SUM_TOL = 1e-12
 # the largest count or length a caller may set (a vector of it is 800 MB of float64)
 MAX_ELEMS = 10**8
 _CHUNK_ELEMS = 1 << 22  # elements one vectorized batch of sim or learn touches, to bound memory
+# entries per step of the lambda and A(p, q) kernels: their few working vectors of 128 KB stay
+# in cache, and the divisors 1..n are never a vector of n
+_CHUNK = 1 << 14
 
 
 def harmonic(n: int) -> float:
@@ -155,11 +158,18 @@ class HorizonDistribution:
         return self.probs.size
 
     @cached_property
+    def _last_positive(self) -> int:
+        """The index of the last positive entry: O(1) when p_n > 0, else one backward boolean scan."""
+        if self.probs[-1] > 0:
+            return self.n - 1
+        return self.n - 1 - int(np.argmax(self.probs[::-1] > 0))
+
+    @cached_property
     def _inverse_cdf(self) -> tuple[np.ndarray, int]:
         """The cdf and the index of its last positive entry, summed once per distribution."""
         cdf = np.cumsum(self.probs)
         cdf.setflags(write=False)
-        return cdf, int(np.flatnonzero(self.probs)[-1])
+        return cdf, self._last_positive
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
@@ -297,12 +307,25 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
 
 def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
     """Read-only array lambda_1..lambda_n, lambda_i = sum_{l=i..n} p_l / l, by one backward pass."""
-    values = np.arange(1.0, p.n + 1)  # exact integers: an int range's quotients
-    np.divide(p.probs, values, out=values)
-    backward = values[::-1]
-    np.cumsum(backward, out=backward)
+    values = np.empty(p.n)
+    _lambda_window(p.probs, 0, p.n, values)
     values.setflags(write=False)
     return values
+
+
+def _lambda_window(probs: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """lambda_{lo+1}..lambda_hi into out[lo:hi] by one reversed cumsum over probs[lo:hi] alone.
+
+    Those are p's own lambda, bit for bit, when p is 0 past hi: the entries
+    past hi only add zeros to the running sum.  Nothing outside out[lo:hi] is
+    written.
+    """
+    for start in range(lo, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
+        # exact integers: an int range's quotients
+        np.divide(probs[start:stop], np.arange(start + 1.0, stop + 1), out=out[start:stop])
+    backward = out[lo:hi][::-1]
+    np.cumsum(backward, out=backward)
 
 
 def sample_dirichlet_uniform(n: int, seed) -> HorizonDistribution:

@@ -17,7 +17,14 @@ of i at a time, U carried from chunk to chunk; they differ where the formulas
 do: the lambda form weights a by the suffix sums lambda, the per-horizon form
 takes a prefix sum of a per horizon.  :func:`success_probabilities` evaluates
 both in one pass over the chunks, into lambda's vector and one more vector of
-n, with the bits of one whole-vector pass.  A 0/1 rule is also scored from its
+n, with the bits of one whole-vector pass.  The pass covers only the live
+window, i from q's first positive entry L to p's last positive horizon K:
+below L, q_i = 0 and U stays exactly 1, and past K, p_i = lambda_i = 0, so
+every term outside it is a zero; lambda too is computed on the window
+alone.  Both vectors stay n long, zero off the window, and each form is the
+sum of its whole vector, because numpy's pairwise sum groups by the length;
+so the bits do not change.  Cost: kernel work O(K - L + 1), plus O(n) for the
+zero fills and the sums.  A 0/1 rule is also scored from its
 accept runs alone, by differences of threshold values (:func:`runs_value`),
 which is how the learner scores its rules.  When a strategy is evaluated
 against a distribution whose support extends past the stored length, the
@@ -30,8 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import (HorizonDistribution, _check_int, _check_size, _floats, _probability_vector,
-                   lambda_sequence)
+from .dist import (_CHUNK, HorizonDistribution, _check_int, _check_size, _floats, _lambda_window,
+                   _probability_vector, lambda_sequence)
 from .errors import ValidationError
 
 
@@ -69,9 +76,6 @@ def single_threshold(l: int, m: int) -> np.ndarray:
     return q
 
 
-_CHUNK = 1 << 14  # entries per kernel step: its few working vectors of 128 KB stay in cache
-
-
 def _acceptance_terms(q: np.ndarray, start: int, u: float, i: np.ndarray, buf: np.ndarray) -> float:
     """a_i = U_{i-1} q_i for the float indices i = start+1..start+k into buf[:k]; returns U_{start+k}.
 
@@ -93,15 +97,16 @@ def _acceptance_terms(q: np.ndarray, start: int, u: float, i: np.ndarray, buf: n
     return u
 
 
-def _term_chunks(q: np.ndarray, n: int):
-    """(start, i, a) per chunk of i = 1..n: the float indices and the terms a of :func:`_acceptance_terms`.
+def _term_chunks(q: np.ndarray, lo: int, hi: int):
+    """(start, i, a) per chunk of i = lo+1..hi: the float indices and the terms a of :func:`_acceptance_terms`.
 
-    i and a are views of two chunk-sized buffers that the next step overwrites.
+    U_lo is taken as 1.0, which it is exactly when q_1..q_lo are zeros.  i and
+    a are views of two chunk-sized buffers that the next step overwrites.
     """
-    size = min(n, _CHUNK)
-    i, buf, u = np.arange(1.0, size + 1), np.empty(size + 1), 1.0
-    for start in range(0, n, _CHUNK):
-        k = min(_CHUNK, n - start)
+    size = min(hi - lo, _CHUNK)
+    i, buf, u = np.arange(lo + 1.0, lo + size + 1), np.empty(size + 1), 1.0
+    for start in range(lo, hi, _CHUNK):
+        k = min(_CHUNK, hi - start)
         u = _acceptance_terms(q, start, u, i[:k], buf[: k + 1])
         yield start, i[:k], buf[:k]
         i += _CHUNK  # exact integers
@@ -120,12 +125,29 @@ def _point_masses(a: np.ndarray, i: np.ndarray, total: float) -> float:
     return total
 
 
+def _live_lambda(p: HorizonDistribution, q: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(lo, hi, lam): the live window [lo, hi) of A(p, q) and a vector of n zeros with lambda on it.
+
+    lo is q's first positive entry (0-based; its stored length if it has none)
+    and hi - 1 p's last positive horizon.  Below lo, q_i = 0 and U stays
+    exactly 1; from hi on, p_i = lambda_i = 0; so every term of both forms
+    outside the window is a zero.
+    """
+    hi = p._last_positive + 1
+    stored = q[:hi] > 0
+    lo = int(stored.argmax()) if stored.size else 0
+    if not (stored.size and stored[lo]):  # no stored entry is positive: q's length, or hi
+        lo = stored.size
+    lam = np.zeros(p.n)
+    _lambda_window(p.probs, lo, hi, lam)
+    return lo, hi, lam
+
+
 def success_probability(p: HorizonDistribution, q) -> float:
-    """Exact success probability A(p, q), evaluated in the lambda form (O(n))."""
+    """Exact success probability A(p, q), evaluated in the lambda form over its live window."""
     q = _acceptance_vector(q, copy=False)
-    lam = lambda_sequence(p)
-    lam.setflags(write=True)  # a fresh vector, which takes the terms a_i lambda_i in place
-    for start, _, a in _term_chunks(q, p.n):
+    lo, hi, lam = _live_lambda(p, q)  # lam takes the terms a_i lambda_i in place
+    for start, _, a in _term_chunks(q, lo, hi):
         np.multiply(lam[start : start + a.size], a, out=lam[start : start + a.size])
     return float(lam.sum())
 
@@ -134,7 +156,7 @@ def point_mass_values(qx: np.ndarray) -> np.ndarray:
     """(1/i) * sum_{l<=i} U_{l-1} q_l for i = 1..len(qx): the value of q when N = i."""
     qx = _acceptance_vector(qx, copy=False)
     out, total = np.empty(qx.size), -0.0
-    for start, i, a in _term_chunks(qx, qx.size):
+    for start, i, a in _term_chunks(qx, 0, qx.size):  # from 0: the head's zeros are outputs
         total = _point_masses(a, i, total)
         out[start : start + a.size] = a
     return out
@@ -143,16 +165,22 @@ def point_mass_values(qx: np.ndarray) -> np.ndarray:
 def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q) from one pass over the terms a_i = U_{i-1} q_i.
 
-    Chunk by chunk, the terms are multiplied into lambda's vector, then turned
-    into the point-mass values, and p_i times those go into a second vector.
-    Each form is the sum of its vector, so the lambda form has the bits of
-    :func:`success_probability`.
+    The pass covers the live window only, i from q's first positive entry L
+    to p's last positive horizon K, starting there with U = 1: outside it
+    every term of both forms is a zero.  Chunk by chunk, the terms are
+    multiplied into lambda's vector, then turned into the point-mass values,
+    and p_i times those go into a second vector; both vectors are n long and
+    zero off the window.  Each form is the sum of its whole vector, since
+    numpy's pairwise sum groups by the length: every term is >= 0, so the
+    zeros' signs could only touch a sum of zeros, which numpy starts from
+    +0.0, and the bits are those of the pass over all of 1..n.  The lambda
+    form has the bits of :func:`success_probability`.  Cost: kernel work
+    O(K - L + 1), plus O(n) to zero the two vectors and sum them.
     """
     q = _acceptance_vector(q, copy=False)
-    lam = lambda_sequence(p)
-    lam.setflags(write=True)  # a fresh vector, which takes the terms a_i lambda_i in place
-    pform, total = np.empty(p.n), -0.0
-    for start, i, a in _term_chunks(q, p.n):
+    lo, hi, lam = _live_lambda(p, q)  # lam takes the terms a_i lambda_i in place
+    pform, total = np.zeros(p.n), -0.0
+    for start, i, a in _term_chunks(q, lo, hi):
         stop = start + a.size
         np.multiply(lam[start:stop], a, out=lam[start:stop])
         total = _point_masses(a, i, total)

@@ -203,6 +203,26 @@ def test_horizon_edges_gather_the_ends_without_a_copy_of_the_cdf():
     assert np.array_equal(edges, want)
 
 
+def test_the_inverse_cdf_costs_the_cdf_alone():
+    # its last positive entry comes from p_n, not from an int64 index of every nonzero entry
+    p = uniform(10**6)
+    tracemalloc.start()
+    try:
+        p._inverse_cdf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5e6, peak  # the 8.0 MB cdf; with the index of every entry, 16.0 MB
+
+
+@pytest.mark.parametrize("w", [[1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.0, 0.5, 0.0, -0.0],
+                               [0.0, 1.0, -0.0, 0.0], [1.0] + [0.0] * 40000])
+def test_last_positive_is_the_index_of_the_last_positive_entry(w):
+    p = make_distribution(w)
+    assert p._last_positive == np.flatnonzero(p.probs)[-1]
+    assert p._inverse_cdf[1] == p._last_positive
+
+
 def test_delta():
     assert np.array_equal(delta(1).probs, [1.0])
     assert np.array_equal(delta(3).probs, [0.0, 0.0, 1.0])

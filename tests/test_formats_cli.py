@@ -158,7 +158,8 @@ def test_cli_eval_round_trip_strategy(tmp_path):
 
 
 def test_cli_eval_checks_q_once_and_runs_the_kernel_once_per_chunk(tmp_path, monkeypatch, capsys):
-    # both forms of A(p, q) come from one chunked pass over the stored rule, never padded to n
+    # both forms of A(p, q) come from one chunked pass over the stored rule, never padded to n;
+    # the pass covers the window [l, n], 2 CHUNK - 14 indices: two chunks of the kernel
     n, l = 2 * strategy._CHUNK + 5, 20
     calls = {"checked": 0, "kernel": 0}
     kernel_q_sizes = set()
@@ -178,12 +179,23 @@ def test_cli_eval_checks_q_once_and_runs_the_kernel_once_per_chunk(tmp_path, mon
     monkeypatch.setattr(strategy, "_acceptance_terms", counted("kernel", kernel))
     dist_path = _write_dist(tmp_path, "u.json", {"kind": "uniform", "n": n})
     assert cli.main(["eval", "--dist", dist_path, "--threshold", str(l)]) == 0
-    assert calls == {"checked": 1, "kernel": 3}
+    assert calls == {"checked": 1, "kernel": 2}
     assert kernel_q_sizes == {l}  # the stored rule itself, not an extension of length n
     result = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
     assert (result["value"], result["value_pform"]) == strategy.success_probabilities(
         uniform(n), single_threshold(l, l))
+
+
+def test_cli_eval_runs_the_kernel_on_the_live_window_only(tmp_path, monkeypatch):
+    # poisson(1000) truncated to 3e5 is 0 past horizon 2444, and threshold 1000 zero below it:
+    # the window [1000, 2444] fits in one chunk of the kernel, whatever n is
+    steps = []
+    step = strategy._acceptance_terms
+    monkeypatch.setattr(strategy, "_acceptance_terms", lambda *a: steps.append(a[1]) or step(*a))
+    dist_path = _write_dist(tmp_path, "p.json", {"kind": "poisson", "n": 300000, "param": 1000.0})
+    assert cli.main(["eval", "--dist", dist_path, "--threshold", "1000"]) == 0
+    assert steps == [999]
 
 
 def test_cli_eval_keeps_its_peak_memory(tmp_path):

@@ -163,32 +163,77 @@ def test_one_buffer_evaluators_match_the_separate_passes_bit_for_bit():
                           np.cumsum(prefix_products_concat(qx)[:-1] * qx) / np.arange(1, p.n + 1))
 
 
+def _laws_with_zero_tails(n: int, rng: np.random.Generator):
+    """(name, p) on [n]: random weights, some of them zeros, whose zero tail (+0.0 or -0.0) starts
+    nowhere, at index 1, mid-chunk or one either side of a chunk edge."""
+    for start in sorted({n, 1, min(n, _CHUNK // 2 + 3), _CHUNK - 1, _CHUNK + 1}):
+        if start > n:
+            continue
+        w = rng.standard_exponential(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[start - 1] += 1e-3
+        for zero in (0.0, -0.0):
+            w[start:] = zero
+            yield f"tail from {start}, {zero}", make_distribution(w)
+
+
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 def test_chunked_evaluators_keep_the_bits_of_the_whole_vector_pass(n):
-    # U and the prefix sum of the terms are carried across chunk edges
+    # U and the prefix sum of the terms are carried across chunk edges; the kernel runs from
+    # q's first positive entry to p's last positive horizon, and both sums still run over n
     rng = np.random.default_rng(n)
-    w = rng.standard_exponential(n)
-    w[rng.random(n) < 0.3] = 0.0
-    w[-1] += 1e-3
-    p = make_distribution(w)
-    leading_zeros = rng.random(n + 3)
-    leading_zeros[: max(n // 2, 1)] = 0.0
-    rules = {
-        "shorter": rng.random(max(n - 5, 0)),
-        "longer": rng.random(n + 9),
-        "empty": np.zeros(0),
-        "zeros": np.zeros(n),
-        "negative zeros": -np.zeros(n // 2 + 1),
-        "leading zeros": leading_zeros,
-        "0/1 shorter": np.floor(rng.random(n // 2) + rng.random()),
-        "threshold at n": single_threshold(n, n),
-        "threshold past n": single_threshold(n + 2, n + 4),
-    }
-    for name, q in rules.items():
-        value, pform, masses = eval_whole_vector(p, q)
-        assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], name
-        assert success_probability(p, q).hex() == value.hex(), name
-        assert _same_bits(point_mass_values(padded(q, n)), masses), name
+    for law, p in _laws_with_zero_tails(n, rng):
+        k = p._last_positive + 1
+        leading_zeros = rng.random(n + 3)
+        leading_zeros[: max(n // 2, 1)] = 0.0
+        past_k = rng.random(n + 3)
+        past_k[:k] = -0.0
+        rules = {
+            "shorter": rng.random(max(n - 5, 0)),
+            "longer": rng.random(n + 9),
+            "empty": np.zeros(0),
+            "zeros": np.zeros(n),
+            "negative zeros": -np.zeros(n // 2 + 1),
+            "negative zeros to n and past it": -np.zeros(n + 3),
+            "leading zeros": leading_zeros,
+            "first positive past K": past_k,
+            "threshold past K": single_threshold(k + 1, n),
+            "0/1 shorter": np.floor(rng.random(n // 2) + rng.random()),
+            "threshold at n": single_threshold(n, n),
+            "threshold past n": single_threshold(n + 2, n + 4),
+        }
+        for name, q in rules.items():
+            value, pform, masses = eval_whole_vector(p, q)
+            assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], (
+                law, name)
+            assert success_probability(p, q).hex() == value.hex(), (law, name)
+            assert _same_bits(point_mass_values(padded(q, n)), masses), (law, name)
+
+
+def test_windowed_evaluators_keep_the_bits_on_random_laws_and_rules():
+    # zero tails and zero heads of every length, -0.0 in p and in q, empty windows, chunk edges
+    rng = np.random.default_rng(33)
+    sizes = [1, 2, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+    for case in range(2000):
+        n = sizes[case // 10 % len(sizes)] if case % 10 == 0 else int(rng.integers(1, 300))
+        w = rng.standard_exponential(n)
+        w[rng.random(n) < rng.random()] = 0.0
+        k = int(rng.integers(1, n + 1))
+        w[k:] = 0.0
+        w[k - 1] += 1e-3
+        if rng.random() < 0.3:
+            w[w == 0.0] = -0.0
+        p = make_distribution(w)
+        m = int(rng.integers(0, n + 5))
+        q = rng.random(m)
+        if rng.random() < 0.3:
+            q = np.floor(q + rng.random())
+        q[: int(rng.integers(0, m + 1))] = 0.0
+        if rng.random() < 0.3:
+            q[q == 0.0] = -0.0
+        value, pform = eval_whole_vector(p, q)[:2]
+        assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], case
+        assert success_probability(p, q).hex() == value.hex(), case
 
 
 def _random_rule(rng: np.random.Generator, n: int) -> np.ndarray:
