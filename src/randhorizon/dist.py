@@ -7,7 +7,11 @@ learners) consumes a distribution only through the derived sequence
     lambda_i = sum_{l >= i} p_l / l,
 
 the marginal probability that the i-th arrival is both the best seen so far
-and the eventual overall best.
+and the eventual overall best.  Lambda, on all of 1..n or on a window, comes
+from :func:`_lambda_window` alone, and the harmonic numbers H_1..H_n from
+:func:`_harmonics`.  A law caches two facts about itself, each in one place:
+its cdf (``_inverse_cdf``) and its last positive horizon K
+(``_last_positive``), at which every inverse-CDF reader clamps the cdf.
 
 A caller's vector becomes floats once, in :func:`_floats`, and a real scalar
 in :func:`_float`; both refuse an integer beyond the float range.  A caller's
@@ -40,7 +44,12 @@ _CHUNK = 1 << 14
 def harmonic(n: int) -> float:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, by direct summation (H_0 = 0)."""
     _check_size(n, "n", low=0)
-    return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1]) if n else 0.0
+    return float(_harmonics(n)[-1]) if n else 0.0
+
+
+def _harmonics(n: int) -> np.ndarray:
+    """H_1..H_n by one sequential cumsum: entry i - 1 is harmonic(i) bit for bit, at any n."""
+    return np.cumsum(1.0 / np.arange(1, n + 1))
 
 
 def _ceil_snapped(power):
@@ -142,9 +151,13 @@ def _probability_vector(values, what: str, copy: bool = True) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonDistribution:
-    """Probability vector over horizons 1..n; the support bound n is its length."""
+    """Probability vector over horizons 1..n; the support bound n is its length.
+
+    Laws compare and hash by identity: a generated ``__eq__`` over the array
+    would have no truth value.
+    """
 
     probs: np.ndarray
 
@@ -165,11 +178,11 @@ class HorizonDistribution:
         return self.n - 1 - int(np.argmax(self.probs[::-1] > 0))
 
     @cached_property
-    def _inverse_cdf(self) -> tuple[np.ndarray, int]:
-        """The cdf and the index of its last positive entry, summed once per distribution."""
+    def _inverse_cdf(self) -> np.ndarray:
+        """The cdf, summed once per distribution; readers clamp it at :attr:`_last_positive`."""
         cdf = np.cumsum(self.probs)
         cdf.setflags(write=False)
-        return cdf, self._last_positive
+        return cdf
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
@@ -179,10 +192,9 @@ class HorizonDistribution:
 
 def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
     """The horizon of each uniform in [0, 1) by inverse CDF, ascending for ascending uniforms."""
-    cdf, last_positive = p._inverse_cdf
-    idx = np.searchsorted(cdf, u, side="right")
+    idx = np.searchsorted(p._inverse_cdf, u, side="right")
     # a cdf top a few ulp below 1 must not leak mass onto zero-probability tails
-    return np.minimum(idx, last_positive) + 1
+    return np.minimum(idx, p._last_positive) + 1
 
 
 def _horizon_edges(p: HorizonDistribution, ends: np.ndarray) -> np.ndarray:
@@ -194,9 +206,9 @@ def _horizon_edges(p: HorizonDistribution, ends: np.ndarray) -> np.ndarray:
     in block (prev, e] with probability the difference of consecutive edges.
     Gathers only the ends' entries of the cdf, with no copy of it.
     """
-    cdf, last_positive = p._inverse_cdf
+    last_positive = p._last_positive
     idx = np.minimum(ends - 1, last_positive)
-    return np.where(idx < last_positive, cdf[idx], np.inf)
+    return np.where(idx < last_positive, p._inverse_cdf[idx], np.inf)
 
 
 def make_distribution(weights) -> HorizonDistribution:

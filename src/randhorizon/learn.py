@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import (_CHUNK_ELEMS, SUM_TOL, HorizonDistribution, _ceil_size, _ceil_snapped,
-                   _check_int, _check_size, _distribution, _horizon_edges, _horizons,
-                   _positive_ints, _rng, delta, lambda_sequence)
+                   _check_int, _check_size, _distribution, _harmonics, _horizon_edges,
+                   _horizons, _positive_ints, _rng, delta, lambda_sequence)
 from .errors import ValidationError
 from .solver import solve_optimal
 from .strategy import _runs_value, _threshold_values
@@ -138,7 +138,7 @@ def _learn_blocks(counts, m, ends: np.ndarray, length: int):
         raise AssertionError(f"blocked estimates must sum to 1 within {SUM_TOL}, "
                              f"got sums from {sums.min()!r} to {sums.max()!r}")
     lam = np.cumsum((p_hat / ends[:, None])[::-1], axis=0)[::-1]
-    h = np.concatenate([[0.0, 0.0], np.cumsum(1.0 / np.arange(1, ends[-1] + 1))])  # H_{j-1} at j
+    h = np.concatenate([[0.0, 0.0], _harmonics(ends[-1])])  # H_{j-1} at j
     los = np.concatenate([[0], ends[:-1]])
     he, h_first = h[ends, None], h[los + 1, None]  # H_{e-1} and H_lo of each block
     el = np.where(lam > 0.0, ends[:, None] * lam, np.inf)

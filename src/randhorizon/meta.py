@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dist import (HorizonDistribution, _ceil_snapped, _check_int, _check_size, _distribution,
-                   _float, _floats, _rng)
+                   _float, _floats, _harmonics, _rng)
 from .errors import ValidationError
 from .sim import SimResult, _binomial_result
 
@@ -78,8 +78,7 @@ class PerformanceProfile:
         elif self.family == "uniform-max":
             out = idx / (idx + 1.0)
         else:
-            # sequential cumsum: entry i - 1 is harmonic(i) bit for bit
-            out = np.cumsum(1.0 / np.arange(1, idx.max(initial=0) + 1))[idx - 1]
+            out = _harmonics(idx.max(initial=0))[idx - 1]
         return float(out) if idx.ndim == 0 else out
 
 
@@ -121,8 +120,8 @@ def meta_mixture(profile: PerformanceProfile, n_lo: int, n_hi: int) -> MetaMixtu
     if n_lo > n_hi:
         raise ValidationError(f"need n_lo <= n_hi, got ({n_lo}, {n_hi})")
     fv = profile.f(np.arange(n_lo, n_hi + 1))
-    if np.any(fv <= 0):
-        raise ValidationError("f must be positive on [n_lo, n_hi]")
+    if not np.all((fv > 0) & (fv < np.inf)):  # NaN fails both
+        raise ValidationError("f must be positive and finite on [n_lo, n_hi]")
     if np.any(np.diff(fv) < 0):
         raise ValidationError("f must be nondecreasing on [n_lo, n_hi]")
     weights = np.concatenate([[1.0], 1.0 - fv[:-1] / fv[1:]])

@@ -10,26 +10,30 @@ distribution p is
     A(p, q) = sum_i U_{i-1}(q) * q_i * lambda_i(p),
     U_i(q)  = prod_{l<=i} (1 - q_l / l),
 
-with the equivalent per-horizon form sum_i p_i * (1/i) * sum_{l<=i} U_{l-1} q_l
-as a cross-check, reached through :func:`success_probabilities`.  Both forms
-read the same terms a_i = U_{i-1} q_i, which one private kernel writes a chunk
-of i at a time, U carried from chunk to chunk; they differ where the formulas
-do: the lambda form weights a by the suffix sums lambda, the per-horizon form
-takes a prefix sum of a per horizon.  :func:`success_probabilities` evaluates
-both in one pass over the chunks, into lambda's vector and one more vector of
-n, with the bits of one whole-vector pass.  The pass covers only the live
+with the equivalent per-horizon form sum_i p_i * (1/i) * sum_{l<=i}
+U_{l-1} q_l as a cross-check, reached through
+:func:`success_probabilities`.  Both forms read the same terms
+a_i = U_{i-1} q_i, which one private kernel writes a chunk of i at a time, U
+carried from chunk to chunk; they differ where the formulas do: the lambda form weights a
+by the suffix sums lambda, the per-horizon form takes a prefix sum of a per
+horizon.  :func:`success_probabilities` evaluates both in one pass over the
+chunks, into lambda's vector and one more vector of n, with the bits of one
+whole-vector pass; :func:`success_probability` is its lambda form, so it runs
+the same pass and holds the same two vectors.  The pass covers only the live
 window, i from q's first positive entry L to p's last positive horizon K:
 below L, q_i = 0 and U stays exactly 1, and past K, p_i = lambda_i = 0, so
 every term outside it is a zero; lambda too is computed on the window
-alone.  Both vectors stay n long, zero off the window, and each form is the
-sum of its whole vector, because numpy's pairwise sum groups by the length;
-so the bits do not change.  Cost: kernel work O(K - L + 1), plus O(n) for the
-zero fills and the sums.  A 0/1 rule is also scored from its
-accept runs alone, by differences of threshold values (:func:`runs_value`),
-which is how the learner scores its rules.  When a strategy is evaluated
-against a distribution whose support extends past the stored length, the
-missing entries are treated as 1 (accepting a best-so-far item when nothing
-else would be picked weakly dominates rejecting it); every reader, the
+alone.  Both vectors stay n long, zero off the window, and each form is the sum
+of its whole vector, because numpy's pairwise sum groups by the length; so the
+bits do not change.  Cost: kernel work O(K - L + 1), plus O(n) for the zero
+fills and the sums.  A 0/1 rule is also scored from its accept runs alone, by
+differences of threshold values (:func:`runs_value`), which is how the learner
+scores its rules.  The threshold values come from lambda and its ratio tail
+R_i = sum_{j>=i} lambda_j/(j-1), which is lambda's own suffix sum one index
+on, made by lambda's routine (``dist._lambda_window``).  When a strategy is
+evaluated against a distribution whose support extends past the stored length,
+the missing entries are treated as 1 (accepting a best-so-far item when
+nothing else would be picked weakly dominates rejecting it); every reader, the
 simulator too, takes q as stored and reads them as 1 without padding q to n.
 """
 
@@ -125,31 +129,9 @@ def _point_masses(a: np.ndarray, i: np.ndarray, total: float) -> float:
     return total
 
 
-def _live_lambda(p: HorizonDistribution, q: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(lo, hi, lam): the live window [lo, hi) of A(p, q) and a vector of n zeros with lambda on it.
-
-    lo is q's first positive entry (0-based; its stored length if it has none)
-    and hi - 1 p's last positive horizon.  Below lo, q_i = 0 and U stays
-    exactly 1; from hi on, p_i = lambda_i = 0; so every term of both forms
-    outside the window is a zero.
-    """
-    hi = p._last_positive + 1
-    stored = q[:hi] > 0
-    lo = int(stored.argmax()) if stored.size else 0
-    if not (stored.size and stored[lo]):  # no stored entry is positive: q's length, or hi
-        lo = stored.size
-    lam = np.zeros(p.n)
-    _lambda_window(p.probs, lo, hi, lam)
-    return lo, hi, lam
-
-
 def success_probability(p: HorizonDistribution, q) -> float:
-    """Exact success probability A(p, q), evaluated in the lambda form over its live window."""
-    q = _acceptance_vector(q, copy=False)
-    lo, hi, lam = _live_lambda(p, q)  # lam takes the terms a_i lambda_i in place
-    for start, _, a in _term_chunks(q, lo, hi):
-        np.multiply(lam[start : start + a.size], a, out=lam[start : start + a.size])
-    return float(lam.sum())
+    """Exact success probability A(p, q): the lambda form of :func:`success_probabilities`."""
+    return success_probabilities(p, q)[0]
 
 
 def point_mass_values(qx: np.ndarray) -> np.ndarray:
@@ -173,13 +155,18 @@ def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     zero off the window.  Each form is the sum of its whole vector, since
     numpy's pairwise sum groups by the length: every term is >= 0, so the
     zeros' signs could only touch a sum of zeros, which numpy starts from
-    +0.0, and the bits are those of the pass over all of 1..n.  The lambda
-    form has the bits of :func:`success_probability`.  Cost: kernel work
+    +0.0, and the bits are those of the pass over all of 1..n.
+    :func:`success_probability` returns the lambda form.  Cost: kernel work
     O(K - L + 1), plus O(n) to zero the two vectors and sum them.
     """
     q = _acceptance_vector(q, copy=False)
-    lo, hi, lam = _live_lambda(p, q)  # lam takes the terms a_i lambda_i in place
-    pform, total = np.zeros(p.n), -0.0
+    hi = p._last_positive + 1
+    stored = q[:hi] > 0
+    lo = int(stored.argmax()) if stored.size else 0
+    if not (stored.size and stored[lo]):  # no stored entry is positive: q's length, or hi
+        lo = stored.size
+    lam, pform, total = np.zeros(p.n), np.zeros(p.n), -0.0
+    _lambda_window(p.probs, lo, hi, lam)  # lam takes the terms a_i lambda_i in place
     for start, i, a in _term_chunks(q, lo, hi):
         stop = start + a.size
         np.multiply(lam[start:stop], a, out=lam[start:stop])
@@ -192,19 +179,18 @@ def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:
     """A(p, q^(l)) for l = 1..l_max from p's lambda sequence; thresholds past its length earn 0.
 
     Uses the closed form A(p, q^(l)) = lambda_l + (l-1) * R_{l+1}, R_i = sum_{j>=i} lambda_j/(j-1),
-    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.  R is built over lam's length only,
-    in the output's buffer, and one float range 1..n-1 serves as both divisor and factor.
+    which follows from U_{i-1}(q^(l)) = (l-1)/(i-1) for i > l.  R is lambda's suffix sum one index
+    on, so :func:`_lambda_window` over lam[1:] builds it, in the output's buffer.  It runs up to
+    lambda's last positive entry K - 1 only (lam never rises, so K is its count of nonzeros): past
+    it R keeps the +0.0 of the buffer, also where a -0.0 tail of p makes lambda -0.0, so every
+    threshold past K earns +0.0.
     """
     n = lam.size
     k = min(l_max, n)
     out = np.zeros(max(l_max, n))
     r = out[:n]  # r[l-1] = R_{l+1}
-    j = np.arange(1.0, n)  # exact integers: an int range's quotients and products
-    np.divide(lam[1:], j, out=r[:-1])
-    np.cumsum(r[::-1], out=r[::-1])
-    r[0] *= 0.0  # (l-1) R_{l+1} at l = 1
-    np.multiply(r[1:k], j[: k - 1], out=r[1:k])
-    del j  # freed before the copy below, so l_max < n also peaks at two vectors of n
+    _lambda_window(lam[1:], 0, np.count_nonzero(lam) - 1, r)
+    np.multiply(r[:k], np.arange(0.0, k), out=r[:k])  # (l-1) R_{l+1}; exact integers
     np.add(lam[:k], r[:k], out=r[:k])
     return out if l_max >= n else out[:l_max].copy()
 

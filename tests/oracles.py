@@ -220,7 +220,7 @@ def learning_trial_loop(p: HorizonDistribution, epsilon: float, delta_conf: floa
     """
     rng = np.random.default_rng(seed)
     ends = _endpoints_until(1.0 + epsilon / 4.0, p.n)
-    cdf, last_positive = p._inverse_cdf
+    cdf, last_positive = p._inverse_cdf, p._last_positive
     edges = [min(float(cdf[e - 1]), 1.0) if e - 1 < last_positive else 1.0 for e in ends]
     live = next(k for k, edge in enumerate(edges) if edge >= 1.0) + 1
     probs = np.diff(edges[:live], prepend=0.0)

@@ -467,6 +467,17 @@ def test_cli_meta_table_profile(tmp_path):
     assert abs(sum(result["weights"]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_cli_meta_refuses_a_non_finite_table_value(tmp_path, capsys, literal):
+    # json.loads takes both literals; the mixture then printed "guarantee": NaN, which is not JSON
+    table_path = tmp_path / "table.json"
+    table_path.write_text(f'{{"2": 1.0, "3": {literal}, "4": 2.5}}', encoding="utf-8")
+    assert cli.main(["meta", "--profile", f"table:{table_path}", "--nlo", "2", "--nhi", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "randhorizon: invalid parameter: f must be positive and finite on [n_lo, n_hi]\n"
+
+
 def test_cli_lowerbound(tmp_path):
     out = tmp_path / "lb.json"
     assert cli.main(["lowerbound", "--n", "200", "--epsilon", "0.02", "--out", str(out)]) == 0

@@ -127,6 +127,17 @@ def test_meta_mixture_validation():
         meta_expected_performance(mix, prof, 5)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_meta_mixture_refuses_f_values_off_the_positive_finite_range(bad):
+    # a NaN passed both "<= 0" and "diff < 0" (a NaN guarantee); an inf at n_hi passed too (NaN
+    # in the expected curve)
+    for table in ({1: 1.0, 2: bad, 3: 2.0}, {1: 1.0, 2: 2.0, 3: bad}):
+        prof = PerformanceProfile(c0=1.0, table=table)
+        with pytest.raises(ValidationError, match=r"^f must be positive and finite on \[n_lo, n_hi\]$"):
+            meta_mixture(prof, 1, 3)
+        assert meta_mixture(prof, 1, 1).guarantee == 1.0  # the bad value lies outside [1, 1]
+
+
 def test_non_iid_hard_instance_examples():
     h, c = non_iid_hard_instance([0.5, 1.0])
     assert abs(c - 2 / 3) < 1e-12

@@ -470,9 +470,25 @@ def test_threshold_values_hold_one_vector_of_thresholds_past_the_support():
     assert peak <= 9e6, peak
 
 
-@pytest.mark.parametrize("l_max", [10**6 + 1, 10**6 // 2 + 1])
+def test_threshold_values_past_the_support_are_positive_zeros():
+    # R stops at lambda's last positive entry, so a -0.0 tail of p (lambda -0.0 there too)
+    # still earns +0.0 past K, as a suffix sum started from +0.0 over the whole length does
+    for w in ([0.3, 0.2, 0.5, -0.0, -0.0, -0.0], [1.0, -0.0], [0.5, 0.0, 0.5, 0.0, -0.0]):
+        p = make_distribution(w)
+        k = int(np.flatnonzero(p.probs)[-1]) + 1
+        values = threshold_success_values(p, p.n + 3)
+        assert np.all(values[:k] > 0.0)
+        assert not np.signbit(values).any(), values
+        for l in range(1, p.n + 4):
+            want = success_probability(p, single_threshold(l, p.n))
+            assert abs(values[l - 1] - want) <= 1e-15
+
+
+@pytest.mark.parametrize("l_max", [10**6 + 1, 10**6 // 2 + 1, 1000])
 def test_threshold_values_hold_two_vectors_beyond_lambda(l_max):
-    # R in the output's buffer and one float range; a separate R and int ranges made 3.0
+    # R in the output's buffer by lambda's own chunked routine, and (l-1) as a range of
+    # min(l_max, n) only: the output plus that range, or plus one chunk of lambda's divisors
+    # while R is built; a float range of n - 1 beside R made 2.0 vectors of n at every l_max
     n = 10**6
     lam = lambda_sequence(uniform(n))
     _threshold_values(lam, l_max)  # warm
@@ -482,7 +498,7 @@ def test_threshold_values_hold_two_vectors_beyond_lambda(l_max):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * n + 2**12, peak / (8 * n)
+    assert peak <= 8 * (n + max(min(l_max, n), _CHUNK)) + 2**12, peak / (8 * n)
 
 
 def test_mixture_weight_validation():
