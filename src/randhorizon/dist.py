@@ -12,6 +12,9 @@ from :func:`_lambda_window` alone, and the harmonic numbers H_1..H_n from
 :func:`_harmonics`.  A law caches two facts about itself, each in one place:
 its cdf (``_inverse_cdf``) and its last positive horizon K
 (``_last_positive``), at which every inverse-CDF reader clamps the cdf.
+A vector that is zero off a window is summed from the window alone by
+:func:`_window_sum`, with the bits of numpy's sum of the whole vector: a
+Poisson law is renormalized that way, and strategy values are summed so.
 
 A caller's vector becomes floats once, in :func:`_floats`, and a real scalar
 in :func:`_float`; both refuse an integer beyond the float range.  A caller's
@@ -39,6 +42,49 @@ _CHUNK_ELEMS = 1 << 22  # elements one vectorized batch of sim or learn touches,
 # entries per step of the lambda and A(p, q) kernels: their few working vectors of 128 KB stay
 # in cache, and the divisors 1..n are never a vector of n
 _CHUNK = 1 << 14
+# a run of numpy's pairwise sum that straddles a window edge is summed from a zero-padded copy
+# once it has at most this many entries, which costs less than walking its subtree; at least
+# numpy's leaf of 128 entries, which numpy adds by a fixed loop, not by halves
+_PAD_NODE = 1 << 12
+
+
+def _window_sum(w: np.ndarray, lo: int, n: int):
+    """np.sum along the last axis of x, bit for bit, without building x: x has n entries there,
+    w on [lo, lo + k) (k = w.shape[-1]) and +0.0 elsewhere.
+
+    numpy sums a contiguous run pairwise: a run of m > 128 entries splits at
+    m//2 rounded down to a multiple of 8.  This walks that tree over x
+    (:func:`_node_sum`): a run wholly inside the window is one reduce of w's
+    slice, one wholly outside it is +0.0, and one that straddles an edge
+    splits as numpy splits it, down to _PAD_NODE entries, where it is reduced
+    from a zero-padded copy.  So every
+    nonzero partial sum is numpy's float; only the signs of zero sums may
+    differ, which cannot change a nonzero total, and numpy starts its total
+    from +0.0.  Cost: O(log(n / _PAD_NODE)) reduces, over k entries in all,
+    and at most two copies of _PAD_NODE entries a row.
+    """
+    if w.shape[-1] in (0, n):  # an empty window sums to +0.0, and a full one is x
+        return np.add.reduce(w, axis=-1)
+    return _node_sum(w, lo, 0, n)
+
+
+def _node_sum(w: np.ndarray, lo: int, start: int, m: int):
+    """The sum of x[start:start + m] as numpy's pairwise sum of x adds it (:func:`_window_sum`).
+
+    A module-level function, not a closure: a closure that calls itself holds a cycle with w,
+    which keeps w alive until the collector runs.
+    """
+    a, b = max(start - lo, 0), min(start + m - lo, w.shape[-1])  # the run's entries of w
+    if a >= b:
+        return 0.0
+    if b - a == m:
+        return np.add.reduce(w[..., a:b], axis=-1)
+    if m <= _PAD_NODE:
+        x = np.zeros(w.shape[:-1] + (m,))
+        x[..., lo + a - start:lo + b - start] = w[..., a:b]
+        return np.add.reduce(x, axis=-1)
+    half = m // 2 - m // 2 % 8
+    return _node_sum(w, lo, start, half) + _node_sum(w, lo, start + half, m - half)
 
 
 def harmonic(n: int) -> float:
@@ -172,10 +218,8 @@ class HorizonDistribution:
 
     @cached_property
     def _last_positive(self) -> int:
-        """The index of the last positive entry: O(1) when p_n > 0, else one backward boolean scan."""
-        if self.probs[-1] > 0:
-            return self.n - 1
-        return self.n - 1 - int(np.argmax(self.probs[::-1] > 0))
+        """The index of the last positive entry (:func:`_last_positive_entry`)."""
+        return _last_positive_entry(self.probs)
 
     @cached_property
     def _inverse_cdf(self) -> np.ndarray:
@@ -188,6 +232,22 @@ class HorizonDistribution:
         """m iid horizons by inverse CDF, consuming exactly ``rng.random(m)``."""
         _check_size(m, "sample count")
         return _horizons(self, rng.random(m))
+
+
+def _last_positive_entry(v: np.ndarray) -> int:
+    """The index of v's last positive entry, -1 if none.
+
+    O(1) when it is the last entry, else a backward scan one _CHUNK at a time:
+    O(size - index) reads and a boolean buffer of one chunk.
+    """
+    if v.size and v[-1] > 0:
+        return v.size - 1
+    for stop in range(v.size, 0, -_CHUNK):
+        positive = v[max(stop - _CHUNK, 0):stop] > 0
+        last = positive.size - 1 - int(positive[::-1].argmax())
+        if positive[last]:
+            return stop - positive.size + last
+    return -1
 
 
 def _horizons(p: HorizonDistribution, u: np.ndarray) -> np.ndarray:
@@ -219,23 +279,29 @@ def make_distribution(weights) -> HorizonDistribution:
     return _distribution(_floats(weights, "weights"))
 
 
-def _distribution(w: np.ndarray) -> HorizonDistribution:
+def _distribution(w: np.ndarray, lo: int = 0, hi: int | None = None) -> HorizonDistribution:
     """The distribution holding w, a float vector no caller keeps, read-only from now on.
 
-    Checked once; divided by its sum in place only when that is off 1 by more than SUM_TOL.
+    Checked once, whole; divided by its sum in place only when that is off 1 by
+    more than SUM_TOL.  A builder whose w is +0.0 off a window [lo, hi) passes
+    it: the sum (:func:`_window_sum`, the bits of w.sum()), the division and K
+    (``_last_positive``) then read the window alone.
     """
     _check_weights(w, "weights")
+    live = w[lo:hi]
     with np.errstate(over="ignore"):
-        total = float(w.sum())
+        total = float(_window_sum(live, lo, w.size))
     if total == math.inf:
         raise ValidationError("the weight sum overflows a float")
     if total <= 0:
         raise ValidationError("at least one weight must be positive")
     if abs(total - 1.0) > SUM_TOL:
-        w /= total
+        live /= total
     w.setflags(write=False)
     p = object.__new__(HorizonDistribution)
     object.__setattr__(p, "probs", w)
+    if live.size < w.size:
+        object.__setattr__(p, "_last_positive", lo + _last_positive_entry(live))
     return p
 
 
@@ -282,9 +348,11 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     [1, n]; f is concave, so the window is one interval around k0, and bisection
     finds its two ends.  Outside it f - max f < -800, where exp underflows to
     exactly 0.0 (below about -745.13), so the weights equal the formula's on all
-    of 1..n bit for bit.  Cost: O(window + log n) lgamma calls and one length-n
-    zero vector; the window holds about 80 sqrt(mu) points once mu is in the
-    tens, and at most a few hundred below that.
+    of 1..n bit for bit.  The sum, the renormalization and the last positive
+    horizon K read the window alone (:func:`_distribution`).  Cost: O(window +
+    log n) lgamma calls, one length-n zero vector and the whole-vector checks
+    of :func:`_check_weights`; the window holds about 80 sqrt(mu) points once
+    mu is in the tens, and at most a few hundred below that.
     """
     mu = _float(mu, "poisson rate")
     if not (mu > 0 and math.isfinite(mu)):
@@ -314,7 +382,7 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     logw = k * log_mu - log_fact
     w = np.zeros(n)
     w[lo - 1:hi] = np.exp(logw - logw.max())
-    return _distribution(w)
+    return _distribution(w, lo - 1, hi)
 
 
 def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
@@ -326,17 +394,18 @@ def lambda_sequence(p: HorizonDistribution) -> np.ndarray:
 
 
 def _lambda_window(probs: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    """lambda_{lo+1}..lambda_hi into out[lo:hi] by one reversed cumsum over probs[lo:hi] alone.
+    """lambda_{lo+1}..lambda_hi into out[:hi-lo] by one reversed cumsum over probs[lo:hi] alone.
 
     Those are p's own lambda, bit for bit, when p is 0 past hi: the entries
-    past hi only add zeros to the running sum.  Nothing outside out[lo:hi] is
+    past hi only add zeros to the running sum.  Nothing past out[hi-lo-1] is
     written.
     """
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
         # exact integers: an int range's quotients
-        np.divide(probs[start:stop], np.arange(start + 1.0, stop + 1), out=out[start:stop])
-    backward = out[lo:hi][::-1]
+        np.divide(probs[start:stop], np.arange(start + 1.0, stop + 1),
+                  out=out[start - lo:stop - lo])
+    backward = out[:hi - lo][::-1]
     np.cumsum(backward, out=backward)
 
 

@@ -17,16 +17,16 @@ a_i = U_{i-1} q_i, which one private kernel writes a chunk of i at a time, U
 carried from chunk to chunk; they differ where the formulas do: the lambda form weights a
 by the suffix sums lambda, the per-horizon form takes a prefix sum of a per
 horizon.  :func:`success_probabilities` evaluates both in one pass over the
-chunks, into lambda's vector and one more vector of n, with the bits of one
-whole-vector pass; :func:`success_probability` is its lambda form, so it runs
-the same pass and holds the same two vectors.  The pass covers only the live
+chunks, with the bits of one whole-vector pass; :func:`success_probability`
+is its lambda form, so it runs the same pass.  The pass covers only the live
 window, i from q's first positive entry L to p's last positive horizon K:
 below L, q_i = 0 and U stays exactly 1, and past K, p_i = lambda_i = 0, so
-every term outside it is a zero; lambda too is computed on the window
-alone.  Both vectors stay n long, zero off the window, and each form is the sum
-of its whole vector, because numpy's pairwise sum groups by the length; so the
-bits do not change.  Cost: kernel work O(K - L + 1), plus O(n) for the zero
-fills and the sums.  A 0/1 rule is also scored from its accept runs alone, by
+every term outside it is a zero; lambda too is computed on the window alone.
+The two forms' terms are held on the window alone, and each form is summed by
+``dist._window_sum``, which adds them as numpy's pairwise sum adds the whole
+vector of n that is zero off the window, without that vector; so the bits do
+not change.  Cost: O(K - L + 1) elements and O(log n) numpy calls, with no
+vector of n past ``dist._PAD_NODE`` = 4096 entries.  A 0/1 rule is also scored from its accept runs alone, by
 differences of threshold values (:func:`runs_value`), which is how the learner
 scores its rules.  The threshold values come from lambda and its ratio tail
 R_i = sum_{j>=i} lambda_j/(j-1), which is lambda's own suffix sum one index
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import (_CHUNK, HorizonDistribution, _check_int, _check_size, _floats, _lambda_window,
-                   _probability_vector, lambda_sequence)
+from .dist import (_CHUNK, _PAD_NODE, HorizonDistribution, _check_int, _check_size, _floats,
+                   _lambda_window, _probability_vector, _window_sum, lambda_sequence)
 from .errors import ValidationError
 
 
@@ -144,35 +144,45 @@ def point_mass_values(qx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_positive(q: np.ndarray, hi: int) -> int:
+    """The index of q's first positive entry below hi; if there is none, min(q.size, hi)."""
+    stored = q[:hi] > 0
+    lo = int(stored.argmax()) if stored.size else 0
+    return lo if stored.size and stored[lo] else stored.size
+
+
 def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     """(lambda form, per-horizon form) of A(p, q) from one pass over the terms a_i = U_{i-1} q_i.
 
     The pass covers the live window only, i from q's first positive entry L
     to p's last positive horizon K, starting there with U = 1: outside it
     every term of both forms is a zero.  Chunk by chunk, the terms are
-    multiplied into lambda's vector, then turned into the point-mass values,
-    and p_i times those go into a second vector; both vectors are n long and
-    zero off the window.  Each form is the sum of its whole vector, since
-    numpy's pairwise sum groups by the length: every term is >= 0, so the
-    zeros' signs could only touch a sum of zeros, which numpy starts from
-    +0.0, and the bits are those of the pass over all of 1..n.
-    :func:`success_probability` returns the lambda form.  Cost: kernel work
-    O(K - L + 1), plus O(n) to zero the two vectors and sum them.
+    multiplied into lambda's window, then turned into the point-mass values,
+    and p_i times those go into a second row.  ``dist._window_sum`` sums each
+    row as numpy sums the vector of n that holds it on the window and +0.0
+    elsewhere, so the bits are those of the pass over all of 1..n; the rows
+    span all n, zero off the window, only while n is at most
+    ``dist._PAD_NODE``, where one reduce of them costs least.
+    :func:`success_probability` returns the lambda form.  Cost: O(K - L + 1)
+    elements and O(log n) numpy calls; no vector of n past _PAD_NODE.
     """
     q = _acceptance_vector(q, copy=False)
     hi = p._last_positive + 1
-    stored = q[:hi] > 0
-    lo = int(stored.argmax()) if stored.size else 0
-    if not (stored.size and stored[lo]):  # no stored entry is positive: q's length, or hi
-        lo = stored.size
-    lam, pform, total = np.zeros(p.n), np.zeros(p.n), -0.0
+    lo = _first_positive(q, hi)
+    # one row per form over the window; up to _PAD_NODE entries over all n, zero off the window,
+    # which one reduce sums
+    whole = p.n <= _PAD_NODE
+    terms = np.zeros((2, p.n)) if whole else np.empty((2, hi - lo))
+    off = 0 if whole else lo
+    lam, pform, total = terms[0, lo - off:], terms[1, lo - off:], -0.0
     _lambda_window(p.probs, lo, hi, lam)  # lam takes the terms a_i lambda_i in place
     for start, i, a in _term_chunks(q, lo, hi):
-        stop = start + a.size
-        np.multiply(lam[start:stop], a, out=lam[start:stop])
+        j, k = start - lo, a.size
+        np.multiply(lam[j:j + k], a, out=lam[j:j + k])
         total = _point_masses(a, i, total)
-        np.multiply(p.probs[start:stop], a, out=pform[start:stop])
-    return float(lam.sum()), float(pform.sum())
+        np.multiply(p.probs[start:start + k], a, out=pform[j:j + k])
+    value, value_pform = _window_sum(terms, off, p.n).tolist()
+    return value, value_pform
 
 
 def _threshold_values(lam: np.ndarray, l_max: int) -> np.ndarray:

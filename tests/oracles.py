@@ -16,6 +16,7 @@ import numpy as np
 from randhorizon import (HorizonDistribution, ValidationError, lambda_sequence, learn_strategy,
                          make_distribution, make_strategy, sample_size_bound, single_threshold,
                          success_probability)
+from randhorizon.dist import SUM_TOL
 from randhorizon.learn import _endpoints_until
 from randhorizon.strategy import point_mass_values, runs_value
 
@@ -274,6 +275,28 @@ def poisson_full_support(mu: float, n: int) -> HorizonDistribution:
     k = np.arange(1, n + 1, dtype=float)
     logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
     return make_distribution(np.exp(logw - logw.max()))
+
+
+def last_positive_one_shot(v: np.ndarray) -> int:
+    """The index of v's last positive entry by one backward boolean scan of the whole vector."""
+    if v[-1] > 0:
+        return v.size - 1
+    return v.size - 1 - int(np.argmax(v[::-1] > 0))
+
+
+def poisson_whole_vector(mu: float, n: int) -> tuple[np.ndarray, int]:
+    """(probs, last positive index) of the truncated Poisson(mu) law, every step over all of 1..n.
+
+    The weights exp(f - max f) at every k, their sum by ``w.sum()``, the division when it is off
+    1 by more than SUM_TOL, and :func:`last_positive_one_shot`.
+    """
+    k = np.arange(1, n + 1, dtype=float)
+    logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
+    w = np.exp(logw - logw.max())
+    total = w.sum()
+    if abs(total - 1.0) > SUM_TOL:
+        w /= total
+    return w, last_positive_one_shot(w)
 
 
 def prefix_products_concat(q: np.ndarray) -> np.ndarray:

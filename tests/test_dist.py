@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import poisson_full_support
+from oracles import last_positive_one_shot, poisson_full_support, poisson_whole_vector
 from randhorizon import dist, learn, meta, solver
 from randhorizon import (
     HorizonDistribution,
@@ -230,6 +231,102 @@ def test_last_positive_is_the_index_of_the_last_positive_entry(w):
     p = make_distribution(w)
     assert p._last_positive == np.flatnonzero(p.probs)[-1]
     assert np.array_equal(p._inverse_cdf, np.cumsum(p.probs))  # the cdf alone; readers clamp it
+
+
+def test_last_positive_scans_back_one_chunk_at_a_time():
+    # the same index as one boolean scan of the whole vector, tails across chunk edges
+    rng = np.random.default_rng(41)
+    chunk = dist._CHUNK
+    for n in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        for last in {0, 1, n // 2, n - chunk - 1, n - chunk, n - chunk + 1, n - 2, n - 1}:
+            if not 0 <= last < n:
+                continue
+            v = rng.random(n)
+            v[rng.random(n) < 0.5] = 0.0
+            v[last] = 0.5
+            v[last + 1:] = rng.choice([0.0, -0.0], n - last - 1)
+            assert dist._last_positive_entry(v) == last_positive_one_shot(v) == last, (n, last)
+    assert dist._last_positive_entry(np.zeros(3)) == dist._last_positive_entry(np.zeros(0)) == -1
+    p = make_distribution([1.0] + [0.0] * 10**6)
+    tracemalloc.start()
+    try:
+        assert p._last_positive == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk, peak  # one chunk of booleans; the whole-vector scan took 1 MB
+
+
+# (rows, n, lo, k) of the windows summed below: sizes below 8, in 8..128 and up to 4 * 10^5
+def _windows(rng: np.random.Generator):
+    for n in range(1, 8):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                yield 1, n, lo, hi - lo
+    for n in (8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 136, 255, 256, 257, 4095, 4096, 4097):
+        for _ in range(12):
+            lo, hi = np.sort(rng.integers(0, n + 1, 2))
+            yield int(rng.integers(1, 3)), n, int(lo), int(hi - lo)
+    for _ in range(300):
+        n = int(rng.integers(129, 4 * 10**5))
+        # edges on and next to multiples of 8 and of 128, and anywhere
+        edges = [0, n, int(rng.integers(0, n + 1))]
+        for step in (8, 128):
+            base = step * int(rng.integers(0, n // step + 1))
+            edges += [base - 1, base, base + 1]
+        lo, hi = sorted(min(max(int(e), 0), n) for e in rng.choice(edges, 2))
+        yield int(rng.integers(1, 3)), n, lo, hi - lo
+    for n in (1, 100, 5000, 4 * 10**5):  # empty windows
+        for lo in (0, n // 3, n):
+            yield 2, n, lo, 0
+
+
+@pytest.mark.parametrize("pad", ["default", "leaf"])
+def test_window_sum_has_the_bits_of_numpy_sum_of_the_zero_padded_vector(pad, monkeypatch):
+    # with runs padded at numpy's leaf size, 128, the walk splits every run down to the leaves
+    if pad == "leaf":
+        monkeypatch.setattr(dist, "_PAD_NODE", 128)
+    rng = np.random.default_rng(43)
+    for rows, n, lo, k in _windows(rng):
+        w = rng.random((rows, k)) * 10.0 ** rng.uniform(-300, 300, (rows, k))
+        w[rng.random((rows, k)) < 0.1] = -0.0
+        x = np.zeros((rows, n))
+        x[:, lo:lo + k] = w
+        want = [float(v).hex() for v in np.add.reduce(x, axis=-1)]
+        got = dist._window_sum(w, lo, n)
+        assert [float(v).hex() for v in got] == want, (n, lo, k)
+        if rows == 1:
+            assert float(dist._window_sum(w[0], lo, n)).hex() == want[0], (n, lo, k)
+
+
+def test_window_sum_keeps_no_cycle_alive():
+    # a closure that called itself would hold a cycle with the window until the collector ran
+    w = np.random.default_rng(44).random((2, 1000))
+    before = sys.getrefcount(w)
+    gc_was = gc.isenabled()
+    gc.disable()
+    try:
+        dist._window_sum(w, 50_000, 10**6)
+        assert sys.getrefcount(w) == before
+    finally:
+        if gc_was:
+            gc.enable()
+
+
+def test_poisson_law_sums_and_finds_k_on_its_window_alone():
+    # the probs bits and K of the whole-vector path, at n below, at and past the support's edges
+    rng = np.random.default_rng(45)
+    for mu in [0.5, 5000.0, *rng.uniform(0.5, 5000.0, 6)]:
+        support = np.flatnonzero(poisson_truncated(mu, 3 * round(mu) + 400).probs) + 1
+        first, last = int(support[0]), int(support[-1])
+        for n in {1, first - 1, first, first + 1, (first + last) // 2, last - 1, last, last + 1,
+                  last + 200}:
+            if n < 1:
+                continue
+            p = poisson_truncated(mu, n)
+            probs, k = poisson_whole_vector(mu, n)
+            assert p.probs.tobytes() == probs.tobytes(), (mu, n)
+            assert p._last_positive == k, (mu, n)
 
 
 def test_delta():

@@ -14,6 +14,7 @@ from randhorizon import (
     make_strategy,
     mixture_success_probability,
     minimax_mixture,
+    poisson_truncated,
     sample_dirichlet_uniform,
     simulate,
     single_threshold,
@@ -26,6 +27,7 @@ from randhorizon import (
     worst_case_pstar,
 )
 
+from randhorizon.dist import _PAD_NODE
 from randhorizon.strategy import (_CHUNK, _acceptance_terms, _runs_value, _threshold_values,
                                   point_mass_values, runs_value)
 
@@ -234,6 +236,41 @@ def test_windowed_evaluators_keep_the_bits_on_random_laws_and_rules():
         value, pform = eval_whole_vector(p, q)[:2]
         assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], case
         assert success_probability(p, q).hex() == value.hex(), case
+
+
+def test_windowed_evaluators_keep_the_bits_past_the_padded_size():
+    # past dist._PAD_NODE the two forms' terms are held on the window alone, and their sums walk
+    # numpy's pairwise layout instead of summing a vector of n
+    rng = np.random.default_rng(34)
+    for case in range(120):
+        n = int(rng.integers(_PAD_NODE - 2, 40_000))
+        w = rng.standard_exponential(n)
+        head, k = np.sort(rng.integers(0, n + 1, 2))
+        w[:head] = 0.0
+        w[max(k, head + 1):] = rng.choice([0.0, -0.0])
+        p = make_distribution(w)
+        m = int(rng.integers(0, n + 5))
+        q = np.floor(rng.random(m) + rng.random()) if case % 2 else rng.random(m)
+        q[: int(rng.integers(0, m + 1))] = 0.0
+        value, pform = eval_whole_vector(p, q)[:2]
+        assert [v.hex() for v in success_probabilities(p, q)] == [value.hex(), pform.hex()], case
+
+
+def test_evaluators_hold_no_vector_of_n():
+    # the window of poisson(1000) and a threshold at 1000 are the same at n = 3 * 10^5 and at
+    # 3 * 10^6; only the walk over numpy's pairwise layout is a few levels deeper
+    peaks = []
+    for n in (3 * 10**5, 3 * 10**6):
+        p, q = poisson_truncated(1000.0, n), single_threshold(1000, 1000)
+        success_probabilities(p, q)  # warm
+        tracemalloc.start()
+        try:
+            success_probabilities(p, q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # two vectors of n were 4.8 MB and 48 MB
+    assert abs(peaks[1] - peaks[0]) <= 8 * _CHUNK and max(peaks) < 4 * 8 * _CHUNK, peaks
 
 
 def _random_rule(rng: np.random.Generator, n: int) -> np.ndarray:
