@@ -12,13 +12,15 @@ from :func:`_lambda_window` alone, and the harmonic numbers H_1..H_n from
 :func:`_harmonics`.  A law caches two facts about itself, each in one place:
 its cdf (``_inverse_cdf``) and its last positive horizon K
 (``_last_positive``), at which every inverse-CDF reader clamps the cdf.
-A vector that is zero off a window is summed from the window alone by
-:func:`_window_sum`, with the bits of numpy's sum of the whole vector: a
-Poisson law is renormalized that way, and strategy values are summed so.
+A builder whose weights are zero off a window sums them by numpy's pairwise
+sum of the window alone, so a Poisson law's bits on its window do not depend
+on where it is truncated.
 
 A caller's vector becomes floats once, in :func:`_floats`, and a real scalar
 in :func:`_float`; both refuse an integer beyond the float range.  A caller's
-seed becomes a generator in :func:`_rng` only.
+weight vector is checked once (:func:`_check_weights`); a builder's is valid
+by construction and is not.  A caller's seed becomes a generator in
+:func:`_rng` only.
 ``HorizonDistribution(probs=)`` refuses a sum off 1 by more than SUM_TOL;
 make_distribution and every builder renormalize it.
 """
@@ -42,49 +44,6 @@ _CHUNK_ELEMS = 1 << 22  # elements one vectorized batch of sim or learn touches,
 # entries per step of the lambda and A(p, q) kernels: their few working vectors of 128 KB stay
 # in cache, and the divisors 1..n are never a vector of n
 _CHUNK = 1 << 14
-# a run of numpy's pairwise sum that straddles a window edge is summed from a zero-padded copy
-# once it has at most this many entries, which costs less than walking its subtree; at least
-# numpy's leaf of 128 entries, which numpy adds by a fixed loop, not by halves
-_PAD_NODE = 1 << 12
-
-
-def _window_sum(w: np.ndarray, lo: int, n: int):
-    """np.sum along the last axis of x, bit for bit, without building x: x has n entries there,
-    w on [lo, lo + k) (k = w.shape[-1]) and +0.0 elsewhere.
-
-    numpy sums a contiguous run pairwise: a run of m > 128 entries splits at
-    m//2 rounded down to a multiple of 8.  This walks that tree over x
-    (:func:`_node_sum`): a run wholly inside the window is one reduce of w's
-    slice, one wholly outside it is +0.0, and one that straddles an edge
-    splits as numpy splits it, down to _PAD_NODE entries, where it is reduced
-    from a zero-padded copy.  So every
-    nonzero partial sum is numpy's float; only the signs of zero sums may
-    differ, which cannot change a nonzero total, and numpy starts its total
-    from +0.0.  Cost: O(log(n / _PAD_NODE)) reduces, over k entries in all,
-    and at most two copies of _PAD_NODE entries a row.
-    """
-    if w.shape[-1] in (0, n):  # an empty window sums to +0.0, and a full one is x
-        return np.add.reduce(w, axis=-1)
-    return _node_sum(w, lo, 0, n)
-
-
-def _node_sum(w: np.ndarray, lo: int, start: int, m: int):
-    """The sum of x[start:start + m] as numpy's pairwise sum of x adds it (:func:`_window_sum`).
-
-    A module-level function, not a closure: a closure that calls itself holds a cycle with w,
-    which keeps w alive until the collector runs.
-    """
-    a, b = max(start - lo, 0), min(start + m - lo, w.shape[-1])  # the run's entries of w
-    if a >= b:
-        return 0.0
-    if b - a == m:
-        return np.add.reduce(w[..., a:b], axis=-1)
-    if m <= _PAD_NODE:
-        x = np.zeros(w.shape[:-1] + (m,))
-        x[..., lo + a - start:lo + b - start] = w[..., a:b]
-        return np.add.reduce(x, axis=-1)
-    half = m // 2 - m // 2 % 8
-    return _node_sum(w, lo, start, half) + _node_sum(w, lo, start + half, m - half)
 
 
 def harmonic(n: int) -> float:
@@ -276,21 +235,24 @@ def make_distribution(weights) -> HorizonDistribution:
 
     Support indices are preserved (no trimming of zero entries).
     """
-    return _distribution(_floats(weights, "weights"))
+    w = _floats(weights, "weights")
+    _check_weights(w, "weights")
+    return _distribution(w)
 
 
 def _distribution(w: np.ndarray, lo: int = 0, hi: int | None = None) -> HorizonDistribution:
-    """The distribution holding w, a float vector no caller keeps, read-only from now on.
+    """The distribution holding w, a weight vector no caller keeps, read-only from now on.
 
-    Checked once, whole; divided by its sum in place only when that is off 1 by
-    more than SUM_TOL.  A builder whose w is +0.0 off a window [lo, hi) passes
-    it: the sum (:func:`_window_sum`, the bits of w.sum()), the division and K
-    (``_last_positive``) then read the window alone.
+    w is a caller's vector that :func:`_check_weights` passed, or a builder's,
+    finite and non-negative by construction.  It is divided by its sum in place
+    only when that is off 1 by more than SUM_TOL.  A builder whose w is +0.0
+    off a window [lo, hi) passes it: the sum, the division and K
+    (``_last_positive``) then read the window alone, and the sum is numpy's
+    pairwise sum of the window, whatever n is.
     """
-    _check_weights(w, "weights")
     live = w[lo:hi]
     with np.errstate(over="ignore"):
-        total = float(_window_sum(live, lo, w.size))
+        total = float(live.sum())
     if total == math.inf:
         raise ValidationError("the weight sum overflows a float")
     if total <= 0:
@@ -349,10 +311,11 @@ def poisson_truncated(mu: float, n: int) -> HorizonDistribution:
     finds its two ends.  Outside it f - max f < -800, where exp underflows to
     exactly 0.0 (below about -745.13), so the weights equal the formula's on all
     of 1..n bit for bit.  The sum, the renormalization and the last positive
-    horizon K read the window alone (:func:`_distribution`).  Cost: O(window +
-    log n) lgamma calls, one length-n zero vector and the whole-vector checks
-    of :func:`_check_weights`; the window holds about 80 sqrt(mu) points once
-    mu is in the tens, and at most a few hundred below that.
+    horizon K read the window alone (:func:`_distribution`), so the law's
+    entries on the window have the same bits at every n past it.  Cost:
+    O(window + log n) lgamma calls and one length-n zero vector, which is only
+    written; the window holds about 80 sqrt(mu) points once mu is in the tens,
+    and at most a few hundred below that.
     """
     mu = _float(mu, "poisson rate")
     if not (mu > 0 and math.isfinite(mu)):

@@ -82,7 +82,9 @@ def _numbers(obj: dict, key: str) -> list:
 def distribution_from_json(obj) -> dist.HorizonDistribution:
     obj = _object(obj, "distribution file")
     if "probs" in obj:
-        return dist._distribution(dist._floats(_numbers(obj, "probs"), "'probs'"))
+        probs = dist._floats(_numbers(obj, "probs"), "'probs'")
+        dist._check_weights(probs, "weights")
+        return dist._distribution(probs)
     if "kind" in obj:
         kind = _string(obj["kind"], "'kind'")
         if kind not in _DIST_KINDS:

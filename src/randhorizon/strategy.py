@@ -17,16 +17,16 @@ a_i = U_{i-1} q_i, which one private kernel writes a chunk of i at a time, U
 carried from chunk to chunk; they differ where the formulas do: the lambda form weights a
 by the suffix sums lambda, the per-horizon form takes a prefix sum of a per
 horizon.  :func:`success_probabilities` evaluates both in one pass over the
-chunks, with the bits of one whole-vector pass; :func:`success_probability`
-is its lambda form, so it runs the same pass.  The pass covers only the live
-window, i from q's first positive entry L to p's last positive horizon K:
-below L, q_i = 0 and U stays exactly 1, and past K, p_i = lambda_i = 0, so
-every term outside it is a zero; lambda too is computed on the window alone.
-The two forms' terms are held on the window alone, and each form is summed by
-``dist._window_sum``, which adds them as numpy's pairwise sum adds the whole
-vector of n that is zero off the window, without that vector; so the bits do
-not change.  Cost: O(K - L + 1) elements and O(log n) numpy calls, with no
-vector of n past ``dist._PAD_NODE`` = 4096 entries.  A 0/1 rule is also scored from its accept runs alone, by
+chunks, whose terms have the bits of one whole-vector pass;
+:func:`success_probability` is its lambda form, so it runs the same pass.
+The pass covers only the live window, i from q's first positive entry L to
+p's last positive horizon K: below L, q_i = 0 and U stays exactly 1, and past
+K, p_i = lambda_i = 0, so every term outside it is a zero; lambda too is
+computed on the window alone.  The two forms' terms are held on the window
+alone, and each form is numpy's pairwise sum of its window, so a value does
+not depend on the zeros outside it.  Cost: O(K - L + 1) elements and
+O((K - L) / 2^14 + 1) numpy calls, with no vector of n.  A 0/1 rule is also
+scored from its accept runs alone, by
 differences of threshold values (:func:`runs_value`), which is how the learner
 scores its rules.  The threshold values come from lambda and its ratio tail
 R_i = sum_{j>=i} lambda_j/(j-1), which is lambda's own suffix sum one index
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import (_CHUNK, _PAD_NODE, HorizonDistribution, _check_int, _check_size, _floats,
-                   _lambda_window, _probability_vector, _window_sum, lambda_sequence)
+from .dist import (_CHUNK, HorizonDistribution, _check_int, _check_size, _floats, _lambda_window,
+                   _probability_vector, lambda_sequence)
 from .errors import ValidationError
 
 
@@ -158,30 +158,23 @@ def success_probabilities(p: HorizonDistribution, q) -> tuple[float, float]:
     to p's last positive horizon K, starting there with U = 1: outside it
     every term of both forms is a zero.  Chunk by chunk, the terms are
     multiplied into lambda's window, then turned into the point-mass values,
-    and p_i times those go into a second row.  ``dist._window_sum`` sums each
-    row as numpy sums the vector of n that holds it on the window and +0.0
-    elsewhere, so the bits are those of the pass over all of 1..n; the rows
-    span all n, zero off the window, only while n is at most
-    ``dist._PAD_NODE``, where one reduce of them costs least.
+    and p_i times those go into a second row.  Each form is one pairwise sum
+    of its row, the window alone; an empty window sums to +0.0.
     :func:`success_probability` returns the lambda form.  Cost: O(K - L + 1)
-    elements and O(log n) numpy calls; no vector of n past _PAD_NODE.
+    elements and O((K - L) / 2^14 + 1) numpy calls; no vector of n.
     """
     q = _acceptance_vector(q, copy=False)
     hi = p._last_positive + 1
     lo = _first_positive(q, hi)
-    # one row per form over the window; up to _PAD_NODE entries over all n, zero off the window,
-    # which one reduce sums
-    whole = p.n <= _PAD_NODE
-    terms = np.zeros((2, p.n)) if whole else np.empty((2, hi - lo))
-    off = 0 if whole else lo
-    lam, pform, total = terms[0, lo - off:], terms[1, lo - off:], -0.0
+    terms = np.empty((2, hi - lo))  # one row per form, over the window
+    lam, pform, total = terms[0], terms[1], -0.0
     _lambda_window(p.probs, lo, hi, lam)  # lam takes the terms a_i lambda_i in place
     for start, i, a in _term_chunks(q, lo, hi):
         j, k = start - lo, a.size
         np.multiply(lam[j:j + k], a, out=lam[j:j + k])
         total = _point_masses(a, i, total)
         np.multiply(p.probs[start:start + k], a, out=pform[j:j + k])
-    value, value_pform = _window_sum(terms, off, p.n).tolist()
+    value, value_pform = np.add.reduce(terms, axis=-1).tolist()
     return value, value_pform
 
 

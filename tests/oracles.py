@@ -4,7 +4,8 @@ Everything here evaluates strategies by enumerating permutations and
 simulating decisions position by position, never through the closed forms
 under test.  The exceptions are the separate-pass and whole-vector forms of
 the exact evaluators at the end, which the chunked kernels must match bit
-for bit.
+for bit.  Those sum each form over its live window [L, K], the range the
+package sums, found here by scans of the whole vectors.
 """
 
 import itertools
@@ -14,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from randhorizon import (HorizonDistribution, ValidationError, lambda_sequence, learn_strategy,
-                         make_distribution, make_strategy, sample_size_bound, single_threshold,
-                         success_probability)
+                         make_strategy, sample_size_bound, single_threshold, success_probability)
 from randhorizon.dist import SUM_TOL
 from randhorizon.learn import _endpoints_until
 from randhorizon.strategy import point_mass_values, runs_value
@@ -271,10 +271,20 @@ def average_case_one_block(n: int, epsilon: float, draws: int, seed) -> tuple[fl
 
 
 def poisson_full_support(mu: float, n: int) -> HorizonDistribution:
-    """Truncated Poisson(mu) on k = 1..n with lgamma at every k of the support."""
+    """Truncated Poisson(mu) on k = 1..n with lgamma at every k of the support.
+
+    The weights exp(f - max f), f(k) = k log mu - lgamma(k + 1), at every k, divided by their sum
+    over the k with f(k) >= f(k0) - 800, k0 = round(mu) clamped to [1, n], when that sum is off 1
+    by more than SUM_TOL.
+    """
     k = np.arange(1, n + 1, dtype=float)
-    logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
-    return make_distribution(np.exp(logw - logw.max()))
+    f = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
+    w = np.exp(f - f.max())
+    window = np.flatnonzero(f >= f[min(max(round(mu), 1), n) - 1] - 800.0)
+    total = w[window[0]:window[-1] + 1].sum()
+    if abs(total - 1.0) > SUM_TOL:
+        w /= total
+    return HorizonDistribution(probs=w)
 
 
 def last_positive_one_shot(v: np.ndarray) -> int:
@@ -285,18 +295,10 @@ def last_positive_one_shot(v: np.ndarray) -> int:
 
 
 def poisson_whole_vector(mu: float, n: int) -> tuple[np.ndarray, int]:
-    """(probs, last positive index) of the truncated Poisson(mu) law, every step over all of 1..n.
-
-    The weights exp(f - max f) at every k, their sum by ``w.sum()``, the division when it is off
-    1 by more than SUM_TOL, and :func:`last_positive_one_shot`.
-    """
-    k = np.arange(1, n + 1, dtype=float)
-    logw = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
-    w = np.exp(logw - logw.max())
-    total = w.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        w /= total
-    return w, last_positive_one_shot(w)
+    """(probs, last positive index) of :func:`poisson_full_support`, the index by
+    :func:`last_positive_one_shot`."""
+    probs = poisson_full_support(mu, n).probs
+    return probs, last_positive_one_shot(probs)
 
 
 def prefix_products_concat(q: np.ndarray) -> np.ndarray:
@@ -311,14 +313,27 @@ def lambda_sequence_copy(p: HorizonDistribution) -> np.ndarray:
     return np.cumsum(terms[::-1])[::-1]
 
 
+def live_window(p: HorizonDistribution, q) -> slice:
+    """The 0-based slice of i = L..K: q's first positive entry L, of q padded to n, up to p's last
+    positive horizon K; empty when q has no positive entry up to K."""
+    k = int(np.flatnonzero(p.probs > 0)[-1]) + 1
+    positive = np.flatnonzero(padded(q, k) > 0)
+    return slice(int(positive[0]) if positive.size else k, k)
+
+
 def eval_two_pass(p: HorizonDistribution, q) -> tuple[float, float]:
-    """(lambda form, per-horizon form) of A(p, q), each from its own extension of q and own U."""
+    """(lambda form, per-horizon form) of A(p, q), each from its own extension of q and own U.
+
+    Each form is the pairwise sum of its whole-vector terms over :func:`live_window`.
+    """
     def terms() -> np.ndarray:
         qx = padded(q, p.n)
         return prefix_products_concat(qx)[:-1] * qx
 
-    value = float(np.sum(terms() * lambda_sequence_copy(p)))
-    return value, float(np.sum(p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))))
+    live = live_window(p, q)
+    value = float(np.add.reduce((terms() * lambda_sequence_copy(p))[live]))
+    pform = p.probs * (np.cumsum(terms()) / np.arange(1, p.n + 1))
+    return value, float(np.add.reduce(pform[live]))
 
 
 def eval_whole_vector(p: HorizonDistribution, q) -> tuple[float, float, np.ndarray]:
@@ -328,7 +343,7 @@ def eval_whole_vector(p: HorizonDistribution, q) -> tuple[float, float, np.ndarr
     q padded with ones to n, U_0..U_n in one buffer of n + 1 whose first n
     entries become the terms a_i = U_{i-1} q_i, the lambda form the sum of
     a * lambda, and the per-horizon form that of p times the point-mass
-    values cumsum(a) / i.
+    values cumsum(a) / i; each sum is the pairwise sum over :func:`live_window`.
     """
     qx = padded(q, p.n)
     u = np.empty(p.n + 1)
@@ -338,9 +353,10 @@ def eval_whole_vector(p: HorizonDistribution, q) -> tuple[float, float, np.ndarr
     np.subtract(1.0, tail, out=tail)
     np.cumprod(tail, out=tail)
     a = np.multiply(u[:-1], qx, out=u[:-1])
-    value = float(np.sum(a * lambda_sequence(p)))
+    live = live_window(p, q)
+    value = float(np.add.reduce((a * lambda_sequence(p))[live]))
     masses = np.divide(np.cumsum(a), np.arange(1, p.n + 1))
-    return value, float(np.sum(p.probs * masses)), masses
+    return value, float(np.add.reduce((p.probs * masses)[live])), masses
 
 
 def threshold_values_padded(p: HorizonDistribution, l_max: int) -> np.ndarray:

@@ -1,4 +1,3 @@
-import gc
 import math
 import sys
 import tracemalloc
@@ -23,6 +22,8 @@ from randhorizon import (
     poisson_truncated,
     prophet_block_distribution,
     sample_dirichlet_uniform,
+    single_threshold,
+    success_probabilities,
     uniform,
     worst_case_pstar,
 )
@@ -79,7 +80,8 @@ BUILT = {
 
 
 @pytest.mark.parametrize("name", BUILT)
-def test_library_built_distributions_are_checked_once_and_not_copied(name, monkeypatch):
+def test_library_built_distributions_are_not_checked_or_copied(name, monkeypatch):
+    # a builder's weights are finite and non-negative by construction
     build, peak_mb = BUILT[name]
     base = delta(10**6)
     want = build(base).probs
@@ -93,7 +95,7 @@ def test_library_built_distributions_are_checked_once_and_not_copied(name, monke
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert checks == ["weights"] and copies == []
+    assert checks == [] and copies == []
     assert np.array_equal(p.probs, want) and not p.probs.flags.writeable
     if peak_mb is not None:
         assert peak < peak_mb * 2**20, peak
@@ -257,60 +259,53 @@ def test_last_positive_scans_back_one_chunk_at_a_time():
     assert peak < 4 * chunk, peak  # one chunk of booleans; the whole-vector scan took 1 MB
 
 
-# (rows, n, lo, k) of the windows summed below: sizes below 8, in 8..128 and up to 4 * 10^5
-def _windows(rng: np.random.Generator):
-    for n in range(1, 8):
-        for lo in range(n + 1):
-            for hi in range(lo, n + 1):
-                yield 1, n, lo, hi - lo
-    for n in (8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 136, 255, 256, 257, 4095, 4096, 4097):
-        for _ in range(12):
-            lo, hi = np.sort(rng.integers(0, n + 1, 2))
-            yield int(rng.integers(1, 3)), n, int(lo), int(hi - lo)
-    for _ in range(300):
-        n = int(rng.integers(129, 4 * 10**5))
-        # edges on and next to multiples of 8 and of 128, and anywhere
-        edges = [0, n, int(rng.integers(0, n + 1))]
-        for step in (8, 128):
-            base = step * int(rng.integers(0, n // step + 1))
-            edges += [base - 1, base, base + 1]
-        lo, hi = sorted(min(max(int(e), 0), n) for e in rng.choice(edges, 2))
-        yield int(rng.integers(1, 3)), n, lo, hi - lo
-    for n in (1, 100, 5000, 4 * 10**5):  # empty windows
-        for lo in (0, n // 3, n):
-            yield 2, n, lo, 0
-
-
-@pytest.mark.parametrize("pad", ["default", "leaf"])
-def test_window_sum_has_the_bits_of_numpy_sum_of_the_zero_padded_vector(pad, monkeypatch):
-    # with runs padded at numpy's leaf size, 128, the walk splits every run down to the leaves
-    if pad == "leaf":
-        monkeypatch.setattr(dist, "_PAD_NODE", 128)
-    rng = np.random.default_rng(43)
-    for rows, n, lo, k in _windows(rng):
-        w = rng.random((rows, k)) * 10.0 ** rng.uniform(-300, 300, (rows, k))
-        w[rng.random((rows, k)) < 0.1] = -0.0
-        x = np.zeros((rows, n))
-        x[:, lo:lo + k] = w
-        want = [float(v).hex() for v in np.add.reduce(x, axis=-1)]
-        got = dist._window_sum(w, lo, n)
-        assert [float(v).hex() for v in got] == want, (n, lo, k)
-        if rows == 1:
-            assert float(dist._window_sum(w[0], lo, n)).hex() == want[0], (n, lo, k)
-
-
-def test_window_sum_keeps_no_cycle_alive():
-    # a closure that called itself would hold a cycle with the window until the collector ran
-    w = np.random.default_rng(44).random((2, 1000))
-    before = sys.getrefcount(w)
-    gc_was = gc.isenabled()
-    gc.disable()
+def test_a_poisson_law_holds_one_vector_of_n():
+    # the zero vector it writes its window into; checking it whole took two boolean vectors more
+    n = 10**6
+    tracemalloc.start()
     try:
-        dist._window_sum(w, 50_000, 10**6)
-        assert sys.getrefcount(w) == before
+        poisson_truncated(1000.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        if gc_was:
-            gc.enable()
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2**18, peak
+
+
+def _poisson_window_top(mu: float) -> int:
+    """The last k with f(k) >= f(k0) - 800 of :func:`poisson_truncated` at any n past it."""
+    k = np.arange(1, 3 * round(mu) + 400, dtype=float)
+    f = k * math.log(mu) - np.array([math.lgamma(x) for x in (k + 1.0).tolist()])
+    return int(np.flatnonzero(f >= f[max(round(mu), 1) - 1] - 800.0)[-1]) + 1
+
+
+def test_a_poisson_law_has_the_same_bits_at_every_truncation_past_its_window():
+    # the law's sum runs over its window alone, so neither its probs there nor eval's values move
+    rng = np.random.default_rng(46)
+    for mu in (0.7, 40.0, 1000.0):
+        top = _poisson_window_top(mu)
+        laws = [poisson_truncated(mu, n) for n in (top, 3 * 10**5, 3 * 10**6)]
+        rules = [single_threshold(max(round(mu), 1), round(mu) + 1), rng.random(top // 2)]
+        want = [[v.hex() for v in success_probabilities(laws[0], q)] for q in rules]
+        for p in laws[1:]:
+            assert p.probs[:top].tobytes() == laws[0].probs.tobytes(), (mu, p.n)
+            assert not p.probs[top:].any() and p._last_positive == laws[0]._last_positive
+            got = [[v.hex() for v in success_probabilities(p, q)] for q in rules]
+            assert got == want, (mu, p.n)
+
+
+def test_a_law_that_sums_to_one_has_the_same_bits_padded_with_zeros():
+    # within SUM_TOL of 1 nothing is renormalized, so the zeros past K change no sum
+    rng = np.random.default_rng(47)
+    for n in (1, 7, 300, 5000):
+        w = sample_dirichlet_uniform(n, rng).probs
+        assert abs(w.sum() - 1.0) <= dist.SUM_TOL
+        rules = [rng.random(n), single_threshold(n // 2 + 1, n), np.ones(0)]
+        want = [[v.hex() for v in success_probabilities(make_distribution(w), q)] for q in rules]
+        for pad in (1, 4096, 10**5):
+            p = make_distribution(np.concatenate([w, np.zeros(pad)]))
+            assert p.probs[:n].tobytes() == w.tobytes(), (n, pad)
+            got = [[v.hex() for v in success_probabilities(p, q)] for q in rules]
+            assert got == want, (n, pad)
 
 
 def test_poisson_law_sums_and_finds_k_on_its_window_alone():

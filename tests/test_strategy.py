@@ -27,7 +27,6 @@ from randhorizon import (
     worst_case_pstar,
 )
 
-from randhorizon.dist import _PAD_NODE
 from randhorizon.strategy import (_CHUNK, _acceptance_terms, _runs_value, _threshold_values,
                                   point_mass_values, runs_value)
 
@@ -181,8 +180,8 @@ def _laws_with_zero_tails(n: int, rng: np.random.Generator):
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 def test_chunked_evaluators_keep_the_bits_of_the_whole_vector_pass(n):
-    # U and the prefix sum of the terms are carried across chunk edges; the kernel runs from
-    # q's first positive entry to p's last positive horizon, and both sums still run over n
+    # U and the prefix sum of the terms are carried across chunk edges; the kernel and both
+    # sums run from q's first positive entry to p's last positive horizon
     rng = np.random.default_rng(n)
     for law, p in _laws_with_zero_tails(n, rng):
         k = p._last_positive + 1
@@ -238,12 +237,11 @@ def test_windowed_evaluators_keep_the_bits_on_random_laws_and_rules():
         assert success_probability(p, q).hex() == value.hex(), case
 
 
-def test_windowed_evaluators_keep_the_bits_past_the_padded_size():
-    # past dist._PAD_NODE the two forms' terms are held on the window alone, and their sums walk
-    # numpy's pairwise layout instead of summing a vector of n
+def test_windowed_evaluators_keep_the_bits_on_laws_of_thousands():
+    # windows from empty to all of n, across the chunk edges of the kernel
     rng = np.random.default_rng(34)
     for case in range(120):
-        n = int(rng.integers(_PAD_NODE - 2, 40_000))
+        n = int(rng.integers(4094, 40_000))
         w = rng.standard_exponential(n)
         head, k = np.sort(rng.integers(0, n + 1, 2))
         w[:head] = 0.0
@@ -258,7 +256,7 @@ def test_windowed_evaluators_keep_the_bits_past_the_padded_size():
 
 def test_evaluators_hold_no_vector_of_n():
     # the window of poisson(1000) and a threshold at 1000 are the same at n = 3 * 10^5 and at
-    # 3 * 10^6; only the walk over numpy's pairwise layout is a few levels deeper
+    # 3 * 10^6
     peaks = []
     for n in (3 * 10**5, 3 * 10**6):
         p, q = poisson_truncated(1000.0, n), single_threshold(1000, 1000)
